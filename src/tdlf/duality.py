@@ -28,7 +28,7 @@ from .series import (
     RightValBound,
     Series,
     ZeroTail,
-    mul,
+    product_coeff,
 )
 from .submodule import SubmoduleSpec, is_bounded, is_compactoid
 
@@ -44,16 +44,13 @@ __all__ = [
 def pairing(x: Series, y: Series, target_precision: int | None = None) -> PAdic:
     """``sum over i of x_i y_{-i}``, the t^0 coefficient of the product.
 
-    For Laurent series the sum is finite and exact within coefficient
+    Only that coefficient is computed; the product is never built.  For
+    Laurent series the sum is finite and exact within coefficient
     precision; for doubly infinite series the tail guarantees certify the
     result modulo a computable power of p.  A target below the certified
     precision raises :class:`PrecisionExhausted`.
     """
-    z = mul(x, y)
-    if isinstance(z, EqualCharSeries):
-        c = z.coeff(0) if z.order <= 0 else PAdic.zero(z.prime)
-    else:
-        c = z.coeff(0)
+    c = product_coeff(x, y, 0)
     if target_precision is not None and c.precision < target_precision:
         raise PrecisionExhausted(
             f"pairing certified only modulo p^{c.precision}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import WindowInsufficient
+from .errors import PrecisionExhausted, WindowInsufficient
 from .padic import PAdic
 from .seminorm import EQUAL, SeminormSpec
 from .seqspec import (
@@ -163,7 +163,7 @@ def sample_elements(
 
     Boundary monomials ``p^(k_i) t^i`` come first for every window index
     with a finite exponent, then pseudorandom elements fill up to
-    ``cfg.count``.  Every output is asserted to be a certified member.
+    ``cfg.count``.  Each must be a certified member, else PrecisionExhausted.
     """
     rng = SplitMix64(cfg.seed)
     lo, hi = cfg.window
@@ -196,6 +196,6 @@ def sample_elements(
             coeffs[i] = _random_coeff(rng, prime, val, cfg.precision)
         out.append(build(coeffs))
 
-    for el in out:
-        assert membership(m, el) == Membership.IN
+    if any(membership(m, el) != Membership.IN for el in out):
+        raise PrecisionExhausted("a sample is not certified as a member")
     return out[: cfg.count]

@@ -86,7 +86,8 @@ class ExtInt:
         return self._sign == other._sign and self._n == other._n
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        # finite values equal their int, so they must hash like it
+        return hash(self._n) if self._sign == 0 else hash(self._key())
 
     def __lt__(self, other: Union["ExtInt", int]) -> bool:
         return self._key() < ExtInt.of(other)._key()
@@ -520,14 +521,6 @@ class _Ray:
     offset: int
     minf: bool = False
 
-    def covers(self, k: int) -> bool:
-        return k <= self.bound if self.leftward else k >= self.bound
-
-    def at(self, k: int) -> ExtInt:
-        if self.minf:
-            return MINUS_INF
-        return ExtInt(self.slope * k + self.offset)
-
 
 def _ray_pieces(s: SeqSpec) -> tuple[list[tuple[int, ExtInt]], list[_Ray]]:
     points = [(i, v) for i, v in s.window_items() if v != PLUS_INF]
@@ -546,19 +539,6 @@ def _ray_pieces(s: SeqSpec) -> tuple[list[tuple[int, ExtInt]], list[_Ray]]:
         else:
             rays.append(_Ray(leftward, bound, tail.slope, tail.offset))
     return points, rays
-
-
-def _pair_point_point(
-    pts_a: list[tuple[int, ExtInt]],
-    pts_b: list[tuple[int, ExtInt]],
-    best: dict[int, ExtInt],
-) -> None:
-    for i, v in pts_a:
-        for j, w in pts_b:
-            s = minplus_term(v, w)
-            k = i + j
-            if k not in best or s < best[k]:
-                best[k] = s
 
 
 def _pair_point_ray(i: int, v: ExtInt, r: _Ray) -> _Ray:
@@ -642,6 +622,29 @@ def _asymptote_winner(
     return tail, crossings
 
 
+def _ray_envelope(rays: list[_Ray], lo: int, hi: int) -> list[ExtInt]:
+    """For each ``k`` in ``[lo, hi]``, the least value of the rays covering it.
+
+    Sweeping towards the open end of one direction, rays of that direction
+    only join, so per slope the least offset so far is all that counts.
+    """
+    out = [PLUS_INF] * (hi - lo + 1)
+    for leftward in (True, False):
+        side = sorted((r for r in rays if r.leftward == leftward), key=lambda r: r.bound)
+        if not leftward:
+            side.reverse()  # the next ray to join is last
+        least: dict[int | None, int] = {}  # slope -> offset; None keys -inf rays
+        for k in range(hi, lo - 1, -1) if leftward else range(lo, hi + 1):
+            while side and (k <= side[-1].bound if leftward else k >= side[-1].bound):
+                r = side.pop()
+                key = None if r.minf else r.slope
+                least[key] = min(least.get(key, r.offset), r.offset)
+            if least:
+                v = MINUS_INF if None in least else min(s * k + o for s, o in least.items())
+                out[k - lo] = min(out[k - lo], ExtInt.of(v))
+    return out
+
+
 def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
     """Min-plus convolution ``k -> inf over i+j=k of a(i) + b(j)``.
 
@@ -652,7 +655,11 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
     pts_b, rays_b = _ray_pieces(b)
 
     best_points: dict[int, ExtInt] = {}
-    _pair_point_point(pts_a, pts_b, best_points)
+    for i, v in pts_a:
+        for j, w in pts_b:
+            s = minplus_term(v, w)
+            if i + j not in best_points or s < best_points[i + j]:
+                best_points[i + j] = s
 
     rays: list[_Ray] = []
     for i, v in pts_a:
@@ -666,15 +673,6 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
                 return SeqSpec.constant(MINUS_INF)
             rays.extend(new)
 
-    def value(k: int) -> ExtInt:
-        out = best_points.get(k, PLUS_INF)
-        for r in rays:
-            if r.covers(k):
-                v = r.at(k)
-                if v < out:
-                    out = v
-        return out
-
     marks = [r.bound for r in rays] + list(best_points)
     if not marks:
         return SeqSpec.constant(PLUS_INF)
@@ -682,10 +680,11 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
     right, rcross = _asymptote_winner(rays, leftward=False)
     lo = min(marks + lcross) - 1
     hi = max(marks + rcross) + 1
-    vals = tuple(value(k) for k in range(lo, hi + 1))
-    out = SeqSpec(lo, vals, left, right)
+    envelope = enumerate(_ray_envelope(rays, lo - 2, hi + 2), lo - 2)
+    vals = [min(best_points.get(k, PLUS_INF), e) for k, e in envelope]
+    out = SeqSpec(lo, tuple(vals[2:-2]), left, right)
     for k in (lo - 1, lo - 2, hi + 1, hi + 2):  # tail guard
-        if out.value_at(k) != value(k):
+        if out.value_at(k) != vals[k - lo + 2]:
             raise NonRepresentableTail(
                 f"convolution tail mismatch at index {k}"
             )

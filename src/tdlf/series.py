@@ -11,6 +11,7 @@ so precision bookkeeping rides on :class:`~tdlf.padic.PAdic` itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Union
@@ -31,6 +32,7 @@ from .seqspec import (
     SeqSpec,
     ext_min,
     minplus_convolve,
+    pointwise_min,
 )
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "ValuationResult",
     "add",
     "mul",
+    "product_coeff",
     "partial_sum",
     "vF_exponent",
     "rank2_mixed",
@@ -452,126 +455,123 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     :class:`PrecisionExhausted`.
     """
     _check_pair(x, y)
+    p, xs, ys = x.prime, _stored(x), _stored(y)
     if isinstance(x, EqualCharSeries):
-        return _mul_equal(x, y, target_precision)
-    return _mul_mixed(x, y, target_precision)
-
-
-def _mul_equal(
-    x: EqualCharSeries, y: EqualCharSeries, target: int | None
-) -> EqualCharSeries:
-    p = x.prime
-    if (not x.coeffs and x.trunc == PLUS_INF) or (not y.coeffs and y.trunc == PLUS_INF):
-        return EqualCharSeries.zero(p)
-    trunc = min(x.order + y.trunc, y.order + x.trunc)
-    total: dict[int, PAdic] = {}
-    for i, ci in x.coeffs:
-        for j, cj in y.coeffs:
-            k = i + j
-            if ExtInt(k) >= trunc:
-                continue
-            prod = ci * cj
-            total[k] = total[k] + prod if k in total else prod
-    if target is not None:
-        for k, c in total.items():
-            if c.precision < target:
-                raise PrecisionExhausted(
-                    f"coefficient {k} certified only modulo p^{c.precision}"
-                )
-    return EqualCharSeries.from_coeffs(p, total, order=x.order + y.order, trunc=trunc)
-
-
-def _tail_pairs_bound(x: MixedSeries, y: MixedSeries, k: int) -> ExtInt:
-    """Lower bound on the valuation of all products ``x_i * y_{k-i}`` in
-    which at least one factor comes from a tail region."""
-    bx, by = x.bound_seq(), y.bound_seq()
-    fy, fx = y.valuation_floor(), x.valuation_floor()
-    best = PLUS_INF
-
-    def scan_left_of(series: MixedSeries, bs: SeqSpec, other: MixedSeries, other_bs: SeqSpec, floor: ExtInt):
-        # i runs left through the decaying tail; the partner index moves right
-        nonlocal best
-        if isinstance(series.left, ZeroTail) or floor == PLUS_INF:
-            return
-        i = series.lo - 1
-        while True:
-            j = k - i
-            if j > other.hi and isinstance(other.right, ZeroTail):
-                break  # every further partner is exactly zero
-            own = bs.value_at(i)
-            if own + floor >= best:
-                break
-            term = own + other_bs.value_at(j)
-            if term < best:
-                best = term
-            i -= 1
-
-    def scan_right_of(series: MixedSeries, bs: SeqSpec, other: MixedSeries, other_bs: SeqSpec):
-        # i runs right at a constant floor; the partner index moves left
-        nonlocal best
-        if isinstance(series.right, ZeroTail):
-            return
-        own = ExtInt(series.right.floor)
-        i = series.hi + 1
-        while True:
-            j = k - i
-            if j < other.lo:
-                partner = other_bs.value_at(j)
-                if isinstance(other.left, ZeroTail) or own + partner >= best:
-                    break
-            term = own + other_bs.value_at(j)
-            if term < best:
-                best = term
-            i += 1
-
-    scan_left_of(x, bx, y, by, fy)
-    scan_left_of(y, by, x, bx, fx)
-    scan_right_of(x, bx, y, by)
-    scan_right_of(y, by, x, bx)
-    # window positions of one factor against tail positions of the other
-    for i in range(x.lo, x.hi + 1):
-        j = k - i
-        if y.lo <= j <= y.hi:
-            continue
-        term = bx.value_at(i) + by.value_at(j)
-        if term < best:
-            best = term
-    for j in range(y.lo, y.hi + 1):
-        i = k - j
-        if x.lo <= i <= x.hi:
-            continue
-        term = bx.value_at(i) + by.value_at(j)
-        if term < best:
-            best = term
-    return best
-
-
-def _mul_mixed(x: MixedSeries, y: MixedSeries, target: int | None) -> MixedSeries:
-    p = x.prime
+        order, trunc = _equal_frame(x, y)
+        # trunc is -inf only when a factor stores nothing, so no pair is lost
+        total: dict[int, PAdic] = {}
+        for k, idx in _diagonals(xs, ys, trunc.n if trunc.is_finite else math.inf).items():
+            total[k] = c = _coefficient(p, ((xs[i], ys[k - i]) for i in idx))
+            _check_target(k, c, target_precision)
+        return EqualCharSeries.from_coeffs(p, total, order=order, trunc=trunc)
     conv = minplus_convolve(x.bound_seq(), y.bound_seq())
     lo = min(x.lo + y.lo, conv.window_lo)
     hi = max(x.hi + y.hi, conv.window_hi)
-    total: dict[int, PAdic] = {}
+    rem = _tail_bound(x, y)
+    diagonals = _diagonals(xs, ys)
+    total = {}
     for k in range(lo, hi + 1):
-        acc = PAdic.zero(p)
-        for i, ci in x.coeffs:
-            j = k - i
-            if y.lo <= j <= y.hi:
-                cj = y._map.get(j)
-                if cj is not None:
-                    acc = acc + ci * cj
-        rem = _tail_pairs_bound(x, y, k)
-        if rem != PLUS_INF:
-            acc = acc + PAdic.zero_mod(p, rem.n)
-        if target is not None and acc.precision < target:
-            raise PrecisionExhausted(
-                f"coefficient {k} certified only modulo p^{acc.precision}"
-            )
-        if not acc.is_exact_zero:
-            total[k] = acc
+        pairs = ((xs[i], ys[k - i]) for i in diagonals.get(k, ()))
+        c = _coefficient(p, pairs, rem.value_at(k))
+        _check_target(k, c, target_precision)
+        if not c.is_exact_zero:
+            total[k] = c
     left = _left_from_bound_tail(conv, lo)
     right = _right_from_bound_tail(conv)
     return MixedSeries.from_coeffs(p, total, left=left, right=right, lo=lo, hi=hi)
+
+
+def product_coeff(x: Series, y: Series, k: int) -> PAdic:
+    """``mul(x, y).coeff(k)`` from the stored pairs on ``i + j = k`` and,
+    for mixed series, the tail bound at ``k``; the product is never built.
+
+    Raises what ``mul(x, y).coeff(k)`` raises, except that below the order
+    of a Laurent product the coefficient is zero whatever its truncation.
+    """
+    _check_pair(x, y)
+    p = x.prime
+    if isinstance(x, EqualCharSeries):
+        order, trunc = _equal_frame(x, y)
+        if k < order:
+            return PAdic.zero(p)
+        if ExtInt(k) >= trunc:
+            raise PrecisionExhausted(f"coefficient {k} is beyond the truncation")
+        rem = PLUS_INF
+    else:
+        bound = _tail_bound(x, y)
+        # its tails are those of the product, so the checks of mul apply
+        _left_from_bound_tail(bound, k)
+        _right_from_bound_tail(bound)
+        rem = bound.value_at(k)
+    xs, ys = _stored(x), _stored(y)
+    return _coefficient(p, ((a, ys[k - i]) for i, a in xs.items() if k - i in ys), rem)
+
+
+def _equal_frame(x: EqualCharSeries, y: EqualCharSeries) -> tuple[int, ExtInt]:
+    """Order and truncation of a Laurent product; an exact zero absorbs."""
+    if any(not s.coeffs and s.trunc == PLUS_INF for s in (x, y)):
+        return 0, PLUS_INF
+    return x.order + y.order, min(x.order + y.trunc, y.order + x.trunc)
+
+
+def _tail_bound(x: MixedSeries, y: MixedSeries) -> SeqSpec:
+    """Per product index, the least ``v(x_i) + v(y_j)`` over pairs with a
+    factor in a tail region: ``min(conv(tail(bx), by), conv(win(bx),
+    tail(by)))``, where ``tail`` blanks the window and ``win`` the tails."""
+    bx, by = x.bound_seq(), y.bound_seq()
+
+    def tail(s: SeqSpec) -> SeqSpec:
+        return SeqSpec(s.window_lo, (PLUS_INF,) * len(s.values), s.left, s.right)
+
+    win_x = SeqSpec(bx.window_lo, bx.values, ConstTail(PLUS_INF), ConstTail(PLUS_INF))
+    return pointwise_min(minplus_convolve(tail(bx), by), minplus_convolve(win_x, tail(by)))
+
+
+def _stored(x: Series) -> dict[int, tuple[int, int, int]]:
+    """Stored coefficients as ``i -> (val, unit, precision)`` integers."""
+    return {i: (c.val.n, c.unit, c.precision.n) for i, c in x.coeffs}
+
+
+def _diagonals(xs: dict, ys: dict, cut: float = math.inf) -> dict[int, list[int]]:
+    """The indices ``i`` of the stored pairs ``(i, j)``, grouped by
+    ``k = i + j < cut`` in order of first appearance: one walk over all
+    stored pairs that keeps no factor."""
+    out: dict[int, list[int]] = {}
+    for i in xs:
+        for j in ys:
+            if i + j < cut:
+                out.setdefault(i + j, []).append(i)
+    return out
+
+
+def _coefficient(p: int, pairs, rem: ExtInt = PLUS_INF) -> PAdic:
+    """The sum of the products ``x_i * y_j`` in ``pairs`` plus ``O(p^rem)``.
+
+    The products of stored units are summed exactly as ``p^v * s`` and
+    reduced once at the least precision one product certifies; a
+    zero-within-precision factor has unit 0 and adds only its precision
+    ``v_i + v_j``.  ``PAdic.make`` is canonical on residue classes, so this
+    equals the chain of ``PAdic`` products and sums.
+    """
+    v = s = None
+    prec = math.inf if rem == PLUS_INF else rem.n
+    for (vi, ui, pi), (vj, uj, pj) in pairs:
+        prec = min(prec, pi + vj, pj + vi)
+        w, u = vi + vj, ui * uj
+        if v is None:
+            v, s = w, u
+        elif w < v:
+            v, s = w, s * p ** (v - w) + u
+        else:
+            s += u * p ** (w - v)
+    if v is None:
+        return PAdic.zero(p) if prec == math.inf else PAdic.zero_mod(p, prec)
+    return PAdic.make(p, v, s, prec)
+
+
+def _check_target(k: int, c: PAdic, target: int | None) -> None:
+    if target is not None and c.precision < target:
+        raise PrecisionExhausted(f"coefficient {k} certified only modulo p^{c.precision}")
 
 
 def _left_from_bound_tail(conv: SeqSpec, lo: int) -> LeftTail:

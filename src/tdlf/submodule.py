@@ -11,6 +11,7 @@ and the named modules used throughout with their literature-sourced flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 from .errors import KindMismatch, PrecisionExhausted, UnknownName
@@ -237,6 +238,7 @@ def seminorm_bound_on(spec: SeminormSpec, m: SubmoduleSpec) -> ExtInt:
 # named modules and their literature-sourced classification
 
 
+@cache  # every entry is frozen, so one table serves all callers
 def _named_table() -> dict[str, tuple[SubmoduleSpec, Classification]]:
     inf, ninf = PLUS_INF, MINUS_INF
 

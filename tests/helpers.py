@@ -220,3 +220,108 @@ def translate_seq(s: SeqSpec, d: int) -> SeqSpec:
         return t
 
     return SeqSpec(s.window_lo - d, s.values, move(s.left), move(s.right))
+
+
+# ---------------------------------------------------------------------------
+# reference product: one PAdic product and sum at a time, with the tail
+# remainder found by scanning outwards from each output index
+
+
+def reference_tail_pairs_bound(x: MixedSeries, y: MixedSeries, k: int) -> ExtInt:
+    """Lower bound on the valuation of all products ``x_i * y_{k-i}`` in
+    which at least one factor comes from a tail region."""
+    bx, by = x.bound_seq(), y.bound_seq()
+    fy, fx = y.valuation_floor(), x.valuation_floor()
+    best = PLUS_INF
+
+    def scan_left_of(series, bs, other, other_bs, floor):
+        # i runs left through the decaying tail; the partner index moves right
+        nonlocal best
+        if isinstance(series.left, ZeroTail) or floor == PLUS_INF:
+            return
+        i = series.lo - 1
+        while True:
+            j = k - i
+            if j > other.hi and isinstance(other.right, ZeroTail):
+                break  # every further partner is exactly zero
+            own = bs.value_at(i)
+            if own + floor >= best:
+                break
+            best = min(best, own + other_bs.value_at(j))
+            i -= 1
+
+    def scan_right_of(series, other, other_bs):
+        # i runs right at a constant floor; the partner index moves left
+        nonlocal best
+        if isinstance(series.right, ZeroTail):
+            return
+        own = ExtInt(series.right.floor)
+        i = series.hi + 1
+        while True:
+            j = k - i
+            if j < other.lo:
+                partner = other_bs.value_at(j)
+                if isinstance(other.left, ZeroTail) or own + partner >= best:
+                    break
+            best = min(best, own + other_bs.value_at(j))
+            i += 1
+
+    scan_left_of(x, bx, y, by, fy)
+    scan_left_of(y, by, x, bx, fx)
+    scan_right_of(x, y, by)
+    scan_right_of(y, x, bx)
+    # window positions of one factor against tail positions of the other
+    for i in range(x.lo, x.hi + 1):
+        if not y.lo <= k - i <= y.hi:
+            best = min(best, bx.value_at(i) + by.value_at(k - i))
+    for j in range(y.lo, y.hi + 1):
+        if not x.lo <= k - j <= x.hi:
+            best = min(best, bx.value_at(k - j) + by.value_at(j))
+    return best
+
+
+def _reference_target(k: int, c: PAdic, target) -> None:
+    from tdlf import PrecisionExhausted
+
+    if target is not None and c.precision < target:
+        raise PrecisionExhausted(f"coefficient {k} certified only modulo p^{c.precision}")
+
+
+def reference_mul(x, y, target=None):
+    """``mul`` computed one ``PAdic`` product and sum at a time."""
+    from tdlf import minplus_convolve
+    from tdlf.series import _left_from_bound_tail, _right_from_bound_tail
+
+    p = x.prime
+    if isinstance(x, EqualCharSeries):
+        if (not x.coeffs and x.trunc == PLUS_INF) or (not y.coeffs and y.trunc == PLUS_INF):
+            return EqualCharSeries.zero(p)
+        trunc = min(x.order + y.trunc, y.order + x.trunc)
+        total = {}
+        for i, ci in x.coeffs:
+            for j, cj in y.coeffs:
+                if ExtInt(i + j) < trunc:
+                    prod = ci * cj
+                    total[i + j] = total[i + j] + prod if i + j in total else prod
+        for k, c in total.items():
+            _reference_target(k, c, target)
+        return EqualCharSeries.from_coeffs(p, total, order=x.order + y.order, trunc=trunc)
+    conv = minplus_convolve(x.bound_seq(), y.bound_seq())
+    lo = min(x.lo + y.lo, conv.window_lo)
+    hi = max(x.hi + y.hi, conv.window_hi)
+    ymap = dict(y.coeffs)
+    total = {}
+    for k in range(lo, hi + 1):
+        acc = PAdic.zero(p)
+        for i, ci in x.coeffs:
+            if k - i in ymap:
+                acc = acc + ci * ymap[k - i]
+        rem = reference_tail_pairs_bound(x, y, k)
+        if rem != PLUS_INF:
+            acc = acc + PAdic.zero_mod(p, rem.n)
+        _reference_target(k, acc, target)
+        if not acc.is_exact_zero:
+            total[k] = acc
+    left = _left_from_bound_tail(conv, lo)
+    right = _right_from_bound_tail(conv)
+    return MixedSeries.from_coeffs(p, total, left=left, right=right, lo=lo, hi=hi)

@@ -1,8 +1,11 @@
 """Differential tests pitting closed forms against independent enumeration."""
 
+import pytest
+
 from tdlf import (
     MINUS_INF,
     PLUS_INF,
+    EqualCharSeries,
     MixedSeries,
     PAdic,
     SeqSpec,
@@ -10,15 +13,20 @@ from tdlf import (
     eval_exponent,
     forall_ge,
     mul,
+    pairing,
     sup_diff,
 )
 from tdlf.errors import PrecisionExhausted
 from tdlf.seqspec import AffineTail, ConstTail
+from tdlf.series import _tail_bound, product_coeff
 from helpers import (
     PRIME,
+    rand_equal_series,
     rand_mixed_series,
     rand_seminorm,
     rand_seqspec,
+    reference_mul,
+    reference_tail_pairs_bound,
     rng,
 )
 
@@ -154,3 +162,115 @@ class TestSeminormWithBounds:
             res = eval_exponent(spec, x)
             if all(c.valuation_exact for _, c in x.coeffs):
                 assert res.exact
+
+
+# ---------------------------------------------------------------------------
+# the product kernel against one-PAdic-at-a-time products
+
+
+def roughen(r, x):
+    """``x`` with some coefficients made zero within precision and some
+    known to a lower precision, so products mix all coefficient states."""
+    coeffs = {}
+    for i, c in x.coeffs:
+        roll = r.below(4)
+        if roll == 0:
+            c = PAdic.zero_mod(P, c.val.n + r.randint(-2, 2))
+        elif roll == 1:
+            c = PAdic.make(P, c.val.n, c.unit, c.val.n + r.randint(1, 8))
+        coeffs[i] = c
+    if isinstance(x, EqualCharSeries):
+        return EqualCharSeries.from_coeffs(P, coeffs, order=x.order, trunc=x.trunc)
+    return MixedSeries.from_coeffs(P, coeffs, left=x.left, right=x.right, lo=x.lo, hi=x.hi)
+
+
+def rand_truncated(r, span=(-6, 6)):
+    x = rand_equal_series(r, span=span)
+    cut = r.randint(span[0], span[1] + 1)
+    kept = {i: c for i, c in x.coeffs if i < cut}
+    return EqualCharSeries.from_coeffs(P, kept, order=span[0], trunc=cut)
+
+
+def rand_pair(r, kind):
+    """Two series of one kind, sometimes rough, shifted or truncated."""
+    out = []
+    for _ in range(2):
+        lo = r.randint(-8, 4)
+        span = (lo, lo + r.randint(0, 8))
+        if kind == "mixed":
+            x = rand_mixed_series(r, span=span, tails=True)
+        elif r.below(2):
+            x = rand_truncated(r, span)
+        else:
+            x = rand_equal_series(r, span=span)
+        out.append(roughen(r, x) if r.below(2) else x)
+    return out
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except PrecisionExhausted as exc:
+        return ("PrecisionExhausted", str(exc))
+
+
+KINDS = ("mixed", "equal")
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mul_matches_reference(self, kind):
+        r = rng(209)
+        for _ in range(150):
+            x, y = rand_pair(r, kind)
+            z = mul(x, y)
+            assert z == reference_mul(x, y)
+            assert z.to_json() == reference_mul(x, y).to_json()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_target_failure_names_the_same_index(self, kind):
+        r = rng(210)
+        raised = 0
+        for _ in range(150):
+            x, y = rand_pair(r, kind)
+            precs = [c.precision.n for _, c in reference_mul(x, y).coeffs]
+            for target in {min(precs, default=0) + 1, max(precs, default=0), 10**6}:
+                want = outcome(reference_mul, x, y, target)
+                assert outcome(mul, x, y, target) == want
+                raised += isinstance(want, tuple)
+        assert raised > 100
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pairing_is_the_product_coefficient(self, kind):
+        r = rng(211)
+        outside = beyond = 0
+        for _ in range(200):
+            x, y = rand_pair(r, kind)
+            z = outcome(mul, x, y)
+            want = outcome(z.coeff, 0) if not isinstance(z, tuple) else z
+            assert outcome(pairing, x, y) == want
+            for k in (-3, 5):
+                assert outcome(product_coeff, x, y, k) == outcome(z.coeff, k)
+            if kind == "mixed":
+                outside += not z.lo <= 0 <= z.hi
+            else:
+                beyond += isinstance(want, tuple)
+        assert outside > 20 or beyond > 20
+
+    def test_pairing_below_the_laurent_order_is_zero(self):
+        # the product vanishes below its order, even beyond its truncation
+        x = EqualCharSeries.from_coeffs(P, {}, order=5, trunc=0)
+        y = EqualCharSeries.monomial(P, 0, PAdic.one(P))
+        assert pairing(x, y) == PAdic.zero(P)
+        with pytest.raises(PrecisionExhausted):
+            mul(x, y).coeff(0)
+
+    def test_tail_bound_matches_the_scan(self):
+        # including indices outside the product window, where product_coeff
+        # reads the bound directly
+        r = rng(212)
+        for _ in range(150):
+            x, y = rand_pair(r, "mixed")
+            rem = _tail_bound(x, y)
+            for k in range(x.lo + y.lo - 12, x.hi + y.hi + 13):
+                assert rem.value_at(k) == reference_tail_pairs_bound(x, y, k)

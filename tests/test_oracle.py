@@ -117,6 +117,34 @@ class TestSampleElements:
                 j, c = e.coeffs[0]
                 assert j == i and c.val == m.seq.value_at(i)
 
+    def test_uncertified_sample_raises_under_optimize(self):
+        # -O strips assert statements; the membership check must survive it
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import tdlf
+
+        script = """
+import sys
+import tdlf.oracle as oracle
+from tdlf import PrecisionExhausted, SampleConfig, named
+assert False, "unreachable under -O"
+oracle.membership = lambda m, el: oracle.Membership.UNKNOWN
+try:
+    oracle.sample_elements(named("O{{t}}"), SampleConfig(seed=0, count=2, window=(-2, 2)), 5)
+except PrecisionExhausted as exc:
+    print(sys.flags.optimize, exc)
+"""
+        src = str(Path(tdlf.__file__).resolve().parent.parent)
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "1 a sample is not certified as a member\n"
+
     def test_count_respected(self):
         m = named("O{{t}}")
         elems = sample_elements(m, SampleConfig(seed=0, count=3, window=(-10, 10)), P)

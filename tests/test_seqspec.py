@@ -46,6 +46,12 @@ class TestExtInt:
     def test_add_matches_int(self, a, b):
         assert ExtInt(a) + ExtInt(b) == ExtInt(a + b)
 
+    def test_hash_agrees_with_int_equality(self):
+        assert ExtInt(5) == 5 and hash(ExtInt(5)) == hash(5)
+        assert {ExtInt(5): 1}[5] == 1 and {5: 1}[ExtInt(5)] == 1
+        assert len({PLUS_INF, MINUS_INF, ExtInt(0)}) == 3
+        assert hash(PLUS_INF) != hash(MINUS_INF)
+
 
 class TestValueAt:
     def test_window_lookup(self):

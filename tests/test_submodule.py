@@ -351,3 +351,10 @@ class TestUnboundedWitness:
                 validate(spec)
                 best = max(eval_exponent(spec, x).exponent for x in elems)
                 assert best >= target
+
+
+class TestNamedTable:
+    def test_built_once(self):
+        # the table is cached: repeated lookups return the very same objects
+        assert named("p{{t}}") is named("p{{t}}")
+        assert literature_classification("K[[t]]") is literature_classification("K[[t]]")
