@@ -37,18 +37,32 @@ EXIT_ADMISSIBILITY = 4
 EXIT_UNKNOWN_NAME = 5
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT
+# (Sorenson and Webster, 2015); larger --prime values are refused.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality for ``n < PRIME_LIMIT``."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -293,7 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits after --help (0) and on bad arguments (2)
+        return exc.code
+    if args.prime >= PRIME_LIMIT:
+        print(f"error: --prime must be below {PRIME_LIMIT}", file=sys.stderr)
+        return EXIT_PARSE
     if not _is_prime(args.prime):
         print(f"error: --prime {args.prime} is not prime", file=sys.stderr)
         return EXIT_PARSE

@@ -49,12 +49,20 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform in [0, n) by rejection."""
+        """Uniform in [0, n) by rejection.
+
+        Draws as many 64-bit words as ``n`` needs, most significant first,
+        and rejects on that width; bounds up to 2^64 take one word.
+        """
         if n <= 0:
             raise ValueError("need a positive bound")
-        limit = (_MASK + 1) - ((_MASK + 1) % n)
+        words = max(1, ((n - 1).bit_length() + 63) // 64)
+        span = 1 << (64 * words)
+        limit = span - span % n
         while True:
-            x = self.next_u64()
+            x = 0
+            for _ in range(words):
+                x = (x << 64) | self.next_u64()
             if x < limit:
                 return x % n
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
-from .errors import KindMismatch, NonAdmissibleSequence, PrecisionExhausted
+from .errors import KindMismatch, NonAdmissibleSequence, ParseError, PrecisionExhausted
 from .padic import ExponentResult
 from .seqspec import (
     MINUS_INF,
@@ -24,6 +24,7 @@ from .seqspec import (
     ConstTail,
     ExtInt,
     SeqSpec,
+    json_key,
 )
 from .series import EqualCharSeries, MixedSeries, ZeroTail
 
@@ -60,12 +61,20 @@ class SeminormSpec:
 
     @staticmethod
     def from_json(obj: Mapping) -> "SeminormSpec":
-        return SeminormSpec(SeqSpec.from_json(obj), obj["field"])
+        return SeminormSpec(SeqSpec.from_json(obj), field_from_json(obj))
+
+
+def field_from_json(obj: Mapping) -> str:
+    """The ``field`` key of a spec object: ``equal`` or ``mixed``."""
+    kind = json_key(obj, "field")
+    if kind not in (EQUAL, MIXED):
+        raise ParseError(f"bad key 'field': {kind!r} is neither 'equal' nor 'mixed'")
+    return kind
 
 
 def _admissibility_failure(seq: SeqSpec, kind: str) -> str | None:
     """Reason the sequence is not admissible for the kind, or None."""
-    for i, v in seq.window_items():
+    for i, _, v in seq.runs():
         if v == PLUS_INF:
             return f"value +inf at index {i}"
     for side, tail in (("left", seq.left), ("right", seq.right)):
@@ -125,11 +134,7 @@ def _combine(best_exact: ExtInt, best_bound: ExtInt) -> ExponentResult:
 def _eval_equal(spec: SeminormSpec, x: EqualCharSeries) -> ExponentResult:
     seq = spec.seq
     # the largest index carrying a finite weight
-    last = None
-    for i in range(seq.window_hi, seq.window_lo - 1, -1):
-        if seq.value_at(i) != MINUS_INF:
-            last = i
-            break
+    last = max((end for _, end, v in seq.runs() if v != MINUS_INF), default=None)
     if last is None:
         left = seq.left
         if not (isinstance(left, ConstTail) and left.value == MINUS_INF):

@@ -1,8 +1,8 @@
 """Extended integers and finitely presented integer sequences.
 
 A :class:`SeqSpec` is a total map ``Z -> Z u {+inf, -inf}`` presented by a
-finite window of explicit values together with a constant or affine tail on
-each side.  Every exponent sequence in the package (seminorm weights,
+finite window, stored as affine pieces, together with a constant or affine
+tail on each side.  Every exponent sequence in the package (seminorm weights,
 submodule exponents) is stored in this form, and the class is closed under
 the operations needed downstream: pointwise min/max, reflection ``i -> a -
 s(-i)``, shifts, and min-plus convolution.
@@ -10,10 +10,15 @@ s(-i)``, shifts, and min-plus convolution.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import NonRepresentableTail, UndefinedInfiniteSum
+from .errors import NonRepresentableTail, ParseError, UndefinedInfiniteSum
 
 __all__ = [
     "ExtInt",
@@ -166,15 +171,6 @@ def ext_min(values: Iterable[ExtInt]) -> ExtInt:
     return out
 
 
-def ext_max(values: Iterable[ExtInt]) -> ExtInt:
-    """Maximum of extended integers; -inf on empty input."""
-    out = MINUS_INF
-    for v in values:
-        if v > out:
-            out = v
-    return out
-
-
 def minplus_term(a: ExtInt, b: ExtInt) -> ExtInt:
     """Addition under min-plus convolution semantics.
 
@@ -235,35 +231,155 @@ def _normalize_tail(t: Tail) -> Tail:
     return t
 
 
-def _tails_equal(a: Tail, b: Tail) -> bool:
-    return _normalize_tail(a) == _normalize_tail(b)
+def _point_form(v: ExtInt) -> tuple[int | None, int]:
+    return (None, v._sign) if v._sign else (0, v._n)
+
+
+def _form(t: Tail) -> tuple[int | None, int]:
+    """(slope, offset) for finite forms; (None, +-1) for infinite constants."""
+    if isinstance(t, AffineTail):
+        return t.slope, t.offset
+    return _point_form(t.value)
+
+
+# --------------------------------------------------------------------------
+# affine pieces
+#
+# A window is stored as pieces ``(start, slope, offset)`` sorted by start.  A
+# piece covers the indices up to the next start (the last one up to
+# ``window_hi``) with value ``slope*i + offset``; an infinite constant has
+# slope None and offset +1 or -1, the encoding ``_form`` gives tails.
+# Pieces are greedy: read left to right, each runs as far as its line goes,
+# and a lone finite point has slope 0.  Equal windows therefore have equal
+# pieces, and every operation costs the number of pieces, not of indices.
+#
+# Operations build *fragments* ``(x, y, slope, offset)``: contiguous runs
+# on ``[x, y]`` in the same encoding, not yet maximal; ``_normalize`` turns
+# them into pieces.
+
+
+def _at(slope: int | None, offset: int, i: int) -> ExtInt:
+    if slope is None:
+        return PLUS_INF if offset > 0 else MINUS_INF
+    return ExtInt(slope * i + offset)
+
+
+def _normalize(frags: Iterable[tuple]) -> tuple[tuple[int, int | None, int], ...]:
+    """The greedy pieces of contiguous fragments."""
+    out: list[list] = []
+    end = 0  # last index of the last piece
+    loose = False  # the last piece is one finite point whose slope is free
+    for x, y, s, o in frags:
+        while x <= y:
+            if out:
+                last = out[-1]
+                if loose and s is not None:
+                    # the next finite point fixes the line of a lone point
+                    slope = s * x + o - last[2]
+                    last[1], last[2] = slope, last[2] - slope * end
+                    loose = False
+                if not loose:
+                    if last[1] == s and last[2] == o:
+                        end = y
+                        break
+                    if last[1] is not None and s is not None and last[1] * x + last[2] == s * x + o:
+                        end = x  # the line takes one point of the fragment
+                        x += 1
+                        continue
+            if x == y and s is not None:
+                out.append([x, 0, s * x + o])
+                loose = True
+            else:
+                out.append([x, s, o])
+                loose = False
+            end = y
+            break
+    return tuple(tuple(p) for p in out)
+
+
+_START = itemgetter(0)
+
+
+class _Values(Sequence):
+    """Read-only view of a window as one value per index."""
+
+    __slots__ = ("_seq",)
+
+    def __init__(self, seq: "SeqSpec"):
+        self._seq = seq
+
+    def __len__(self) -> int:
+        return self._seq.window_hi - self._seq.window_lo + 1
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[k] for k in range(*j.indices(len(self))))
+        n = len(self)
+        if j < 0:
+            j += n
+        if not 0 <= j < n:
+            raise IndexError("window index out of range")
+        return self._seq.value_at(self._seq.window_lo + j)
 
 
 # --------------------------------------------------------------------------
 # the sequence type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SeqSpec:
     """Finitely presented total map ``Z -> Z u {+inf, -inf}``.
 
-    ``values[j]`` is the value at index ``window_lo + j``; ``left`` applies
-    for indices below the window, ``right`` above it.  The window always
-    holds at least one entry.
+    The window ``[window_lo, window_hi]`` holds at least one index and is
+    stored as affine ``pieces``; ``values[j]`` reads the value at index
+    ``window_lo + j``.  ``left`` applies below the window, ``right`` above
+    it.  Two specs are equal when their windows, values and tails are.
     """
 
     window_lo: int
-    values: tuple[ExtInt, ...]
+    window_hi: int
+    pieces: tuple[tuple[int, int | None, int], ...]
     left: Tail
     right: Tail
 
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("SeqSpec window must hold at least one value")
+    def __init__(self, window_lo: int, values: Sequence, left: Tail, right: Tail):
+        """Build from the dense window ``values`` starting at ``window_lo``."""
+        if isinstance(values, _Values):
+            # a view keeps its pieces; only the index origin moves
+            src = values._seq
+            d = src.window_lo - window_lo
+            pieces = tuple(
+                (st - d, sl, of if sl is None else of + sl * d) for st, sl, of in src.pieces
+            )
+            hi = src.window_hi - d
+        else:
+            vals = [ExtInt.of(v) for v in values]
+            if not vals:
+                raise ValueError("SeqSpec window must hold at least one value")
+            pieces = _normalize(
+                (window_lo + j, window_lo + j, *_point_form(v)) for j, v in enumerate(vals)
+            )
+            hi = window_lo + len(vals) - 1
+        self._set(window_lo, hi, pieces, left, right)
+
+    def _set(self, lo, hi, pieces, left, right) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "window_lo", lo)
+        setattr_(self, "window_hi", hi)
+        setattr_(self, "pieces", pieces)
+        setattr_(self, "left", left)
+        setattr_(self, "right", right)
+
+    @classmethod
+    def _make(cls, lo: int, hi: int, pieces: tuple, left: Tail, right: Tail) -> "SeqSpec":
+        """From greedy pieces covering ``[lo, hi]``."""
+        out = object.__new__(cls)
+        out._set(lo, hi, pieces, left, right)
+        return out
 
     @property
-    def window_hi(self) -> int:
-        return self.window_lo + len(self.values) - 1
+    def values(self) -> Sequence:
+        return _Values(self)
 
     @staticmethod
     def from_window(
@@ -277,17 +393,15 @@ class SeqSpec:
         if not window:
             return SeqSpec(0, (right.at(0),), left, right)
         lo, hi = min(window), max(window)
-        vals = []
-        for i in range(lo, hi + 1):
-            if i not in window:
-                raise ValueError(f"window has a gap at index {i}")
-            vals.append(ExtInt.of(window[i]))
-        return SeqSpec(lo, tuple(vals), left, right)
+        if hi - lo + 1 != len(window):
+            gap = next(i for i in range(lo, hi + 1) if i not in window)
+            raise ValueError(f"window has a gap at index {gap}")
+        return SeqSpec(lo, [window[i] for i in range(lo, hi + 1)], left, right)
 
     @staticmethod
     def constant(value: Union[ExtInt, int]) -> "SeqSpec":
         v = ExtInt.of(value)
-        return SeqSpec(0, (v,), ConstTail(v), ConstTail(v))
+        return SeqSpec._make(0, 0, ((0, *_point_form(v)),), ConstTail(v), ConstTail(v))
 
     @staticmethod
     def delta(
@@ -296,14 +410,19 @@ class SeqSpec:
         fill: Union[ExtInt, int] = PLUS_INF,
     ) -> "SeqSpec":
         f = ExtInt.of(fill)
-        return SeqSpec(index, (ExtInt.of(value),), ConstTail(f), ConstTail(f))
+        piece = (index, *_point_form(ExtInt.of(value)))
+        return SeqSpec._make(index, index, (piece,), ConstTail(f), ConstTail(f))
 
     def value_at(self, i: int) -> ExtInt:
         if i < self.window_lo:
             return self.left.at(i)
         if i > self.window_hi:
             return self.right.at(i)
-        return self.values[i - self.window_lo]
+        # (i + 1,) sorts after every piece that starts at or before i
+        _, slope, offset = self.pieces[bisect_left(self.pieces, (i + 1,)) - 1]
+        if slope is None:
+            return PLUS_INF if offset > 0 else MINUS_INF
+        return ExtInt(slope * i + offset)
 
     def values_on(self, lo: int, hi: int) -> list[ExtInt]:
         return [self.value_at(i) for i in range(lo, hi + 1)]
@@ -311,9 +430,18 @@ class SeqSpec:
     def eq_pointwise(self, other: "SeqSpec", lo: int, hi: int) -> bool:
         return all(self.value_at(i) == other.value_at(i) for i in range(lo, hi + 1))
 
+    def runs(self) -> Iterator[tuple[int, int, ExtInt]]:
+        """``(start, end, value at start)`` per piece of the window.
+
+        Each run is affine, so an infinite value fills its whole run.
+        """
+        for x, y, slope, offset in _spans(self, self.window_lo, self.window_hi):
+            yield x, y, _at(slope, offset, x)
+
     def window_items(self) -> Iterator[tuple[int, ExtInt]]:
-        for j, v in enumerate(self.values):
-            yield self.window_lo + j, v
+        for x, y, slope, offset in _spans(self, self.window_lo, self.window_hi):
+            for i in range(x, y + 1):
+                yield i, _at(slope, offset, i)
 
     # -- canonical form -----------------------------------------------------
 
@@ -327,28 +455,37 @@ class SeqSpec:
         """
         left = _normalize_tail(self.left)
         right = _normalize_tail(self.right)
+        fl, fr = _form(left), _form(right)
+        spans = _spans(self, self.window_lo, self.window_hi)
 
         def first_diff_left() -> int | None:
-            for i, v in self.window_items():
-                if left.at(i) != v:
-                    return i
+            for x, y, s, o in spans:
+                if (s, o) != fl:
+                    # distinct lines agree at one index at most
+                    if not _same_at(s, o, *fl, x):
+                        return x
+                    if x < y:
+                        return x + 1
             # window matches the left extension; first difference, if any,
             # lies where the right tail departs from the left form
-            if _tails_equal(left, right):
+            if fl == fr:
                 return None
             for i in (self.window_hi + 1, self.window_hi + 2):
-                if left.at(i) != right.at(i):
+                if not _same_at(*fl, *fr, i):
                     return i
             return None  # affine forms agreeing twice agree everywhere
 
         def last_diff_right() -> int | None:
-            for i in range(self.window_hi, self.window_lo - 1, -1):
-                if right.at(i) != self.value_at(i):
-                    return i
-            if _tails_equal(left, right):
+            for x, y, s, o in reversed(spans):
+                if (s, o) != fr:
+                    if not _same_at(s, o, *fr, y):
+                        return y
+                    if x < y:
+                        return y - 1
+            if fl == fr:
                 return None
             for i in (self.window_lo - 1, self.window_lo - 2):
-                if right.at(i) != left.at(i):
+                if not _same_at(*fr, *fl, i):
                     return i
             return None
 
@@ -356,12 +493,13 @@ class SeqSpec:
         hi_star = last_diff_right()
         if lo_star is None or hi_star is None:
             # the map is a single tail form everywhere
-            return SeqSpec(0, (left.at(0),), left, left)
+            return SeqSpec._make(0, 0, ((0, *_point_form(left.at(0))),), left, left)
         if lo_star > hi_star:
             point = hi_star + 1
-            return SeqSpec(point, (self.value_at(point),), left, right)
-        vals = tuple(self.value_at(i) for i in range(lo_star, hi_star + 1))
-        return SeqSpec(lo_star, vals, left, right)
+            piece = (point, *_point_form(self.value_at(point)))
+            return SeqSpec._make(point, point, (piece,), left, right)
+        pieces = _normalize(_spans(self, lo_star, hi_star))
+        return SeqSpec._make(lo_star, hi_star, pieces, left, right)
 
     # -- JSON ----------------------------------------------------------------
 
@@ -374,10 +512,76 @@ class SeqSpec:
 
     @staticmethod
     def from_json(obj: Mapping) -> "SeqSpec":
-        window = {int(k): ExtInt.from_json(v) for k, v in obj["window"].items()}
-        return SeqSpec.from_window(
-            window, tail_from_json(obj["left"]), tail_from_json(obj["right"])
+        window = json_parse(
+            obj, "window", lambda w: {int(k): ExtInt.from_json(v) for k, v in w.items()}
         )
+        left = json_parse(obj, "left", tail_from_json)
+        right = json_parse(obj, "right", tail_from_json)
+        try:
+            return SeqSpec.from_window(window, left, right)
+        except ValueError as exc:
+            raise ParseError(f"bad key 'window': {exc}") from None
+
+
+def json_key(obj, key: str):
+    """``obj[key]`` of a JSON object; ParseError names a missing key."""
+    if not isinstance(obj, Mapping):
+        raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ParseError(f"missing key {key!r}")
+    return obj[key]
+
+
+def json_parse(obj, key: str, parse):
+    """``parse(obj[key])``; ParseError names the key of a bad value."""
+    value = json_key(obj, key)
+    try:
+        return parse(value)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad key {key!r}: {exc!s}") from None
+
+
+def _same_at(s: int | None, o: int, t: int | None, p: int, i: int) -> bool:
+    """Whether forms ``(s, o)`` and ``(t, p)`` take the same value at ``i``."""
+    if s is None or t is None:
+        return s == t and o == p
+    return s * i + o == t * i + p
+
+
+def _spans(s: SeqSpec, lo: int, hi: int) -> list[tuple]:
+    """Fragments of ``s`` on ``[lo, hi]``, tails included."""
+    out = []
+    if lo < s.window_lo:
+        out.append((lo, min(hi, s.window_lo - 1), *_form(s.left)))
+    ps = s.pieces
+    last = len(ps) - 1
+    first = 0 if lo <= s.window_lo else bisect_right(ps, lo, key=_START) - 1
+    for j in range(first, last + 1):
+        start, slope, offset = ps[j]
+        if start > hi:
+            break
+        end = ps[j + 1][0] - 1 if j < last else s.window_hi
+        if end >= lo:
+            out.append((max(start, lo), min(end, hi), slope, offset))
+    if hi > s.window_hi:
+        out.append((max(lo, s.window_hi + 1), hi, *_form(s.right)))
+    return out
+
+
+def _overlay(a: SeqSpec, b: SeqSpec, lo: int, hi: int) -> Iterator[tuple]:
+    """``(x, y, sa, oa, sb, ob)``: runs of ``[lo, hi]`` on which both ``a``
+    and ``b`` keep one form."""
+    fa, fb = _spans(a, lo, hi), _spans(b, lo, hi)
+    i = j = 0
+    x = lo
+    while x <= hi:
+        _, ya, sa, oa = fa[i]
+        _, yb, sb, ob = fb[j]
+        y = min(ya, yb)
+        yield x, y, sa, oa, sb, ob
+        i += ya == y
+        j += yb == y
+        x = y + 1
 
 
 # --------------------------------------------------------------------------
@@ -393,16 +597,6 @@ def _crossing_floor(a: Tail, b: Tail) -> int | None:
     num, den = ob - oa, sa - sb
     # floor division gives floor(num/den) for either sign
     return num // den
-
-
-def _form(t: Tail) -> tuple[int | None, int]:
-    """(slope, offset) for finite forms; (None, +-1) for infinite constants."""
-    t = _normalize_tail(t)
-    if isinstance(t, AffineTail):
-        return t.slope, t.offset
-    if t.value.is_finite:
-        return 0, t.value.n
-    return None, (1 if t.value == PLUS_INF else -1)
 
 
 def _dominant_tail(a: Tail, b: Tail, want_min: bool, leftward: bool) -> Tail:
@@ -430,6 +624,16 @@ def _dominant_tail(a: Tail, b: Tail, want_min: bool, leftward: bool) -> Tail:
     return _normalize_tail(b)
 
 
+def _below(sa: int | None, oa: int, sb: int | None, ob: int) -> bool:
+    """Whether form ``a`` is at most form ``b`` everywhere, for forms that
+    do not cross: an infinite one or a shared slope."""
+    if sa is None:
+        return oa < 0 or (sb is None and ob > 0)
+    if sb is None:
+        return ob > 0
+    return oa <= ob
+
+
 def _pointwise(a: SeqSpec, b: SeqSpec, want_min: bool) -> SeqSpec:
     lo = min(a.window_lo, b.window_lo)
     hi = max(a.window_hi, b.window_hi)
@@ -439,11 +643,26 @@ def _pointwise(a: SeqSpec, b: SeqSpec, want_min: bool) -> SeqSpec:
     cr = _crossing_floor(a.right, b.right)
     if cr is not None:
         hi = max(hi, cr + 1)
-    pick = min if want_min else max
-    vals = tuple(pick(a.value_at(i), b.value_at(i)) for i in range(lo, hi + 1))
+    frags = []
+    for x, y, sa, oa, sb, ob in _overlay(a, b, lo, hi):
+        if sa is None or sb is None or sa == sb:
+            if _below(sa, oa, sb, ob) == want_min:
+                frags.append((x, y, sa, oa))
+            else:
+                frags.append((x, y, sb, ob))
+            continue
+        if sa < sb:
+            sa, oa, sb, ob = sb, ob, sa, oa
+        # now a <= b exactly at the indices up to c
+        c = (ob - oa) // (sa - sb)
+        first, second = ((sa, oa), (sb, ob)) if want_min else ((sb, ob), (sa, oa))
+        if x <= c:
+            frags.append((x, min(c, y), *first))
+        if c < y:
+            frags.append((max(x, c + 1), y, *second))
     left = _dominant_tail(a.left, b.left, want_min, leftward=True)
     right = _dominant_tail(a.right, b.right, want_min, leftward=False)
-    return SeqSpec(lo, vals, left, right)
+    return SeqSpec._make(lo, hi, _normalize(frags), left, right)
 
 
 def pointwise_min(a: SeqSpec, b: SeqSpec) -> SeqSpec:
@@ -479,38 +698,53 @@ def _reflect_tail(a: int, t: Tail) -> Tail:
 
 def reflect_affine(s: SeqSpec, a: int) -> SeqSpec:
     """The sequence ``i -> a - s(-i)``; sides and tails swap accordingly."""
-    lo, hi = -s.window_hi, -s.window_lo
-    vals = tuple(_reflect_value(a, s.value_at(-i)) for i in range(lo, hi + 1))
-    return SeqSpec(lo, vals, _reflect_tail(a, s.right), _reflect_tail(a, s.left))
+    frags = [
+        (-y, -x, slope, -offset if slope is None else a - offset)
+        for x, y, slope, offset in reversed(_spans(s, s.window_lo, s.window_hi))
+    ]
+    return SeqSpec._make(
+        -s.window_hi,
+        -s.window_lo,
+        _normalize(frags),
+        _reflect_tail(a, s.right),
+        _reflect_tail(a, s.left),
+    )
 
 
 def shift_add(s: SeqSpec, c: int) -> SeqSpec:
     """Add ``c`` to every value (saturating at infinities)."""
 
-    def bump(v: ExtInt) -> ExtInt:
-        return v if not v.is_finite else ExtInt(v.n + c)
-
     def bump_tail(t: Tail) -> Tail:
         t = _normalize_tail(t)
         if isinstance(t, ConstTail):
-            return ConstTail(bump(t.value))
+            v = t.value
+            return ConstTail(v if not v.is_finite else ExtInt(v.n + c))
         return AffineTail(t.slope, t.offset + c)
 
-    return SeqSpec(
-        s.window_lo,
-        tuple(bump(v) for v in s.values),
-        bump_tail(s.left),
-        bump_tail(s.right),
+    # adding a constant keeps every line, so the pieces stay greedy
+    pieces = tuple(
+        (start, slope, offset if slope is None else offset + c)
+        for start, slope, offset in s.pieces
     )
+    return SeqSpec._make(s.window_lo, s.window_hi, pieces, bump_tail(s.left), bump_tail(s.right))
 
 
 # --------------------------------------------------------------------------
 # min-plus convolution
 #
-# Both operands decompose into finitely many primitive pieces: explicit
-# points from the window and one ray per tail.  Every pairwise min-plus of
-# two pieces is again a point, a half-line ray (affine or identically -inf),
-# or a global -inf; the convolution is the pointwise minimum of those.
+# The infimum of a(i) + b(k - i) over a pair of affine pieces is linear in
+# i, so it sits on an edge of the rectangle the pair spans: an endpoint of
+# one piece against the whole other piece.  The convolution is therefore
+# the pointwise minimum of *terms*: point + point, point + ray (a tail),
+# endpoint + segment (a window piece of more than _SHORT indices), and the
+# pairs of tails of ``_pair_ray_ray``, which may also diverge to a global
+# -inf.  The window is the lower envelope of the terms, swept from one term
+# boundary to the next.  Pieces of at most _SHORT indices count as points:
+# a point pair is one integer sum, while a segment term costs a heap entry
+# in the sweep, so short runs in dense windows are cheaper expanded.
+
+_SHORT = 4
+
 
 @dataclass(frozen=True)
 class _Ray:
@@ -521,31 +755,48 @@ class _Ray:
     offset: int
     minf: bool = False
 
+    def point(self) -> tuple[int, int | None]:
+        """The bound index and the value there; None encodes -inf."""
+        return self.bound, None if self.minf else self.slope * self.bound + self.offset
 
-def _ray_pieces(s: SeqSpec) -> tuple[list[tuple[int, ExtInt]], list[_Ray]]:
-    points = [(i, v) for i, v in s.window_items() if v != PLUS_INF]
+
+def _tail_rays(s: SeqSpec) -> list[_Ray]:
     rays: list[_Ray] = []
     for leftward, tail, bound in (
-        (True, _normalize_tail(s.left), s.window_lo - 1),
-        (False, _normalize_tail(s.right), s.window_hi + 1),
+        (True, s.left, s.window_lo - 1),
+        (False, s.right, s.window_hi + 1),
     ):
-        if isinstance(tail, ConstTail):
-            if tail.value == PLUS_INF:
-                continue
-            if tail.value == MINUS_INF:
+        slope, offset = _form(tail)
+        if slope is None:
+            if offset < 0:
                 rays.append(_Ray(leftward, bound, 0, 0, minf=True))
-            else:
-                rays.append(_Ray(leftward, bound, 0, tail.value.n))
         else:
-            rays.append(_Ray(leftward, bound, tail.slope, tail.offset))
-    return points, rays
+            rays.append(_Ray(leftward, bound, slope, offset))
+    return rays
 
 
-def _pair_point_ray(i: int, v: ExtInt, r: _Ray) -> _Ray:
+def _conv_parts(s: SeqSpec) -> tuple[list, list]:
+    """The points ``(i, value)`` (None for -inf) and the long segments
+    ``(x, y, slope, offset)`` of the window, ``+inf`` left out.  Long
+    segments contribute their endpoints to the points."""
+    points: list[tuple[int, int | None]] = []
+    segs = []
+    for x, y, slope, offset in _spans(s, s.window_lo, s.window_hi):
+        if slope is None and offset > 0:
+            continue
+        short = y - x < _SHORT
+        if not short:
+            segs.append((x, y, slope, offset))
+        for i in range(x, y + 1) if short else (x, y):
+            points.append((i, None if slope is None else slope * i + offset))
+    return points, segs
+
+
+def _pair_point_ray(i: int, v: int | None, r: _Ray) -> _Ray:
     # shift the ray domain by i and its values by v
-    if v == MINUS_INF or r.minf:
+    if v is None or r.minf:
         return _Ray(r.leftward, r.bound + i, 0, 0, minf=True)
-    return _Ray(r.leftward, r.bound + i, r.slope, r.offset + v.n - r.slope * i)
+    return _Ray(r.leftward, r.bound + i, r.slope, r.offset + v - r.slope * i)
 
 
 def _pair_ray_ray(ra: _Ray, rb: _Ray) -> tuple[list[_Ray], bool]:
@@ -622,27 +873,61 @@ def _asymptote_winner(
     return tail, crossings
 
 
-def _ray_envelope(rays: list[_Ray], lo: int, hi: int) -> list[ExtInt]:
-    """For each ``k`` in ``[lo, hi]``, the least value of the rays covering it.
+def _lines_min(lines: list[tuple], x: int, y: int, out: list) -> None:
+    """Append the fragments of the least of ``lines`` (distinct slopes) on
+    ``[x, y]``: going right, a line gives way to one of smaller slope."""
+    k = x
+    while k <= y:
+        s, o = min(lines, key=lambda line: (line[0] * k + line[1], line[0]))
+        nxt = y + 1
+        for s2, o2 in lines:
+            if s2 < s:
+                nxt = min(nxt, (o2 - o) // (s - s2) + 1)
+        out.append((k, nxt - 1, s, o))
+        k = nxt
 
-    Sweeping towards the open end of one direction, rays of that direction
-    only join, so per slope the least offset so far is all that counts.
-    """
-    out = [PLUS_INF] * (hi - lo + 1)
-    for leftward in (True, False):
-        side = sorted((r for r in rays if r.leftward == leftward), key=lambda r: r.bound)
-        if not leftward:
-            side.reverse()  # the next ray to join is last
-        least: dict[int | None, int] = {}  # slope -> offset; None keys -inf rays
-        for k in range(hi, lo - 1, -1) if leftward else range(lo, hi + 1):
-            while side and (k <= side[-1].bound if leftward else k >= side[-1].bound):
-                r = side.pop()
-                key = None if r.minf else r.slope
-                least[key] = min(least.get(key, r.offset), r.offset)
-            if least:
-                v = MINUS_INF if None in least else min(s * k + o for s, o in least.items())
-                out[k - lo] = min(out[k - lo], ExtInt.of(v))
+
+def _envelope(terms: list[tuple], lo: int, hi: int) -> list[tuple]:
+    """Fragments of the least of the terms ``(k0, k1, slope, offset)`` on
+    ``[lo, hi]``, ``+inf`` where none applies.  Per slope a heap keeps the
+    least offset of the terms that cover the current run."""
+    terms = sorted((t for t in terms if t[0] <= hi and t[1] >= lo), key=_START)
+    heaps: dict[int | None, list] = {}
+    ends: list[int] = []
+    out: list[tuple] = []
+    n, t, x = len(terms), 0, lo
+    while x <= hi:
+        while t < n and terms[t][0] <= x:
+            _, k1, s, o = terms[t]
+            heappush(heaps.setdefault(s, []), (o, k1))
+            heappush(ends, k1)
+            t += 1
+        while ends and ends[0] < x:
+            heappop(ends)
+        y = min(hi, terms[t][0] - 1) if t < n else hi
+        if ends:
+            y = min(y, ends[0])
+        lines = []
+        for s, heap in heaps.items():
+            while heap and heap[0][1] < x:
+                heappop(heap)
+            if heap:
+                lines.append((s, heap[0][0]))
+        if not lines:
+            out.append((x, y, None, 1))
+        elif any(s is None for s, _ in lines):
+            out.append((x, y, None, -1))
+        elif len(lines) == 1:
+            out.append((x, y, *lines[0]))
+        else:
+            _lines_min(lines, x, y, out)
+        x = y + 1
     return out
+
+
+def _fragment_at(frags: list[tuple], k: int) -> ExtInt:
+    _, _, slope, offset = frags[bisect_right(frags, k, key=_START) - 1]
+    return _at(slope, offset, k)
 
 
 def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
@@ -651,15 +936,20 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
     Pairs containing a ``+inf`` summand are absorbed (they never lower the
     infimum); a genuinely divergent side yields a ``-inf`` tail.
     """
-    pts_a, rays_a = _ray_pieces(a)
-    pts_b, rays_b = _ray_pieces(b)
+    pts_a, segs_a = _conv_parts(a)
+    pts_b, segs_b = _conv_parts(b)
+    rays_a, rays_b = _tail_rays(a), _tail_rays(b)
 
-    best_points: dict[int, ExtInt] = {}
+    best: dict[int, int | None] = {}  # point terms; None is -inf
+    for i, v in pts_a:
+        if v is not None:
+            for j, w in pts_b:
+                if w is not None and v + w < best.get(i + j, math.inf):
+                    best[i + j] = v + w
     for i, v in pts_a:
         for j, w in pts_b:
-            s = minplus_term(v, w)
-            if i + j not in best_points or s < best_points[i + j]:
-                best_points[i + j] = s
+            if v is None or w is None:
+                best[i + j] = None
 
     rays: list[_Ray] = []
     for i, v in pts_a:
@@ -673,18 +963,35 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
                 return SeqSpec.constant(MINUS_INF)
             rays.extend(new)
 
-    marks = [r.bound for r in rays] + list(best_points)
+    marks = [r.bound for r in rays] + list(best)
     if not marks:
         return SeqSpec.constant(PLUS_INF)
     left, lcross = _asymptote_winner(rays, leftward=True)
     right, rcross = _asymptote_winner(rays, leftward=False)
     lo = min(marks + lcross) - 1
     hi = max(marks + rcross) + 1
-    envelope = enumerate(_ray_envelope(rays, lo - 2, hi + 2), lo - 2)
-    vals = [min(best_points.get(k, PLUS_INF), e) for k, e in envelope]
-    out = SeqSpec(lo, tuple(vals[2:-2]), left, right)
+
+    terms = [(k, k, None, -1) if v is None else (k, k, 0, v) for k, v in best.items()]
+    for r in rays:
+        k0, k1 = (lo - 2, r.bound) if r.leftward else (r.bound, hi + 2)
+        terms.append((k0, k1, None, -1) if r.minf else (k0, k1, r.slope, r.offset))
+    for segs, ends in ((segs_a, pts_b + [r.point() for r in rays_b]),
+                       (segs_b, pts_a + [r.point() for r in rays_a])):
+        for x, y, slope, offset in segs:
+            for j, w in ends:
+                if slope is None or w is None:
+                    terms.append((x + j, y + j, None, -1))
+                else:
+                    terms.append((x + j, y + j, slope, offset - slope * j + w))
+    envelope = _envelope(terms, lo - 2, hi + 2)
+    window = (
+        (max(x, lo), min(y, hi), slope, offset)
+        for x, y, slope, offset in envelope
+        if x <= hi and y >= lo
+    )
+    out = SeqSpec._make(lo, hi, _normalize(window), left, right)
     for k in (lo - 1, lo - 2, hi + 1, hi + 2):  # tail guard
-        if out.value_at(k) != vals[k - lo + 2]:
+        if out.value_at(k) != _fragment_at(envelope, k):
             raise NonRepresentableTail(
                 f"convolution tail mismatch at index {k}"
             )
@@ -717,15 +1024,6 @@ def _ray_sup_diff(a: SeqSpec, b: SeqSpec, leftward: bool, start: int) -> ExtInt:
     return ExtInt((sa - sb) * i + (oa - ob))
 
 
-def _ext_diff(x: ExtInt, y: ExtInt) -> ExtInt:
-    """x - y with the conventions suited to sup computations."""
-    if x == MINUS_INF or y == PLUS_INF:
-        return MINUS_INF
-    if x == PLUS_INF or y == MINUS_INF:
-        return PLUS_INF
-    return ExtInt(x.n - y.n)
-
-
 def sup_diff(a: SeqSpec, b: SeqSpec) -> ExtInt:
     """``sup over all i of a(i) - b(i)``, computed symbolically.
 
@@ -734,7 +1032,14 @@ def sup_diff(a: SeqSpec, b: SeqSpec) -> ExtInt:
     """
     lo = min(a.window_lo, b.window_lo)
     hi = max(a.window_hi, b.window_hi)
-    best = ext_max(_ext_diff(a.value_at(i), b.value_at(i)) for i in range(lo, hi + 1))
+    best = MINUS_INF
+    for x, y, sa, oa, sb, ob in _overlay(a, b, lo, hi):
+        if (sa is None and oa < 0) or (sb is None and ob > 0):
+            continue
+        if sa is None or sb is None:
+            return PLUS_INF
+        # a linear difference peaks at an end of its run
+        best = max(best, ExtInt(max((sa - sb) * x, (sa - sb) * y) + oa - ob))
     best = max(best, _ray_sup_diff(a, b, leftward=True, start=lo))
     best = max(best, _ray_sup_diff(a, b, leftward=False, start=hi))
     return best
@@ -750,8 +1055,13 @@ def forall_ge(a: SeqSpec, b: SeqSpec) -> bool:
     hi = max(a.window_hi, b.window_hi)
     # the extra boundary points sit in pure tail mode on both sides; beyond
     # them the difference of the affine forms is monotone
-    if any(a.value_at(i) < b.value_at(i) for i in range(lo - 1, hi + 2)):
-        return False
+    for x, y, sa, oa, sb, ob in _overlay(a, b, lo - 1, hi + 1):
+        if sa is None or sb is None:
+            # -inf < finite < +inf, finite counting as sign 0
+            if (oa if sa is None else 0) < (ob if sb is None else 0):
+                return False
+        elif min((sa - sb) * x, (sa - sb) * y) + oa - ob < 0:
+            return False
     for leftward in (True, False):
         sa, _ = _form(a.left if leftward else a.right)
         sb, _ = _form(b.left if leftward else b.right)

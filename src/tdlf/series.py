@@ -19,6 +19,7 @@ from typing import Mapping, Union
 from .errors import (
     IncompatiblePrimes,
     KindMismatch,
+    ParseError,
     PrecisionExhausted,
     ZeroElement,
 )
@@ -30,7 +31,10 @@ from .seqspec import (
     ConstTail,
     ExtInt,
     SeqSpec,
+    _normalize,
     ext_min,
+    json_key,
+    json_parse,
     minplus_convolve,
     pointwise_min,
 )
@@ -122,6 +126,10 @@ def _right_tail_from_json(obj: Mapping) -> RightTail:
     return RightValBound(int(obj["floor"]))
 
 
+def _coeffs_from_json(obj: Mapping) -> dict[int, PAdic]:
+    return {int(k): PAdic.from_json(v) for k, v in obj.items()}
+
+
 def _normalize_coeffs(
     prime: int, coeffs: Mapping[int, PAdic]
 ) -> tuple[tuple[int, PAdic], ...]:
@@ -197,14 +205,9 @@ class EqualCharSeries:
         else:
             hi = max(self.order, self.trunc.n - 1)
             right = ConstTail(MINUS_INF)
-        vals = []
-        for i in range(self.order, hi + 1):
-            if ExtInt(i) >= self.trunc:
-                vals.append(MINUS_INF)
-            else:
-                c = self._map.get(i)
-                vals.append(PLUS_INF if c is None else c.val)
-        return SeqSpec(self.order, tuple(vals), ConstTail(PLUS_INF), right)
+            if self.order >= self.trunc.n:  # nothing is known at all
+                return SeqSpec(self.order, (MINUS_INF,), ConstTail(PLUS_INF), right)
+        return _bounds(self.order, hi, self.coeffs, ConstTail(PLUS_INF), right)
 
     def to_json(self) -> dict:
         return {
@@ -305,10 +308,6 @@ class MixedSeries:
         return PAdic.zero_mod(self.prime, self.right.floor)
 
     def bound_seq(self) -> SeqSpec:
-        vals = []
-        for i in range(self.lo, self.hi + 1):
-            c = self._map.get(i)
-            vals.append(PLUS_INF if c is None else c.val)
         if isinstance(self.left, ZeroTail):
             left: ConstTail | AffineTail = ConstTail(PLUS_INF)
         else:
@@ -318,7 +317,7 @@ class MixedSeries:
             right: ConstTail | AffineTail = ConstTail(PLUS_INF)
         else:
             right = ConstTail(ExtInt(self.right.floor))
-        return SeqSpec(self.lo, tuple(vals), left, right)
+        return _bounds(self.lo, self.hi, self.coeffs, left, right)
 
     def valuation_floor(self) -> ExtInt:
         """A certified lower bound for all coefficient valuations."""
@@ -363,23 +362,41 @@ class MixedSeries:
 Series = Union[EqualCharSeries, MixedSeries]
 
 
+def _bounds(lo: int, hi: int, coeffs, left, right) -> SeqSpec:
+    """The valuations of the stored coefficients on ``[lo, hi]``, ``+inf``
+    between them: one point piece per coefficient, one run per gap."""
+    frags, nxt = [], lo
+    for i, c in coeffs:
+        if i > nxt:
+            frags.append((nxt, i - 1, None, 1))
+        frags.append((i, i, 0, c.val.n))
+        nxt = i + 1
+    if nxt <= hi:
+        frags.append((nxt, hi, None, 1))
+    return SeqSpec._make(lo, hi, _normalize(frags), left, right)
+
+
 def series_from_json(obj: Mapping) -> Series:
-    prime = int(obj["prime"])
-    coeffs = {int(k): PAdic.from_json(v) for k, v in obj["coeffs"].items()}
-    if obj["kind"] == "equal":
+    kind = json_key(obj, "kind")
+    if kind not in ("equal", "mixed"):
+        raise ParseError(f"bad key 'kind': unknown series kind {kind!r}")
+    prime = json_parse(obj, "prime", int)
+    coeffs = json_parse(obj, "coeffs", _coeffs_from_json)
+    if kind == "equal":
         return EqualCharSeries.from_coeffs(
-            prime, coeffs, order=int(obj["order"]), trunc=ExtInt.from_json(obj["trunc"])
-        )
-    if obj["kind"] == "mixed":
-        return MixedSeries.from_coeffs(
             prime,
             coeffs,
-            left=_left_tail_from_json(obj["left"]),
-            right=_right_tail_from_json(obj["right"]),
-            lo=int(obj["lo"]),
-            hi=int(obj["hi"]),
+            order=json_parse(obj, "order", int),
+            trunc=json_parse(obj, "trunc", ExtInt.from_json),
         )
-    raise ValueError(f"unknown series kind {obj['kind']!r}")
+    return MixedSeries.from_coeffs(
+        prime,
+        coeffs,
+        left=json_parse(obj, "left", _left_tail_from_json),
+        right=json_parse(obj, "right", _right_tail_from_json),
+        lo=json_parse(obj, "lo", int),
+        hi=json_parse(obj, "hi", int),
+    )
 
 
 def _check_pair(x: Series, y: Series) -> None:
@@ -407,14 +424,29 @@ def add(x: Series, y: Series) -> Series:
 
     lo = min(x.lo, y.lo)
     hi = max(x.hi, y.hi)
+    # both summands are exact zeros off their stored coefficients and the
+    # parts of [lo, hi] that a bound tail covers
+    indices = {i for i, _ in x.coeffs + y.coeffs}
+    for part in _tail_spans(x, lo, hi) + _tail_spans(y, lo, hi):
+        indices.update(part)
     total = {}
-    for i in range(lo, hi + 1):
+    for i in sorted(indices):
         c = x.coeff(i) + y.coeff(i)
         if not c.is_exact_zero:
             total[i] = c
     left = _combine_left(x.left, x.lo, y.left, y.lo, lo)
     right = _combine_right(x.right, y.right)
     return MixedSeries.from_coeffs(x.prime, total, left=left, right=right, lo=lo, hi=hi)
+
+
+def _tail_spans(x: MixedSeries, lo: int, hi: int) -> list[range]:
+    """The indices of ``[lo, hi]`` at which a bound tail of ``x`` applies."""
+    out = []
+    if not isinstance(x.left, ZeroTail):
+        out.append(range(lo, x.lo))
+    if not isinstance(x.right, ZeroTail):
+        out.append(range(x.hi + 1, hi + 1))
+    return out
 
 
 def _combine_left(a: LeftTail, a_lo: int, b: LeftTail, b_lo: int, lo: int) -> LeftTail:
@@ -521,9 +553,11 @@ def _tail_bound(x: MixedSeries, y: MixedSeries) -> SeqSpec:
     bx, by = x.bound_seq(), y.bound_seq()
 
     def tail(s: SeqSpec) -> SeqSpec:
-        return SeqSpec(s.window_lo, (PLUS_INF,) * len(s.values), s.left, s.right)
+        blank = ((s.window_lo, None, 1),)
+        return SeqSpec._make(s.window_lo, s.window_hi, blank, s.left, s.right)
 
-    win_x = SeqSpec(bx.window_lo, bx.values, ConstTail(PLUS_INF), ConstTail(PLUS_INF))
+    inf = ConstTail(PLUS_INF)
+    win_x = SeqSpec._make(bx.window_lo, bx.window_hi, bx.pieces, inf, inf)
     return pointwise_min(minplus_convolve(tail(bx), by), minplus_convolve(win_x, tail(by)))
 
 
@@ -609,11 +643,10 @@ def partial_sum(x: Series, n: int) -> Series:
     if n >= x.lo:
         # positions above the stored window but at most n come from the right
         # tail and materialise as zero-within-precision coefficients
-        kept = {}
-        for i in range(x.lo, n + 1):
-            c = x.coeff(i)
-            if not c.is_exact_zero:
-                kept[i] = c
+        kept = {i: c for i, c in x.coeffs if i <= n}
+        if isinstance(x.right, RightValBound):
+            for i in range(x.hi + 1, n + 1):
+                kept[i] = x.coeff(i)
         return MixedSeries.from_coeffs(
             x.prime, kept, left=x.left, right=ZeroTail(), lo=x.lo, hi=max(n, x.lo)
         )
@@ -645,10 +678,9 @@ def tail_remainder(x: Series, n: int) -> Series:
         )
     kept = {i: c for i, c in x.coeffs if i > n}
     lo = n + 1
-    for i in range(lo, x.lo):  # former left-tail positions above the cut
-        c = x.coeff(i)
-        if not c.is_exact_zero:
-            kept[i] = c
+    if isinstance(x.left, LeftValBound):
+        for i in range(lo, x.lo):  # former left-tail positions above the cut
+            kept[i] = x.coeff(i)
     return MixedSeries.from_coeffs(
         x.prime, kept, left=ZeroTail(), right=x.right, lo=lo, hi=max(x.hi, lo)
     )
@@ -693,10 +725,7 @@ def rank2_mixed(x: MixedSeries) -> tuple[ExtInt, ExtInt]:
     if isinstance(x.left, LeftValBound):
         if ExtInt(x.left.base + x.left.slope) <= v1:
             raise PrecisionExhausted("left tail could hide the leading index")
-    for i in range(x.lo, x.hi + 1):
-        c = x._map.get(i)
-        if c is None or c.is_exact_zero:
-            continue
+    for i, c in x.coeffs:
         if c.valuation_exact:
             if c.val == v1:
                 return v1, ExtInt(i)

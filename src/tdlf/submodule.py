@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .errors import KindMismatch, PrecisionExhausted, UnknownName
 from .padic import PAdic
-from .seminorm import EQUAL, MIXED, SeminormSpec, is_admissible_seq
+from .seminorm import EQUAL, MIXED, SeminormSpec, field_from_json, is_admissible_seq
 from .seqspec import (
     MINUS_INF,
     PLUS_INF,
@@ -67,7 +67,7 @@ class SubmoduleSpec:
 
     @staticmethod
     def from_json(obj: Mapping) -> "SubmoduleSpec":
-        return SubmoduleSpec(SeqSpec.from_json(obj), obj["field"])
+        return SubmoduleSpec(SeqSpec.from_json(obj), field_from_json(obj))
 
     def canonical(self) -> "SubmoduleSpec":
         return SubmoduleSpec(self.seq.canonical(), self.field_kind)
@@ -108,7 +108,7 @@ class Membership:
 
 
 def _has_minus_inf(seq: SeqSpec) -> bool:
-    if any(v == MINUS_INF for _, v in seq.window_items()):
+    if any(v == MINUS_INF for _, _, v in seq.runs()):
         return True
     return any(
         isinstance(t, ConstTail) and t.value == MINUS_INF for t in (seq.left, seq.right)
@@ -324,7 +324,7 @@ def literature_classification(name: str) -> Classification:
 
 
 def _minus_inf_index(seq: SeqSpec) -> int | None:
-    for i, v in seq.window_items():
+    for i, _, v in seq.runs():
         if v == MINUS_INF:
             return i
     if isinstance(seq.left, ConstTail) and seq.left.value == MINUS_INF:

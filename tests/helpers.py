@@ -325,3 +325,292 @@ def reference_mul(x, y, target=None):
     left = _left_from_bound_tail(conv, lo)
     right = _right_from_bound_tail(conv)
     return MixedSeries.from_coeffs(p, total, left=left, right=right, lo=lo, hi=hi)
+
+
+# ---------------------------------------------------------------------------
+# reference sequence operations: the dense algorithms, one value per index of
+# the output window, against which the piecewise code is checked
+
+
+def _dense(lo: int, vals, left, right) -> SeqSpec:
+    return SeqSpec(lo, tuple(vals), left, right)
+
+
+def reference_pointwise(a: SeqSpec, b: SeqSpec, want_min: bool) -> SeqSpec:
+    from tdlf.seqspec import _crossing_floor, _dominant_tail
+
+    lo = min(a.window_lo, b.window_lo)
+    hi = max(a.window_hi, b.window_hi)
+    cl = _crossing_floor(a.left, b.left)
+    if cl is not None:
+        lo = min(lo, cl)
+    cr = _crossing_floor(a.right, b.right)
+    if cr is not None:
+        hi = max(hi, cr + 1)
+    pick = min if want_min else max
+    vals = [pick(a.value_at(i), b.value_at(i)) for i in range(lo, hi + 1)]
+    left = _dominant_tail(a.left, b.left, want_min, leftward=True)
+    right = _dominant_tail(a.right, b.right, want_min, leftward=False)
+    return _dense(lo, vals, left, right)
+
+
+def reference_reflect_affine(s: SeqSpec, a: int) -> SeqSpec:
+    from tdlf.seqspec import _reflect_tail, _reflect_value
+
+    lo, hi = -s.window_hi, -s.window_lo
+    vals = [_reflect_value(a, s.value_at(-i)) for i in range(lo, hi + 1)]
+    return _dense(lo, vals, _reflect_tail(a, s.right), _reflect_tail(a, s.left))
+
+
+def reference_shift_add(s: SeqSpec, c: int) -> SeqSpec:
+    from tdlf.seqspec import _normalize_tail
+
+    def bump(v: ExtInt) -> ExtInt:
+        return v if not v.is_finite else ExtInt(v.n + c)
+
+    def bump_tail(t):
+        t = _normalize_tail(t)
+        if isinstance(t, ConstTail):
+            return ConstTail(bump(t.value))
+        return AffineTail(t.slope, t.offset + c)
+
+    vals = [bump(s.value_at(i)) for i in range(s.window_lo, s.window_hi + 1)]
+    return _dense(s.window_lo, vals, bump_tail(s.left), bump_tail(s.right))
+
+
+def reference_canonical(s: SeqSpec) -> SeqSpec:
+    from tdlf.seqspec import _normalize_tail
+
+    left = _normalize_tail(s.left)
+    right = _normalize_tail(s.right)
+    window = range(s.window_lo, s.window_hi + 1)
+
+    def first_diff_left():
+        for i in window:
+            if left.at(i) != s.value_at(i):
+                return i
+        if left == right:
+            return None
+        for i in (s.window_hi + 1, s.window_hi + 2):
+            if left.at(i) != right.at(i):
+                return i
+        return None
+
+    def last_diff_right():
+        for i in reversed(window):
+            if right.at(i) != s.value_at(i):
+                return i
+        if left == right:
+            return None
+        for i in (s.window_lo - 1, s.window_lo - 2):
+            if right.at(i) != left.at(i):
+                return i
+        return None
+
+    lo_star, hi_star = first_diff_left(), last_diff_right()
+    if lo_star is None or hi_star is None:
+        return _dense(0, [left.at(0)], left, left)
+    if lo_star > hi_star:
+        point = hi_star + 1
+        return _dense(point, [s.value_at(point)], left, right)
+    return _dense(lo_star, [s.value_at(i) for i in range(lo_star, hi_star + 1)], left, right)
+
+
+def _reference_ext_diff(x: ExtInt, y: ExtInt) -> ExtInt:
+    if x == MINUS_INF or y == PLUS_INF:
+        return MINUS_INF
+    if x == PLUS_INF or y == MINUS_INF:
+        return PLUS_INF
+    return ExtInt(x.n - y.n)
+
+
+def reference_sup_diff(a: SeqSpec, b: SeqSpec) -> ExtInt:
+    from tdlf.seqspec import _ray_sup_diff
+
+    lo = min(a.window_lo, b.window_lo)
+    hi = max(a.window_hi, b.window_hi)
+    best = MINUS_INF
+    for i in range(lo, hi + 1):
+        best = max(best, _reference_ext_diff(a.value_at(i), b.value_at(i)))
+    best = max(best, _ray_sup_diff(a, b, leftward=True, start=lo))
+    return max(best, _ray_sup_diff(a, b, leftward=False, start=hi))
+
+
+def reference_forall_ge(a: SeqSpec, b: SeqSpec) -> bool:
+    from tdlf.seqspec import _form
+
+    lo = min(a.window_lo, b.window_lo)
+    hi = max(a.window_hi, b.window_hi)
+    if any(a.value_at(i) < b.value_at(i) for i in range(lo - 1, hi + 2)):
+        return False
+    for leftward in (True, False):
+        sa, _ = _form(a.left if leftward else a.right)
+        sb, _ = _form(b.left if leftward else b.right)
+        if sa is None or sb is None:
+            continue
+        d = sa - sb
+        if (d > 0 and leftward) or (d < 0 and not leftward):
+            return False
+    return True
+
+
+def _reference_ray_pieces(s: SeqSpec):
+    from tdlf.seqspec import _normalize_tail, _Ray
+
+    points = [(i, v) for i, v in s.window_items() if v != PLUS_INF]
+    rays = []
+    for leftward, tail, bound in (
+        (True, _normalize_tail(s.left), s.window_lo - 1),
+        (False, _normalize_tail(s.right), s.window_hi + 1),
+    ):
+        if isinstance(tail, ConstTail):
+            if tail.value == PLUS_INF:
+                continue
+            if tail.value == MINUS_INF:
+                rays.append(_Ray(leftward, bound, 0, 0, minf=True))
+            else:
+                rays.append(_Ray(leftward, bound, 0, tail.value.n))
+        else:
+            rays.append(_Ray(leftward, bound, tail.slope, tail.offset))
+    return points, rays
+
+
+def _reference_ray_envelope(rays, lo: int, hi: int) -> list:
+    """For each ``k`` in ``[lo, hi]``, the least value of the rays covering it."""
+    out = [PLUS_INF] * (hi - lo + 1)
+    for leftward in (True, False):
+        side = sorted((r for r in rays if r.leftward == leftward), key=lambda r: r.bound)
+        if not leftward:
+            side.reverse()  # the next ray to join is last
+        least = {}  # slope -> offset; None keys -inf rays
+        for k in range(hi, lo - 1, -1) if leftward else range(lo, hi + 1):
+            while side and (k <= side[-1].bound if leftward else k >= side[-1].bound):
+                r = side.pop()
+                key = None if r.minf else r.slope
+                least[key] = min(least.get(key, r.offset), r.offset)
+            if least:
+                v = MINUS_INF if None in least else min(s * k + o for s, o in least.items())
+                out[k - lo] = min(out[k - lo], ExtInt.of(v))
+    return out
+
+
+def reference_minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
+    """Every window index is a point; the window is filled index by index
+    from a per-slope sweep of the rays."""
+    from tdlf import NonRepresentableTail
+    from tdlf.seqspec import _asymptote_winner, _pair_point_ray, _pair_ray_ray, minplus_term
+
+    def as_int(v):
+        return None if v == MINUS_INF else v.n
+
+    pts_a, rays_a = _reference_ray_pieces(a)
+    pts_b, rays_b = _reference_ray_pieces(b)
+    best_points = {}
+    for i, v in pts_a:
+        for j, w in pts_b:
+            s = minplus_term(v, w)
+            if i + j not in best_points or s < best_points[i + j]:
+                best_points[i + j] = s
+    rays = []
+    for i, v in pts_a:
+        rays.extend(_pair_point_ray(i, as_int(v), r) for r in rays_b)
+    for j, w in pts_b:
+        rays.extend(_pair_point_ray(j, as_int(w), r) for r in rays_a)
+    for ra in rays_a:
+        for rb in rays_b:
+            new, diverges = _pair_ray_ray(ra, rb)
+            if diverges:
+                return SeqSpec.constant(MINUS_INF)
+            rays.extend(new)
+    marks = [r.bound for r in rays] + list(best_points)
+    if not marks:
+        return SeqSpec.constant(PLUS_INF)
+    left, lcross = _asymptote_winner(rays, leftward=True)
+    right, rcross = _asymptote_winner(rays, leftward=False)
+    lo = min(marks + lcross) - 1
+    hi = max(marks + rcross) + 1
+
+    envelope = enumerate(_reference_ray_envelope(rays, lo - 2, hi + 2), lo - 2)
+    vals = [min(best_points.get(k, PLUS_INF), e) for k, e in envelope]
+    out = _dense(lo, vals[2:-2], left, right)
+    for k in (lo - 1, lo - 2, hi + 1, hi + 2):
+        if out.value_at(k) != vals[k - lo + 2]:
+            raise NonRepresentableTail(f"convolution tail mismatch at index {k}")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference series walks: every index of the window
+
+
+def reference_bound_seq(x) -> SeqSpec:
+    if isinstance(x, EqualCharSeries):
+        if x.trunc == PLUS_INF:
+            hi = max((i for i, _ in x.coeffs), default=x.order)
+            right = ConstTail(PLUS_INF)
+        else:
+            hi = max(x.order, x.trunc.n - 1)
+            right = ConstTail(MINUS_INF)
+        cmap = dict(x.coeffs)
+        vals = []
+        for i in range(x.order, hi + 1):
+            if ExtInt(i) >= x.trunc:
+                vals.append(MINUS_INF)
+            else:
+                vals.append(cmap[i].val if i in cmap else PLUS_INF)
+        return _dense(x.order, vals, ConstTail(PLUS_INF), right)
+    cmap = dict(x.coeffs)
+    vals = [cmap[i].val if i in cmap else PLUS_INF for i in range(x.lo, x.hi + 1)]
+    if isinstance(x.left, ZeroTail):
+        left = ConstTail(PLUS_INF)
+    else:
+        left = AffineTail(-x.left.slope, x.left.base + x.left.slope * x.lo)
+    right = ConstTail(PLUS_INF) if isinstance(x.right, ZeroTail) else ConstTail(ExtInt(x.right.floor))
+    return _dense(x.lo, vals, left, right)
+
+
+def reference_add(x, y):
+    from tdlf.series import _combine_left, _combine_right
+
+    if isinstance(x, EqualCharSeries):
+        trunc = min(x.trunc, y.trunc)
+        total = {}
+        for i, c in list(x.coeffs) + list(y.coeffs):
+            if ExtInt(i) < trunc:
+                total[i] = total[i] + c if i in total else c
+        return EqualCharSeries.from_coeffs(x.prime, total, order=min(x.order, y.order), trunc=trunc)
+    lo, hi = min(x.lo, y.lo), max(x.hi, y.hi)
+    total = {}
+    for i in range(lo, hi + 1):
+        c = x.coeff(i) + y.coeff(i)
+        if not c.is_exact_zero:
+            total[i] = c
+    left = _combine_left(x.left, x.lo, y.left, y.lo, lo)
+    right = _combine_right(x.right, y.right)
+    return MixedSeries.from_coeffs(x.prime, total, left=left, right=right, lo=lo, hi=hi)
+
+
+def reference_partial_sum(x, n: int):
+    if isinstance(x, EqualCharSeries):
+        kept = {i: c for i, c in x.coeffs if i <= n}
+        trunc = x.trunc if ExtInt(n) >= x.trunc else PLUS_INF
+        return EqualCharSeries.from_coeffs(x.prime, kept, order=x.order, trunc=trunc)
+    if n >= x.lo:
+        kept = {}
+        for i in range(x.lo, n + 1):
+            c = x.coeff(i)
+            if not c.is_exact_zero:
+                kept[i] = c
+        return MixedSeries.from_coeffs(
+            x.prime, kept, left=x.left, right=ZeroTail(), lo=x.lo, hi=max(n, x.lo)
+        )
+    if isinstance(x.left, ZeroTail):
+        return MixedSeries.zero(x.prime)
+    return MixedSeries.from_coeffs(
+        x.prime,
+        {n: PAdic.zero_mod(x.prime, x.left.bound_at(x.lo, n))},
+        left=x.left.rebased(x.lo, n),
+        right=ZeroTail(),
+        lo=n,
+        hi=n,
+    )

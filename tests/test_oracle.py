@@ -32,6 +32,21 @@ class TestSplitMix64:
         for _ in range(1000):
             assert 0 <= g.below(7) < 7
 
+    def test_below_draws_one_word_up_to_two_to_the_64(self):
+        # the outputs of the one-word sampler, rejections included
+        g = SplitMix64(7)
+        bounds = (1, 2, 3, 10, 1000, 2**32 + 15, 3 * 2**62, 2**64)
+        assert [g.below(n) for n in bounds] == [
+            0, 0, 0, 3, 674, 233668708, 8632209307422871798, 6051947643683389182,
+        ]
+
+    @pytest.mark.parametrize("n", (2**64 + 13, 2**65, 2**200))
+    def test_below_wide_bounds(self, n):
+        g = SplitMix64(44)
+        draws = [g.below(n) for _ in range(200)]
+        assert all(0 <= d < n for d in draws)
+        assert max(draws) >= n // 2  # the high words are used
+
     def test_randint_bounds(self):
         g = SplitMix64(43)
         for _ in range(1000):

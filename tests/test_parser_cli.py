@@ -231,3 +231,69 @@ class TestCli:
         for name in named_module_names():
             m = named(name)
             assert SubmoduleSpec.from_json(m.to_json()) == m
+
+
+TAIL0 = '{"kind":"const","value":0}'
+
+
+class TestInputErrors:
+    def test_argparse_errors_return_instead_of_exiting(self, capsys):
+        assert main(["--bogus"]) == 2
+        assert main(["--help"]) == 0
+        assert "usage" in capsys.readouterr().out
+
+    def test_primality_is_exact_and_fast(self):
+        from tdlf.cli import _is_prime
+
+        def trial(n):
+            return n > 1 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+        for prime in (2**31 - 1, 2**61 - 1, 2**89 - 1):
+            assert _is_prime(prime)
+        # strong pseudoprimes to bases 2..7, 2..23 and 2..37
+        for composite in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not _is_prime(composite)
+
+    def test_prime_beyond_the_certified_range(self, capsys):
+        assert main(["--prime", str(2**89 - 1), "valuation", "--series", "t"]) == 2
+        assert "--prime must be below" in capsys.readouterr().err
+        assert main(["--prime", str(2**61 - 1), "valuation", "--series", "t"]) == 0
+
+    def test_module_missing_a_tail(self, capsys):
+        module = '{"window":{},"left":' + TAIL0 + "}"
+        assert main(["--prime", "5", "classify", "--module", module]) == 2
+        assert "missing key 'right'" in capsys.readouterr().err
+
+    def test_series_missing_its_prime(self, capsys):
+        assert main(["--prime", "5", "eval", "--series", '{"kind":"mixed"}']) == 2
+        assert "missing key 'prime'" in capsys.readouterr().err
+
+    def test_unknown_field_kind(self, capsys):
+        module = '{"window":{},"left":' + TAIL0 + ',"right":' + TAIL0 + ',"field":"bogus"}'
+        assert main(["--prime", "5", "classify", "--module", module]) == 2
+        assert "bad key 'field'" in capsys.readouterr().err
+
+    def test_library_parsers_raise_parse_error(self):
+        from tdlf import SeminormSpec, SeqSpec, SubmoduleSpec, series_from_json
+
+        spec = {"window": {}, "left": {"kind": "const", "value": 0}}
+        with pytest.raises(ParseError, match="missing key 'right'"):
+            SeqSpec.from_json(spec)
+        spec["right"] = {"kind": "wavy"}
+        with pytest.raises(ParseError, match="bad key 'right'"):
+            SeqSpec.from_json(spec)
+        spec["right"] = spec["left"]
+        with pytest.raises(ParseError, match="bad key 'window'"):
+            SeqSpec.from_json(dict(spec, window={"0": 1, "2": 1}))
+        for cls in (SeminormSpec, SubmoduleSpec):
+            with pytest.raises(ParseError, match="missing key 'field'"):
+                cls.from_json(spec)
+            with pytest.raises(ParseError, match="bad key 'field'"):
+                cls.from_json(dict(spec, field="bogus"))
+        with pytest.raises(ParseError, match="missing key 'prime'"):
+            series_from_json({"kind": "mixed"})
+        with pytest.raises(ParseError, match="bad key 'kind'"):
+            series_from_json({"kind": "odd", "prime": 5})
+        with pytest.raises(ParseError, match="expected a JSON object"):
+            series_from_json([1])
