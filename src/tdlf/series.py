@@ -31,7 +31,6 @@ from .seqspec import (
     ConstTail,
     ExtInt,
     SeqSpec,
-    _normalize,
     ext_min,
     json_key,
     json_parse,
@@ -364,16 +363,9 @@ Series = Union[EqualCharSeries, MixedSeries]
 
 def _bounds(lo: int, hi: int, coeffs, left, right) -> SeqSpec:
     """The valuations of the stored coefficients on ``[lo, hi]``, ``+inf``
-    between them: one point piece per coefficient, one run per gap."""
-    frags, nxt = [], lo
-    for i, c in coeffs:
-        if i > nxt:
-            frags.append((nxt, i - 1, None, 1))
-        frags.append((i, i, 0, c.val.n))
-        nxt = i + 1
-    if nxt <= hi:
-        frags.append((nxt, hi, None, 1))
-    return SeqSpec._make(lo, hi, _normalize(frags), left, right)
+    between them."""
+    points = ((i, c.val) for i, c in coeffs)
+    return SeqSpec.from_points(lo, hi, points, PLUS_INF, left, right)
 
 
 def series_from_json(obj: Mapping) -> Series:
@@ -553,11 +545,10 @@ def _tail_bound(x: MixedSeries, y: MixedSeries) -> SeqSpec:
     bx, by = x.bound_seq(), y.bound_seq()
 
     def tail(s: SeqSpec) -> SeqSpec:
-        blank = ((s.window_lo, None, 1),)
-        return SeqSpec._make(s.window_lo, s.window_hi, blank, s.left, s.right)
+        return SeqSpec.from_points(s.window_lo, s.window_hi, (), PLUS_INF, s.left, s.right)
 
     inf = ConstTail(PLUS_INF)
-    win_x = SeqSpec._make(bx.window_lo, bx.window_hi, bx.pieces, inf, inf)
+    win_x = _bounds(x.lo, x.hi, x.coeffs, inf, inf)
     return pointwise_min(minplus_convolve(tail(bx), by), minplus_convolve(win_x, tail(by)))
 
 

@@ -614,3 +614,37 @@ def reference_partial_sum(x, n: int):
         lo=n,
         hi=n,
     )
+
+
+def reference_sup_diff_on(a: SeqSpec, b: SeqSpec, lo: int, hi: int) -> ExtInt:
+    best = MINUS_INF
+    for i in range(lo, hi + 1):
+        best = max(best, _reference_ext_diff(a.value_at(i), b.value_at(i)))
+    return best
+
+
+def reference_eval_mixed(spec: SeminormSpec, x: MixedSeries):
+    """The mixed seminorm exponent, scanning every index between the
+    seminorm window and a tailed series window."""
+    from tdlf.seminorm import _combine, _diff, validate
+
+    validate(spec)
+    seq = spec.seq
+    best_exact = MINUS_INF
+    best_bound = MINUS_INF
+    for i, c in x.coeffs:
+        cand = _diff(seq.value_at(i), c.val)
+        if c.valuation_exact:
+            best_exact = max(best_exact, cand)
+        else:
+            best_bound = max(best_bound, cand)
+    bseq = x.bound_seq()
+    if not isinstance(x.left, ZeroTail):
+        start = min(seq.window_lo, x.lo) - 1
+        for i in range(start, x.lo):
+            best_bound = max(best_bound, _diff(seq.value_at(i), bseq.value_at(i)))
+    if not isinstance(x.right, ZeroTail):
+        stop = max(seq.window_hi, x.hi) + 1
+        for i in range(x.hi + 1, stop + 1):
+            best_bound = max(best_bound, _diff(seq.value_at(i), bseq.value_at(i)))
+    return _combine(best_exact, best_bound)

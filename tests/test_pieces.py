@@ -19,8 +19,10 @@ from tdlf import (
     MixedSeries,
     PAdic,
     RightValBound,
+    SeminormSpec,
     SeqSpec,
     add,
+    eval_exponent,
     forall_ge,
     minplus_convolve,
     partial_sum,
@@ -31,15 +33,18 @@ from tdlf import (
     sup_diff,
 )
 from tdlf.errors import NonRepresentableTail
+from tdlf.seqspec import sup_diff_on
 from helpers import (
     PRIME,
     rand_ext,
     rand_mixed_series,
+    rand_seminorm,
     rand_seqspec,
     rand_tail,
     reference_add,
     reference_bound_seq,
     reference_canonical,
+    reference_eval_mixed,
     reference_forall_ge,
     reference_minplus_convolve,
     reference_partial_sum,
@@ -47,7 +52,9 @@ from helpers import (
     reference_reflect_affine,
     reference_shift_add,
     reference_sup_diff,
+    reference_sup_diff_on,
     rng,
+    translate_seq,
 )
 
 
@@ -164,6 +171,28 @@ class TestAgainstDenseReference:
                 assert forall_ge(s, b) == reference_forall_ge(s, b)
             assert outcome(minplus_convolve, a, b) == outcome(reference_minplus_convolve, a, b)
 
+    def test_sup_diff_on_ranges(self):
+        r = rng(308)
+        for a, b in seeded_pairs(308):
+            lo, hi = span_of(a, b)
+            x = r.randint(lo, hi)
+            y = x + r.randint(-1, 30)
+            assert sup_diff_on(a, b, x, y) == reference_sup_diff_on(a, b, x, y)
+
+    def test_from_points(self):
+        r = rng(309)
+        for _ in range(80):
+            lo = r.randint(-9, 3)
+            hi = lo + r.randint(0, 14)
+            points = [(i, rand_ext(r)) for i in range(lo, hi + 1) if r.below(3) == 0]
+            fill = rand_ext(r, pinf=40, minf=20)
+            left, right = rand_tail(r), rand_tail(r)
+            dense = dict.fromkeys(range(lo, hi + 1), fill) | dict(points)
+            assert_same(
+                SeqSpec.from_points(lo, hi, points, fill, left, right),
+                SeqSpec(lo, [dense[i] for i in range(lo, hi + 1)], left, right),
+            )
+
     def test_json_and_views_are_dense(self):
         for s in seeded_specs(307):
             assert SeqSpec.from_json(s.to_json()) == s
@@ -233,6 +262,20 @@ class TestPieceCounts:
         assert len(c.pieces) <= 8
 
 
+    def test_far_seminorm_window(self):
+        # the weight 5 sits d indices left of a series whose left bound is
+        # 1 + 2(0 - i); every weight right of it is -inf
+        d = 10**9
+        spec = SeminormSpec(
+            SeqSpec(-d, [5], ConstTail(ExtInt(0)), ConstTail(MINUS_INF)), "mixed"
+        )
+        x = MixedSeries.from_coeffs(
+            PRIME, {0: PAdic.make(PRIME, 0, 1, 20)}, left=LeftValBound(2, 1), lo=0, hi=0
+        )
+        res = eval_exponent(spec, x)
+        assert res.exponent == ExtInt(5 - (1 + 2 * d)) and not res.exact
+
+
 # ---------------------------------------------------------------------------
 # series walks over stored coefficients
 
@@ -283,3 +326,16 @@ class TestSeriesWalks:
         for x, _ in series_pairs(313):
             for n in (x.lo - r.randint(1, 30), x.lo, r.randint(x.lo, x.hi), x.hi + r.randint(0, 30)):
                 assert partial_sum(x, n) == reference_partial_sum(x, n)
+
+    def test_eval_mixed(self):
+        r = rng(314)
+        for k in range(160):
+            spec = rand_seminorm(r, "mixed")
+            d = 10 ** r.randint(2, 4) if k % 2 else r.randint(-8, 8)
+            spec = SeminormSpec(translate_seq(spec.seq, d * (1 - 2 * r.below(2))), "mixed")
+            lo = r.randint(-8, 2)
+            x = rand_mixed_series(r, span=(lo, lo + r.randint(0, 9)), tails=True)
+            assert eval_exponent(spec, x) == reference_eval_mixed(spec, x)
+        spec = SeminormSpec(translate_seq(rand_seminorm(r, "mixed").seq, 10**5), "mixed")
+        x = MixedSeries.from_coeffs(PRIME, {}, left=LeftValBound(1, 0), lo=0, hi=0)
+        assert eval_exponent(spec, x) == reference_eval_mixed(spec, x)
