@@ -8,6 +8,7 @@ identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -26,6 +27,7 @@ from .errors import (
     TdlfError,
     UnknownName,
 )
+from .padic import PRIME_LIMIT, _is_prime
 from .parser import parse_series
 from .seminorm import SeminormSpec
 from .series import series_from_json
@@ -35,35 +37,6 @@ EXIT_PARSE = 2
 EXIT_PRECISION = 3
 EXIT_ADMISSIBILITY = 4
 EXIT_UNKNOWN_NAME = 5
-
-
-# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT
-# (Sorenson and Webster, 2015); larger --prime values are refused.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def _is_prime(n: int) -> bool:
-    """Exact primality for ``n < PRIME_LIMIT``."""
-    if n < 2:
-        return False
-    for a in _WITNESSES:
-        if n % a == 0:
-            return n == a
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 _INT_KEY = re.compile(r"-?\d+$")
@@ -222,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--precision",
         type=int,
-        default=int(os.environ.get("TDLF_PRECISION", "32")),
+        default=None,  # main reads TDLF_PRECISION, then 32, on every call
         help="relative p-adic precision for parsed literals (default 32)",
     )
     top.add_argument(
@@ -305,12 +278,22 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# parsing does not change a parser, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits after --help (0) and on bad arguments (2)
         return exc.code
+    if args.precision is None:
+        env = os.environ.get("TDLF_PRECISION", "32")
+        try:
+            args.precision = int(env)
+        except ValueError:
+            print(f"error: TDLF_PRECISION must be an integer, got {env!r}", file=sys.stderr)
+            return EXIT_PARSE
     if args.prime >= PRIME_LIMIT:
         print(f"error: --prime must be below {PRIME_LIMIT}", file=sys.stderr)
         return EXIT_PARSE

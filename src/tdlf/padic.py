@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IncompatiblePrimes
+from .errors import IncompatiblePrimes, ParseError
 from .seqspec import MINUS_INF, PLUS_INF, ExtInt
 
-__all__ = ["PAdic", "ExponentResult", "DEFAULT_RELATIVE_PRECISION"]
+__all__ = ["PAdic", "ExponentResult", "DEFAULT_RELATIVE_PRECISION", "PRIME_LIMIT", "check_prime"]
 
 DEFAULT_RELATIVE_PRECISION = 32
 
@@ -37,13 +37,64 @@ class ExponentResult:
         return {"exponent": self.exponent.to_json(), "exact": self.exact}
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT
+# (Sorenson and Webster, 2015); larger primes are refused.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality for ``n < PRIME_LIMIT``."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_prime(p: int) -> int:
+    """``p`` when it is a prime below ``PRIME_LIMIT``; ParseError otherwise.
+
+    The parsers check the prime of their input; ``PAdic.make`` does not.
+    """
+    if p >= PRIME_LIMIT:
+        raise ParseError(f"prime {p} is not below {PRIME_LIMIT}")
+    if not _is_prime(p):
+        raise ParseError(f"{p} is not a prime")
+    return p
+
+
 def _vp(n: int, p: int) -> int:
+    """The exponent of ``p`` in ``n != 0`` with O(log v) big divisions:
+    strip ``p^(2^j)`` for ``j = 0, 1, ...`` while it divides, then the rest,
+    below ``2^j``, one binary digit at a time from the top."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p:  # the common case: a unit
+        return 0
+    v, powers = 0, [p]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for j in range(len(powers) - 2, -1, -1):
+        if n % powers[j] == 0:
+            n //= powers[j]
+            v += 1 << j
     return v
 
 
@@ -214,7 +265,7 @@ class PAdic:
 
     @staticmethod
     def from_json(obj: dict) -> "PAdic":
-        p = int(obj["prime"])
+        p = check_prime(int(obj["prime"]))
         val = ExtInt.from_json(obj["valuation"])
         prec = ExtInt.from_json(obj["precision"])
         if val == PLUS_INF:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .padic import DEFAULT_RELATIVE_PRECISION, PAdic
+from .padic import DEFAULT_RELATIVE_PRECISION, PAdic, check_prime
 from .series import (
     EqualCharSeries,
     LeftValBound,
@@ -282,7 +282,10 @@ def parse_series(
 
     An ``O(t^N)`` mark (or ``field='equal'``) yields a Laurent series;
     everything else yields an element of the doubly infinite field.
+    A composite ``prime``, or one at or above ``PRIME_LIMIT``, raises
+    :class:`ParseError`.
     """
+    check_prime(prime)
     parser = _Parser(text, prime, rel_precision)
     terms, mark = parser.series()
     coeffs = {

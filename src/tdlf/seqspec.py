@@ -50,7 +50,7 @@ class ExtInt:
     __slots__ = ("_sign", "_n")
 
     def __init__(self, n: int = 0):
-        if not isinstance(n, int):
+        if type(n) is not int:  # also refuses bool, an int subclass
             raise TypeError(f"ExtInt needs an int, got {type(n).__name__}")
         self._sign = 0
         self._n = n

@@ -23,7 +23,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroElement,
 )
-from .padic import PAdic
+from .padic import PAdic, check_prime
 from .seqspec import (
     MINUS_INF,
     PLUS_INF,
@@ -372,7 +372,7 @@ def series_from_json(obj: Mapping) -> Series:
     kind = json_key(obj, "kind")
     if kind not in ("equal", "mixed"):
         raise ParseError(f"bad key 'kind': unknown series kind {kind!r}")
-    prime = json_parse(obj, "prime", int)
+    prime = check_prime(json_parse(obj, "prime", int))
     coeffs = json_parse(obj, "coeffs", _coeffs_from_json)
     if kind == "equal":
         return EqualCharSeries.from_coeffs(
@@ -476,30 +476,32 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     bound covers every pair touching a tail; the coefficient precision
     reports exactly what is certified.  When ``target_precision`` is given,
     any output coefficient certified below it raises
-    :class:`PrecisionExhausted`.
+    :class:`PrecisionExhausted`; the precisions are known before any
+    coefficient is multiplied, so a failing target costs no big-int work.
     """
     _check_pair(x, y)
     p, xs, ys = x.prime, _stored(x), _stored(y)
     if isinstance(x, EqualCharSeries):
         order, trunc = _equal_frame(x, y)
         # trunc is -inf only when a factor stores nothing, so no pair is lost
-        total: dict[int, PAdic] = {}
-        for k, idx in _diagonals(xs, ys, trunc.n if trunc.is_finite else math.inf).items():
-            total[k] = c = _coefficient(p, ((xs[i], ys[k - i]) for i in idx))
-            _check_target(k, c, target_precision)
+        precs = _precisions(xs, ys, trunc.n if trunc.is_finite else math.inf)
+        for k, q in precs.items():
+            _check_target(k, q, target_precision)
+        total = _products(p, xs, ys, precs)
         return EqualCharSeries.from_coeffs(p, total, order=order, trunc=trunc)
     conv = minplus_convolve(x.bound_seq(), y.bound_seq())
     lo = min(x.lo + y.lo, conv.window_lo)
     hi = max(x.hi + y.hi, conv.window_hi)
     rem = _tail_bound(x, y)
-    diagonals = _diagonals(xs, ys)
-    total = {}
+    pairs = _precisions(xs, ys)
+    precs = {}
     for k in range(lo, hi + 1):
-        pairs = ((xs[i], ys[k - i]) for i in diagonals.get(k, ()))
-        c = _coefficient(p, pairs, rem.value_at(k))
-        _check_target(k, c, target_precision)
-        if not c.is_exact_zero:
-            total[k] = c
+        r = rem.value_at(k)
+        q = min(pairs.get(k, math.inf), r.n if r.is_finite else math.inf)
+        _check_target(k, q, target_precision)
+        if q != math.inf:  # otherwise the coefficient is an exact zero
+            precs[k] = q
+    total = _products(p, xs, ys, precs)
     left = _left_from_bound_tail(conv, lo)
     right = _right_from_bound_tail(conv)
     return MixedSeries.from_coeffs(p, total, left=left, right=right, lo=lo, hi=hi)
@@ -553,20 +555,101 @@ def _tail_bound(x: MixedSeries, y: MixedSeries) -> SeqSpec:
 
 
 def _stored(x: Series) -> dict[int, tuple[int, int, int]]:
-    """Stored coefficients as ``i -> (val, unit, precision)`` integers."""
+    """Stored coefficients as ``i -> (val, unit, precision)`` integers, in
+    increasing ``i``."""
     return {i: (c.val.n, c.unit, c.precision.n) for i, c in x.coeffs}
 
 
-def _diagonals(xs: dict, ys: dict, cut: float = math.inf) -> dict[int, list[int]]:
-    """The indices ``i`` of the stored pairs ``(i, j)``, grouped by
-    ``k = i + j < cut`` in order of first appearance: one walk over all
-    stored pairs that keeps no factor."""
-    out: dict[int, list[int]] = {}
-    for i in xs:
-        for j in ys:
-            if i + j < cut:
-                out.setdefault(i + j, []).append(i)
+def _precisions(xs: dict, ys: dict, cut: float = math.inf) -> dict[int, int]:
+    """Per product index ``k = i + j < cut`` of the stored pairs, the least
+    precision ``min(p_i + v_j, p_j + v_i)`` one of its pair products
+    certifies, in order of first appearance: one walk over the stored
+    pairs with small integers only."""
+    out: dict[int, int] = {}
+    yl = [(j, vj, pj) for j, (vj, _, pj) in ys.items()]
+    for i, (vi, _, pi) in xs.items():
+        for j, vj, pj in yl:
+            k = i + j
+            if k < cut:
+                a, b = pi + vj, pj + vi
+                q = a if a < b else b
+                if q < out.get(k, math.inf):
+                    out[k] = q
     return out
+
+
+def _products(p: int, xs: dict, ys: dict, precs: dict[int, int]) -> dict[int, PAdic]:
+    """The coefficient ``sum x_i y_j`` over ``i + j = k`` reduced modulo
+    ``p^precs[k]``, for every ``k`` in ``precs``.
+
+    ``PAdic.make`` is canonical on residue classes, so reducing the exact
+    diagonal sum once gives what the chain of ``PAdic`` products and sums
+    gives.
+    """
+    v, sums = _diagonal_sums(p, xs, ys)
+    return {k: PAdic.make(p, v, sums.get(k, 0), q) for k, q in precs.items()}
+
+
+def _diagonal_sums(p: int, xs: dict, ys: dict) -> tuple[int, dict[int, int]]:
+    """The diagonal sums of the stored units by Kronecker substitution: one
+    big-int product per pair of runs (see ``_runs``), so one for dense
+    factors.
+
+    With ``a_i = u_i p^(v_i - v)``, ``v`` the least unit valuation of the
+    factor, a run is packed as ``sum_i a_i 256^(w (i - i0))`` from its first
+    index ``i0``; gaps and zero units are zero slots.  A slot of ``w`` bytes
+    holds ``bits_x + bits_y + bitlen(min(#x, #y)) + 1`` bits, more than any
+    ``S_k = sum_{i+j=k} a_i b_j`` takes, so no carry crosses a slot and
+    slot ``s`` of a run product adds to ``S_(i0 + j0 + s)``.  Returns
+    ``v_x + v_y`` and the nonzero ``S_k``.
+    """
+    (vx, ax), (vy, ay) = _scaled(p, xs), _scaled(p, ys)
+    if not ax or not ay:
+        return 0, {}
+    bits = max(a.bit_length() for _, a in ax) + max(b.bit_length() for _, b in ay)
+    w = (bits + min(len(ax), len(ay)).bit_length() + 8) // 8
+    packed_y = [_pack(run, w) for run in _runs(ay)]
+    sums: dict[int, int] = {}
+    for i0, nx, px in (_pack(run, w) for run in _runs(ax)):
+        for j0, ny, py in packed_y:
+            buf = (px * py).to_bytes((nx + ny - 1) * w, "little")
+            for s in range(nx + ny - 1):
+                c = int.from_bytes(buf[s * w : s * w + w], "little")
+                if c:
+                    sums[i0 + j0 + s] = sums.get(i0 + j0 + s, 0) + c
+    return vx + vy, sums
+
+
+def _scaled(p: int, xs: dict) -> tuple[int, list[tuple[int, int]]]:
+    """The least valuation ``v`` of a nonzero unit of ``xs`` and ``(i, u_i
+    p^(v_i - v))`` for those units, in index order."""
+    v = min((vi for vi, u, _ in xs.values() if u), default=0)
+    return v, [(i, u * p ** (vi - v)) for i, (vi, u, _) in xs.items() if u]
+
+
+def _runs(a: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """``(i, a_i)`` in index order cut into runs that span at most twice as
+    many indices as they hold, so packed sizes follow the stored
+    coefficients, not the distances between them."""
+    runs = [[a[0]]]
+    for item in a[1:]:
+        run = runs[-1]
+        if item[0] - run[0][0] + 1 > 2 * (len(run) + 1):
+            runs.append([item])
+        else:
+            run.append(item)
+    return runs
+
+
+def _pack(run: list[tuple[int, int]], w: int) -> tuple[int, int, int]:
+    """The first index ``i0`` of a run of ``(i, a_i)`` in index order, its
+    slot count and ``sum_i a_i 256^(w (i - i0))``; the bytes are dropped as
+    soon as the int is built."""
+    i0, n = run[0][0], run[-1][0] - run[0][0] + 1
+    buf = bytearray(n * w)
+    for i, c in run:
+        buf[(i - i0) * w : (i - i0 + 1) * w] = c.to_bytes(w, "little")
+    return i0, n, int.from_bytes(buf, "little")
 
 
 def _coefficient(p: int, pairs, rem: ExtInt = PLUS_INF) -> PAdic:
@@ -594,9 +677,9 @@ def _coefficient(p: int, pairs, rem: ExtInt = PLUS_INF) -> PAdic:
     return PAdic.make(p, v, s, prec)
 
 
-def _check_target(k: int, c: PAdic, target: int | None) -> None:
-    if target is not None and c.precision < target:
-        raise PrecisionExhausted(f"coefficient {k} certified only modulo p^{c.precision}")
+def _check_target(k: int, prec: int | float, target: int | None) -> None:
+    if target is not None and prec < target:
+        raise PrecisionExhausted(f"coefficient {k} certified only modulo p^{prec}")
 
 
 def _left_from_bound_tail(conv: SeqSpec, lo: int) -> LeftTail:

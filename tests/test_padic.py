@@ -167,3 +167,33 @@ class TestRingAxioms:
             assert es.exponent <= max(ex.exponent, ey.exponent)
             if ex.exponent != ey.exponent:
                 assert es.exponent == max(ex.exponent, ey.exponent)
+
+
+class TestValuationOfIntegers:
+    def test_vp_matches_repeated_division(self):
+        from tdlf.padic import _vp
+
+        def reference(n, p):
+            v = 0
+            while n % p == 0:
+                n, v = n // p, v + 1
+            return v
+
+        r = rng(24)
+        for p in (2, 3, 5, 7, 2**61 - 1):
+            for _ in range(150):
+                k = r.below(4) and r.below(600)
+                c = r.randint(1, 10**12) * (p ** r.below(3)) * (-1) ** r.below(2)
+                n = p**k * c
+                assert _vp(n, p) == reference(n, p) == k + reference(c, p)
+        for k in (0, 1, 2, 3, 4, 7, 8, 63, 64, 65, 1023, 1024, 5000):
+            assert _vp(3**k * 2, 3) == k
+        with pytest.raises(ValueError):
+            _vp(0, 5)
+
+    def test_large_powers_of_p_parse_to_their_valuation(self):
+        from tdlf import parse_series
+
+        x = parse_series("p^20000*t + 3*p^-20001", 5)
+        assert x.coeff(1).val == 20000 and x.coeff(1).unit == 1
+        assert x.coeff(0).val == -20001 and x.coeff(0).unit == 3

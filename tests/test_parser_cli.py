@@ -297,3 +297,85 @@ class TestInputErrors:
             series_from_json({"kind": "odd", "prime": 5})
         with pytest.raises(ParseError, match="expected a JSON object"):
             series_from_json([1])
+
+
+class TestPrecisionEnvironment:
+    ARGV = ["--prime", "5", "eval", "--series", "1/3 + t"]
+
+    def test_read_on_every_call(self, monkeypatch, capsys):
+        for prec in (7, 40, 7):
+            monkeypatch.setenv("TDLF_PRECISION", str(prec))
+            assert main(self.ARGV) == 0
+            assert json.loads(capsys.readouterr().out)["coeffs"]["0"]["precision"] == prec
+        monkeypatch.delenv("TDLF_PRECISION")
+        assert main(self.ARGV) == 0
+        assert json.loads(capsys.readouterr().out)["coeffs"]["0"]["precision"] == 32
+
+    def test_bad_value_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("TDLF_PRECISION", "abc")
+        assert main(self.ARGV) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: TDLF_PRECISION must be an integer, got 'abc'\n"
+        # an explicit --precision never reads it
+        assert main(["--prime", "5", "--precision", "9", "eval", "--series", "1/3 + t"]) == 0
+        assert json.loads(capsys.readouterr().out)["coeffs"]["0"]["precision"] == 9
+
+    def test_bad_value_from_the_shell(self):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, TDLF_PRECISION="abc")
+        cmd = [sys.executable, "-m", "tdlf.cli", "--prime", "5", "valuation", "--series", "t"]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    def test_help_bytes_do_not_depend_on_the_environment(self, monkeypatch, capsys):
+        from tdlf.cli import build_parser
+
+        pages = []
+        for env in ("7", "abc", "32"):
+            monkeypatch.setenv("TDLF_PRECISION", env)
+            for argv in (["--help"], ["--prime", "5", "eval", "--help"]):
+                assert main(argv) == 0
+                pages.append(capsys.readouterr().out)
+        assert pages[0] == pages[2] == pages[4] == build_parser().format_help()
+        assert pages[1] == pages[3] == pages[5]
+
+    def test_parser_is_built_once(self):
+        from tdlf import cli
+
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+
+class TestLibraryPrimes:
+    def test_parse_series_rejects_composite_primes(self):
+        for prime in (6, 4, 1, 0, 3215031751):
+            with pytest.raises(ParseError, match="is not a prime"):
+                parse_series("t+3", prime)
+        with pytest.raises(ParseError, match="is not below"):
+            parse_series("t", 2**89 - 1)
+        assert parse_series("t+3", 2**61 - 1).prime == 2**61 - 1
+
+    def test_json_series_and_coefficients_reject_composite_primes(self):
+        from tdlf import series_from_json
+
+        good = parse_series("1 + 2*t", 5).to_json()
+        assert series_from_json(good) == parse_series("1 + 2*t", 5)
+        with pytest.raises(ParseError, match="4 is not a prime"):
+            series_from_json(dict(good, prime=4))
+        coeff = dict(good["coeffs"]["0"], prime=9)
+        with pytest.raises(ParseError, match="9 is not a prime"):
+            PAdic.from_json(coeff)
+        with pytest.raises(ParseError, match="9 is not a prime"):
+            series_from_json(dict(good, coeffs={"0": coeff}))
+
+    def test_cli_messages_for_prime_are_unchanged(self, capsys):
+        assert main(["--prime", "6", "valuation", "--series", "t"]) == 2
+        assert capsys.readouterr().err == "error: --prime 6 is not prime\n"
+        series = json.dumps(dict(parse_series("t", 5).to_json(), prime=4))
+        assert main(["--prime", "5", "valuation", "--series", series]) == 2
+        assert "4 is not a prime" in capsys.readouterr().err

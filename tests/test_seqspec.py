@@ -226,3 +226,11 @@ class TestCanonicalAndJson:
         )
         assert s.value_at(-1) == 0
         assert s.value_at(0) == MINUS_INF
+
+
+class TestExtIntInput:
+    def test_bool_is_refused_like_other_non_ints(self):
+        for bad in (True, False, 1.0, "1", None):
+            with pytest.raises(TypeError, match="ExtInt needs an int"):
+                ExtInt(bad)
+        assert ExtInt(1) == 1 and ExtInt(-(10**30)).n == -(10**30)
