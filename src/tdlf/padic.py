@@ -11,11 +11,12 @@ the ``val`` field is a valid lower bound for the true valuation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IncompatiblePrimes, ParseError
-from .seqspec import MINUS_INF, PLUS_INF, ExtInt
+from .seqspec import MINUS_INF, PLUS_INF, ExtInt, json_int, json_parse
 
 __all__ = ["PAdic", "ExponentResult", "DEFAULT_RELATIVE_PRECISION", "PRIME_LIMIT", "check_prime"]
 
@@ -78,6 +79,19 @@ def check_prime(p: int) -> int:
     return p
 
 
+def _digits(digits, p: int, rel: int | float) -> list[int]:
+    """``digits`` if it is a list of at most ``rel`` base-``p`` digits;
+    ValueError otherwise."""
+    if type(digits) is not list:
+        raise ValueError(f"expected a list, got {type(digits).__name__}")
+    if len(digits) > rel:
+        raise ValueError(f"{len(digits)} digits for relative precision {rel}")
+    for d in digits:
+        if not 0 <= json_int(d) < p:
+            raise ValueError(f"{d} is not a base-{p} digit")
+    return digits
+
+
 def _vp(n: int, p: int) -> int:
     """The exponent of ``p`` in ``n != 0`` with O(log v) big divisions:
     strip ``p^(2^j)`` for ``j = 0, 1, ...`` while it divides, then the rest,
@@ -124,18 +138,16 @@ class PAdic:
         rel = precision - val
         if rel <= 0:
             return PAdic.zero_mod(prime, precision)
-        u = unit % prime**rel
+        # a unit below 2^rel is below p^rel, so p^rel need not be built
+        u = unit % prime**rel if unit < 0 or unit.bit_length() > rel else unit
         if u == 0:
             return PAdic.zero_mod(prime, precision)
         shift = _vp(u, prime)
         if shift:
             val += shift
-            rel = precision - val
-            if rel <= 0:
+            if val >= precision:
                 return PAdic.zero_mod(prime, precision)
-            u = (u // prime**shift) % prime**rel
-            if u == 0:
-                return PAdic.zero_mod(prime, precision)
+            u //= prime**shift  # below p^(rel - shift), reduced already
         return PAdic(prime, ExtInt(val), u, ExtInt(precision))
 
     @staticmethod
@@ -244,7 +256,7 @@ class PAdic:
             # only the valuation lower bounds multiply
             return PAdic.zero_mod(p, v)
         rel = min(int(self.rel_precision), int(other.rel_precision))
-        return PAdic.make(p, v, (self.unit * other.unit) % p**rel, v + rel)
+        return PAdic.make(p, v, self.unit * other.unit, v + rel)
 
     def abs_exponent(self) -> ExponentResult:
         """Exponent e with |x| = q^e, so e = -val; an upper bound when the
@@ -265,14 +277,21 @@ class PAdic:
 
     @staticmethod
     def from_json(obj: dict) -> "PAdic":
-        p = check_prime(int(obj["prime"]))
-        val = ExtInt.from_json(obj["valuation"])
-        prec = ExtInt.from_json(obj["precision"])
+        """The element of a JSON object; ParseError names a bad key.
+
+        Digits lie in ``[0, p)``, at most ``precision - valuation`` of
+        them; the exact zero (valuation ``+inf``) reads no digits.
+        """
+        p = check_prime(json_parse(obj, "prime", json_int))
+        val = json_parse(obj, "valuation", ExtInt.from_json)
+        prec = json_parse(obj, "precision", ExtInt.from_json)
         if val == PLUS_INF:
             return PAdic.zero(p)
+        rel = max((prec - val).n, 0) if prec.is_finite and val.is_finite else math.inf
+        digits = json_parse(obj, "digits", lambda ds: _digits(ds, p, rel))
         unit = 0
-        for d in reversed(obj["digits"]):
-            unit = unit * p + int(d)
+        for d in reversed(digits):
+            unit = unit * p + d
         if unit == 0:
             return PAdic.zero_mod(p, val.n)
         return PAdic.make(p, val.n, unit, prec.n)

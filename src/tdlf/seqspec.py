@@ -222,7 +222,7 @@ def tail_from_json(obj: Mapping) -> Tail:
     if kind == "const":
         return ConstTail(ExtInt.from_json(obj["value"]))
     if kind == "affine":
-        return AffineTail(int(obj["slope"]), int(obj["offset"]))
+        return AffineTail(json_int(obj["slope"]), json_int(obj["offset"]))
     raise ValueError(f"unknown tail kind: {kind!r}")
 
 
@@ -543,6 +543,17 @@ def json_key(obj, key: str):
     if key not in obj:
         raise ParseError(f"missing key {key!r}")
     return obj[key]
+
+
+def json_int(value) -> int:
+    """``value`` if it is a JSON integer; ValueError otherwise.
+
+    ``int`` would truncate a float, read a string digit by digit and
+    overflow on infinity; a bool is not an integer here either.
+    """
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {type(value).__name__}")
+    return value
 
 
 def json_parse(obj, key: str, parse):

@@ -32,6 +32,7 @@ from .seqspec import (
     ExtInt,
     SeqSpec,
     ext_min,
+    json_int,
     json_key,
     json_parse,
     minplus_convolve,
@@ -116,13 +117,13 @@ class ValuationResult:
 def _left_tail_from_json(obj: Mapping) -> LeftTail:
     if obj["kind"] == "zero":
         return ZeroTail()
-    return LeftValBound(int(obj["slope"]), int(obj["base"]))
+    return LeftValBound(json_int(obj["slope"]), json_int(obj["base"]))
 
 
 def _right_tail_from_json(obj: Mapping) -> RightTail:
     if obj["kind"] == "zero":
         return ZeroTail()
-    return RightValBound(int(obj["floor"]))
+    return RightValBound(json_int(obj["floor"]))
 
 
 def _coeffs_from_json(obj: Mapping) -> dict[int, PAdic]:
@@ -372,23 +373,26 @@ def series_from_json(obj: Mapping) -> Series:
     kind = json_key(obj, "kind")
     if kind not in ("equal", "mixed"):
         raise ParseError(f"bad key 'kind': unknown series kind {kind!r}")
-    prime = check_prime(json_parse(obj, "prime", int))
+    prime = check_prime(json_parse(obj, "prime", json_int))
     coeffs = json_parse(obj, "coeffs", _coeffs_from_json)
-    if kind == "equal":
-        return EqualCharSeries.from_coeffs(
+    try:
+        if kind == "equal":
+            return EqualCharSeries.from_coeffs(
+                prime,
+                coeffs,
+                order=json_parse(obj, "order", json_int),
+                trunc=json_parse(obj, "trunc", ExtInt.from_json),
+            )
+        return MixedSeries.from_coeffs(
             prime,
             coeffs,
-            order=json_parse(obj, "order", int),
-            trunc=json_parse(obj, "trunc", ExtInt.from_json),
+            left=json_parse(obj, "left", _left_tail_from_json),
+            right=json_parse(obj, "right", _right_tail_from_json),
+            lo=json_parse(obj, "lo", json_int),
+            hi=json_parse(obj, "hi", json_int),
         )
-    return MixedSeries.from_coeffs(
-        prime,
-        coeffs,
-        left=json_parse(obj, "left", _left_tail_from_json),
-        right=json_parse(obj, "right", _right_tail_from_json),
-        lo=json_parse(obj, "lo", int),
-        hi=json_parse(obj, "hi", int),
-    )
+    except ValueError as exc:  # a coefficient outside [order, trunc)
+        raise ParseError(f"bad key 'coeffs': {exc}") from None
 
 
 def _check_pair(x: Series, y: Series) -> None:
@@ -478,6 +482,9 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     any output coefficient certified below it raises
     :class:`PrecisionExhausted`; the precisions are known before any
     coefficient is multiplied, so a failing target costs no big-int work.
+    The product computes only the digits its certified precision keeps:
+    the units are reduced to the highest output precision before they are
+    multiplied.
     """
     _check_pair(x, y)
     p, xs, ys = x.prime, _stored(x), _stored(y)
@@ -513,6 +520,8 @@ def product_coeff(x: Series, y: Series, k: int) -> PAdic:
 
     Raises what ``mul(x, y).coeff(k)`` raises, except that below the order
     of a Laurent product the coefficient is zero whatever its truncation.
+    Like ``mul``, it computes only the digits its certified precision
+    keeps.
     """
     _check_pair(x, y)
     p = x.prime
@@ -582,49 +591,83 @@ def _products(p: int, xs: dict, ys: dict, precs: dict[int, int]) -> dict[int, PA
     """The coefficient ``sum x_i y_j`` over ``i + j = k`` reduced modulo
     ``p^precs[k]``, for every ``k`` in ``precs``.
 
-    ``PAdic.make`` is canonical on residue classes, so reducing the exact
-    diagonal sum once gives what the chain of ``PAdic`` products and sums
-    gives.
+    ``PAdic.make`` is canonical on residue classes, so a sum congruent to
+    the exact diagonal sum modulo the highest precision kept gives what the
+    chain of ``PAdic`` products and sums gives.
     """
-    v, sums = _diagonal_sums(p, xs, ys)
+    if not precs:
+        return {}
+    v, sums = _diagonal_sums(p, xs, ys, max(precs.values()))
     return {k: PAdic.make(p, v, sums.get(k, 0), q) for k, q in precs.items()}
 
 
-def _diagonal_sums(p: int, xs: dict, ys: dict) -> tuple[int, dict[int, int]]:
-    """The diagonal sums of the stored units by Kronecker substitution: one
-    big-int product per pair of runs (see ``_runs``), so one for dense
-    factors.
+def _diagonal_sums(
+    p: int, xs: dict, ys: dict, prec: int | None = None
+) -> tuple[int, dict[int, int]]:
+    """The diagonal sums of the stored units by two-point Kronecker
+    substitution: two big-int products per pair of runs (see ``_runs``), so
+    two for dense factors.
 
-    With ``a_i = u_i p^(v_i - v)``, ``v`` the least unit valuation of the
-    factor, a run is packed as ``sum_i a_i 256^(w (i - i0))`` from its first
-    index ``i0``; gaps and zero units are zero slots.  A slot of ``w`` bytes
-    holds ``bits_x + bits_y + bitlen(min(#x, #y)) + 1`` bits, more than any
-    ``S_k = sum_{i+j=k} a_i b_j`` takes, so no carry crosses a slot and
-    slot ``s`` of a run product adds to ``S_(i0 + j0 + s)``.  Returns
-    ``v_x + v_y`` and the nonzero ``S_k``.
+    With ``v`` the least valuation of a nonzero unit of a factor, its units
+    are scaled to ``a_i = u_i p^(v_i - v)``.  When ``prec`` is given they are
+    reduced modulo ``p^R``, ``R = prec - v_x - v_y``: a sum kept modulo at
+    most ``p^prec`` depends on no higher digit, and ``R <= 0`` needs no
+    multiply.  ``S_k = sum_{i+j=k} a_i b_j`` then takes fewer than ``bits =
+    bits_x + bits_y + bitlen(min(#x, #y))`` bits.  ``_pack_pm`` evaluates a
+    run at ``2^N`` and ``-2^N``, ``N = 8h`` with ``h`` bytes holding half
+    of ``bits`` and every unit; the products ``P+`` and ``P-`` of two runs
+    give the even-offset sums in the ``2h``-byte slots of ``(P+ + P-) / 2``
+    and the odd-offset ones in those of ``(P+ - P-) / 2^(N+1)``, exactly,
+    as every ``S_k >= 0``.  Slot ``m`` of parity ``e`` adds to ``S_(i0 + j0
+    + 2m + e)``.  Returns ``v_x + v_y`` and the nonzero ``S_k``.
     """
-    (vx, ax), (vy, ay) = _scaled(p, xs), _scaled(p, ys)
+    vx, vy = _least_val(xs), _least_val(ys)
+    r = None if prec is None else prec - vx - vy
+    if r is not None and r <= 0:
+        return vx + vy, {}
+    ax, ay = _scaled(p, xs, vx, r), _scaled(p, ys, vy, r)
     if not ax or not ay:
-        return 0, {}
-    bits = max(a.bit_length() for _, a in ax) + max(b.bit_length() for _, b in ay)
-    w = (bits + min(len(ax), len(ay)).bit_length() + 8) // 8
-    packed_y = [_pack(run, w) for run in _runs(ay)]
+        return vx + vy, {}
+    bx = max(a.bit_length() for _, a in ax)
+    by = max(b.bit_length() for _, b in ay)
+    bits = bx + by + min(len(ax), len(ay)).bit_length()
+    h = max(-(-bits // 16), -(-bx // 8), -(-by // 8))
+    packed_y = [_pack_pm(run, h) for run in _runs(ay)]
     sums: dict[int, int] = {}
-    for i0, nx, px in (_pack(run, w) for run in _runs(ax)):
-        for j0, ny, py in packed_y:
-            buf = (px * py).to_bytes((nx + ny - 1) * w, "little")
-            for s in range(nx + ny - 1):
-                c = int.from_bytes(buf[s * w : s * w + w], "little")
-                if c:
-                    sums[i0 + j0 + s] = sums.get(i0 + j0 + s, 0) + c
+    for i0, nx, xp, xm in (_pack_pm(run, h) for run in _runs(ax)):
+        for j0, ny, yp, ym in packed_y:
+            plus, minus = xp * yp, xm * ym
+            halves = ((plus + minus) >> 1, (plus - minus) >> (8 * h + 1))
+            del plus, minus
+            for e, half in enumerate(halves):
+                count = (nx + ny - e) // 2
+                buf = half.to_bytes(count * 2 * h, "little")
+                for m in range(count):
+                    c = int.from_bytes(buf[2 * h * m : 2 * h * (m + 1)], "little")
+                    if c:
+                        k = i0 + j0 + 2 * m + e
+                        sums[k] = sums.get(k, 0) + c
     return vx + vy, sums
 
 
-def _scaled(p: int, xs: dict) -> tuple[int, list[tuple[int, int]]]:
-    """The least valuation ``v`` of a nonzero unit of ``xs`` and ``(i, u_i
-    p^(v_i - v))`` for those units, in index order."""
-    v = min((vi for vi, u, _ in xs.values() if u), default=0)
-    return v, [(i, u * p ** (vi - v)) for i, (vi, u, _) in xs.items() if u]
+def _least_val(xs: dict) -> int:
+    """The least valuation of a nonzero unit of ``xs``; 0 if there is none."""
+    return min((vi for vi, u, _ in xs.values() if u), default=0)
+
+
+def _scaled(p: int, xs: dict, v: int, r: int | None) -> list[tuple[int, int]]:
+    """``(i, u_i p^(v_i - v))`` for the nonzero units of ``xs`` in index
+    order, reduced modulo ``p^r`` when ``r`` is given and left out when that
+    makes them zero.  A unit is below ``p^(prec_i - v_i)``, so one whose
+    scaled value is below ``p^r`` is not divided."""
+    out = []
+    for i, (vi, u, pi) in xs.items():
+        d = vi - v
+        if r is not None and pi - v > r:
+            u = u % p ** (r - d) if d < r else 0
+        if u:
+            out.append((i, u * p**d))
+    return out
 
 
 def _runs(a: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -641,39 +684,49 @@ def _runs(a: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
     return runs
 
 
-def _pack(run: list[tuple[int, int]], w: int) -> tuple[int, int, int]:
+def _pack_pm(run: list[tuple[int, int]], h: int) -> tuple[int, int, int, int]:
     """The first index ``i0`` of a run of ``(i, a_i)`` in index order, its
-    slot count and ``sum_i a_i 256^(w (i - i0))``; the bytes are dropped as
-    soon as the int is built."""
+    slot count and the run evaluated at ``2^N`` and ``-2^N``, ``N = 8h``:
+    ``sum_i a_i (+-2^N)^(i - i0)``, from the even and the odd offsets packed
+    apart in slots of ``h`` bytes.  Every ``a_i`` fits its slot; the bytes
+    are dropped as soon as the ints are built."""
     i0, n = run[0][0], run[-1][0] - run[0][0] + 1
-    buf = bytearray(n * w)
+    even, odd = bytearray(n * h), bytearray(n * h)
     for i, c in run:
-        buf[(i - i0) * w : (i - i0 + 1) * w] = c.to_bytes(w, "little")
-    return i0, n, int.from_bytes(buf, "little")
+        s = (i - i0) * h
+        (odd if (i - i0) & 1 else even)[s : s + h] = c.to_bytes(h, "little")
+    e, o = int.from_bytes(even, "little"), int.from_bytes(odd, "little")
+    return i0, n, e + o, e - o
 
 
 def _coefficient(p: int, pairs, rem: ExtInt = PLUS_INF) -> PAdic:
-    """The sum of the products ``x_i * y_j`` in ``pairs`` plus ``O(p^rem)``.
+    """The sum of the products ``x_i * y_j`` in ``pairs`` plus ``O(p^rem)``,
+    computed only to the digits it keeps.
 
-    The products of stored units are summed exactly as ``p^v * s`` and
-    reduced once at the least precision one product certifies; a
-    zero-within-precision factor has unit 0 and adds only its precision
-    ``v_i + v_j``.  ``PAdic.make`` is canonical on residue classes, so this
-    equals the chain of ``PAdic`` products and sums.
+    A first pass over small integers finds the least precision ``prec`` one
+    product certifies and the least ``v = v_i + v_j``; a zero-within-
+    precision factor has unit 0 and adds only its precision.  The units are
+    then reduced modulo ``p^(prec - v)`` before they are multiplied, and
+    their products summed as ``p^v * s``.  ``PAdic.make`` is canonical on
+    residue classes, so this equals the chain of ``PAdic`` products and
+    sums.
     """
-    v = s = None
+    pairs = list(pairs)
     prec = math.inf if rem == PLUS_INF else rem.n
-    for (vi, ui, pi), (vj, uj, pj) in pairs:
+    v = math.inf
+    for (vi, _, pi), (vj, _, pj) in pairs:
         prec = min(prec, pi + vj, pj + vi)
-        w, u = vi + vj, ui * uj
-        if v is None:
-            v, s = w, u
-        elif w < v:
-            v, s = w, s * p ** (v - w) + u
-        else:
-            s += u * p ** (w - v)
-    if v is None:
+        v = min(v, vi + vj)
+    if v == math.inf:
         return PAdic.zero(p) if prec == math.inf else PAdic.zero_mod(p, prec)
+    r = prec - v
+    if r <= 0:
+        return PAdic.zero_mod(p, prec)
+    mod, s = p**r, 0
+    for (vi, ui, _), (vj, uj, _) in pairs:
+        d = vi + vj - v
+        if ui and uj and d < r:
+            s += (ui % mod) * (uj % mod) * p**d
     return PAdic.make(p, v, s, prec)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -12,6 +13,7 @@ from tdlf import (
 )
 from tdlf.cli import main
 from tdlf.series import LeftValBound, RightValBound, ZeroTail
+from tdlf.series import series_from_json
 from helpers import PRIME, rand_equal_series, rng
 
 P = PRIME
@@ -379,3 +381,70 @@ class TestLibraryPrimes:
         series = json.dumps(dict(parse_series("t", 5).to_json(), prime=4))
         assert main(["--prime", "5", "valuation", "--series", series]) == 2
         assert "4 is not a prime" in capsys.readouterr().err
+
+
+def _bent(field, value):
+    """A one-coefficient mixed series with one field replaced by ``value``;
+    ``field`` names a top-level key, ``left.slope`` or ``coeff.digits``."""
+    coeff = {"prime": 5, "valuation": 0, "digits": [1, 2], "precision": 2}
+    doc = {"kind": "mixed", "prime": 5, "lo": 0, "hi": 0, "coeffs": {"0": coeff},
+           "left": {"kind": "valbound", "slope": 1, "base": 0}, "right": {"kind": "zero"}}
+    if "." in field:
+        outer, inner = field.split(".")
+        (coeff if outer == "coeff" else doc[outer])[inner] = value
+    else:
+        doc[field] = value
+    return json.dumps(doc)
+
+
+class TestJsonIntegers:
+    """Integer fields of JSON input take JSON integers only, and p-adic
+    digits lie in ``[0, p)``, at most ``precision - valuation`` of them."""
+
+    CASES = {
+        "prime Infinity": ("prime", math.inf, "bad key 'prime': expected an integer"),
+        "slope Infinity": ("left.slope", math.inf, "bad key 'left': expected an integer"),
+        "prime 5.9": ("prime", 5.9, "bad key 'prime': expected an integer"),
+        "lo 0.5": ("lo", 0.5, "bad key 'lo': expected an integer"),
+        "digit 7": ("coeff.digits", [7], "7 is not a base-5 digit"),
+        "digit -1": ("coeff.digits", [-1, 1], "-1 is not a base-5 digit"),
+        "digits string": ("coeff.digits", "12", "bad key 'digits': expected a list"),
+        "too many digits": ("coeff.digits", [1, 2, 3], "3 digits for relative precision 2"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_2_without_traceback(self, case, capsys):
+        field, value, message = self.CASES[case]
+        assert main(["--prime", "5", "eval", "--series", _bent(field, value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+        with pytest.raises(ParseError, match=message):
+            series_from_json(json.loads(_bent(field, value)))
+
+    def test_valid_fields_still_read(self, capsys):
+        for field, value in (("prime", 5), ("left.slope", 2), ("lo", -1), ("coeff.digits", [4, 4])):
+            assert main(["--prime", "5", "eval", "--series", _bent(field, value)]) == 0
+            assert json.loads(capsys.readouterr().out) == series_from_json(
+                json.loads(_bent(field, value))).to_json()
+
+    def test_coefficient_reader_alone(self):
+        good = {"prime": 5, "valuation": 1, "digits": [3, 4], "precision": 3}
+        assert PAdic.from_json(good) == PAdic.make(5, 1, 23, 3)
+        for key, value in (("digits", [5]), ("digits", [True]), ("digits", [1, 2, 3]),
+                           ("prime", 5.0), ("prime", "5")):
+            with pytest.raises(ParseError, match=f"bad key '{key}'"):
+                PAdic.from_json(dict(good, **{key: value}))
+        zero = {"prime": 5, "valuation": "+inf", "digits": [], "precision": "+inf"}
+        assert PAdic.from_json(zero) == PAdic.zero(5)
+
+    def test_infinity_from_the_shell(self):
+        import subprocess
+        import sys
+
+        cmd = [sys.executable, "-m", "tdlf.cli", "--prime", "5", "eval",
+               "--series", _bent("prime", math.inf)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
