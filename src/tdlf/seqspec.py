@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import NonRepresentableTail, ParseError, UndefinedInfiniteSum
 
@@ -33,6 +33,8 @@ __all__ = [
     "reflect_affine",
     "shift_add",
     "minplus_convolve",
+    "Frame",
+    "convolution_frame",
     "sup_diff",
     "sup_diff_on",
     "forall_ge",
@@ -437,8 +439,11 @@ class SeqSpec:
             return PLUS_INF if offset > 0 else MINUS_INF
         return ExtInt(slope * i + offset)
 
-    def values_on(self, lo: int, hi: int) -> list[ExtInt]:
-        return [self.value_at(i) for i in range(lo, hi + 1)]
+    def spans(self, lo: int, hi: int) -> list[tuple[int, int, int | None, int]]:
+        """``(x, y, slope, offset)`` runs covering ``[lo, hi]`` in order,
+        tails included: the value on ``[x, y]`` is ``slope*i + offset``, or
+        an infinity of the sign of ``offset`` when ``slope`` is None."""
+        return _spans(self, lo, hi)
 
     def eq_pointwise(self, other: "SeqSpec", lo: int, hi: int) -> bool:
         return all(self.value_at(i) == other.value_at(i) for i in range(lo, hi + 1))
@@ -769,6 +774,16 @@ def shift_add(s: SeqSpec, c: int) -> SeqSpec:
 # the dense_products benchmark (2-vCPU host, Python 3.11), making every
 # piece of two or more indices a segment cost 9.5% of ops_per_s and raised
 # op_p90_ms by 60%.
+#
+# The point + ray rays come in families, one per ray of the other factor:
+# a family shares that ray's direction and slope, and its members differ
+# only in bound and offset.  A member is beaten everywhere by one that
+# reaches further with no larger offset, so each family keeps only its
+# running-minimum staircase (``_family``).  The window bounds, the tails and
+# the tail guard depend on the rays and on the least and greatest point
+# sums only, which ``_frame`` computes without the point + point loop or
+# the sweep; a family's least and greatest bound stand for its pruned
+# members among the window marks.
 
 _SHORT = 4
 
@@ -900,6 +915,97 @@ def _asymptote_winner(
     return tail, crossings
 
 
+class Frame(NamedTuple):
+    """The window bounds and tails of a min-plus convolution, and the rays
+    of its terms that reach past the window.  ``rays`` is None when the
+    convolution is the constant ``left`` everywhere."""
+
+    rays: list | None
+    window_lo: int
+    window_hi: int
+    left: Tail
+    right: Tail
+
+
+def _family(pts: list, r: _Ray) -> tuple[list[_Ray], int, int]:
+    """The rays of the points ``(i, value)`` in index order against ray
+    ``r``, pruned to those no other member beats, with the least and the
+    greatest bound of the whole family.  Going out along ``r``, a member
+    is kept when it reaches further than every kept one and its offset is
+    smaller; a ``-inf`` member beats everything behind it."""
+    out = []
+    least = math.inf
+    for i, v in reversed(pts) if r.leftward else pts:
+        # the offset of _pair_point_ray(i, v, r), built only when kept
+        if v is None or r.minf or r.offset + v - r.slope * i < least:
+            ray = _pair_point_ray(i, v, r)
+            out.append(ray)
+            if ray.minf:
+                break
+            least = ray.offset
+    return out, r.bound + pts[0][0], r.bound + pts[-1][0]
+
+
+def _frame(pts_a: list, rays_a: list, pts_b: list, rays_b: list) -> Frame:
+    """The frame of the convolution of two sequences given by their points
+    (see ``_conv_parts``) and tail rays.
+
+    The window runs from one below the least mark to one above the greatest:
+    the marks are the least and greatest point sums, the least and greatest
+    bound of each ray family, the bounds of the ray pairs and the crossings
+    of the eventual tail with the other rays.  Past the window only rays
+    apply, so the tails are checked against them at two indices on each
+    side; a mismatch raises ``NonRepresentableTail``.  As every crossing
+    with the eventual tail is a mark, the check holds for every input; it
+    guards that invariant for ``minplus_convolve`` and ``mul`` alike.
+    """
+    rays: list[_Ray] = []
+    marks: list[int] = []
+    if pts_a and pts_b:
+        marks += [pts_a[0][0] + pts_b[0][0], pts_a[-1][0] + pts_b[-1][0]]
+    for pts, others in ((pts_a, rays_b), (pts_b, rays_a)):
+        if pts:
+            for r in others:
+                kept, first, last = _family(pts, r)
+                rays += kept
+                marks += [first, last]
+    for ra in rays_a:
+        for rb in rays_b:
+            new, diverges = _pair_ray_ray(ra, rb)
+            if diverges:
+                minf = ConstTail(MINUS_INF)
+                return Frame(None, 0, 0, minf, minf)
+            rays += new
+            marks += [r.bound for r in new]
+    if not marks:
+        pinf = ConstTail(PLUS_INF)
+        return Frame(None, 0, 0, pinf, pinf)
+    left, lcross = _asymptote_winner(rays, leftward=True)
+    right, rcross = _asymptote_winner(rays, leftward=False)
+    lo = min(marks + lcross) - 1
+    hi = max(marks + rcross) + 1
+    for tail, leftward, ks in ((left, True, (lo - 1, lo - 2)), (right, False, (hi + 1, hi + 2))):
+        side = [r for r in rays if r.leftward == leftward]
+        minf = any(r.minf for r in side)
+        for k in ks:
+            if minf:
+                want = MINUS_INF
+            elif side:
+                want = ExtInt(min(r.slope * k + r.offset for r in side))
+            else:
+                want = PLUS_INF
+            if tail.at(k) != want:
+                raise NonRepresentableTail(f"convolution tail mismatch at index {k}")
+    return Frame(rays, lo, hi, left, right)
+
+
+def convolution_frame(a: SeqSpec, b: SeqSpec) -> Frame:
+    """The frame of ``minplus_convolve(a, b)``: its window bounds, tails and
+    tail rays, and the same ``NonRepresentableTail``, at the cost of the
+    pieces and tails of ``a`` and ``b`` rather than of their pairs."""
+    return _frame(_conv_parts(a)[0], _tail_rays(a), _conv_parts(b)[0], _tail_rays(b))
+
+
 def _lines_min(lines: list[tuple], x: int, y: int, out: list) -> None:
     """Append the fragments of the least of ``lines`` (distinct slopes) on
     ``[x, y]``: going right, a line gives way to one of smaller slope."""
@@ -952,11 +1058,6 @@ def _envelope(terms: list[tuple], lo: int, hi: int) -> list[tuple]:
     return out
 
 
-def _fragment_at(frags: list[tuple], k: int) -> ExtInt:
-    _, _, slope, offset = frags[bisect_right(frags, k, key=_START) - 1]
-    return _at(slope, offset, k)
-
-
 def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
     """Min-plus convolution ``k -> inf over i+j=k of a(i) + b(j)``.
 
@@ -966,6 +1067,9 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
     pts_a, segs_a = _conv_parts(a)
     pts_b, segs_b = _conv_parts(b)
     rays_a, rays_b = _tail_rays(a), _tail_rays(b)
+    rays, lo, hi, left, right = _frame(pts_a, rays_a, pts_b, rays_b)
+    if rays is None:
+        return SeqSpec.constant(left.value)
 
     best: dict[int, int | None] = {}  # point terms; None is -inf
     for i, v in pts_a:
@@ -978,29 +1082,9 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
             if v is None or w is None:
                 best[i + j] = None
 
-    rays: list[_Ray] = []
-    for i, v in pts_a:
-        rays.extend(_pair_point_ray(i, v, r) for r in rays_b)
-    for j, w in pts_b:
-        rays.extend(_pair_point_ray(j, w, r) for r in rays_a)
-    for ra in rays_a:
-        for rb in rays_b:
-            new, diverges = _pair_ray_ray(ra, rb)
-            if diverges:
-                return SeqSpec.constant(MINUS_INF)
-            rays.extend(new)
-
-    marks = [r.bound for r in rays] + list(best)
-    if not marks:
-        return SeqSpec.constant(PLUS_INF)
-    left, lcross = _asymptote_winner(rays, leftward=True)
-    right, rcross = _asymptote_winner(rays, leftward=False)
-    lo = min(marks + lcross) - 1
-    hi = max(marks + rcross) + 1
-
     terms = [(k, k, None, -1) if v is None else (k, k, 0, v) for k, v in best.items()]
     for r in rays:
-        k0, k1 = (lo - 2, r.bound) if r.leftward else (r.bound, hi + 2)
+        k0, k1 = (lo, r.bound) if r.leftward else (r.bound, hi)
         terms.append((k0, k1, None, -1) if r.minf else (k0, k1, r.slope, r.offset))
     for segs, ends in ((segs_a, pts_b + [r.point() for r in rays_b]),
                        (segs_b, pts_a + [r.point() for r in rays_a])):
@@ -1010,19 +1094,7 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
                     terms.append((x + j, y + j, None, -1))
                 else:
                     terms.append((x + j, y + j, slope, offset - slope * j + w))
-    envelope = _envelope(terms, lo - 2, hi + 2)
-    window = (
-        (max(x, lo), min(y, hi), slope, offset)
-        for x, y, slope, offset in envelope
-        if x <= hi and y >= lo
-    )
-    out = SeqSpec._make(lo, hi, _normalize(window), left, right)
-    for k in (lo - 1, lo - 2, hi + 1, hi + 2):  # tail guard
-        if out.value_at(k) != _fragment_at(envelope, k):
-            raise NonRepresentableTail(
-                f"convolution tail mismatch at index {k}"
-            )
-    return out
+    return SeqSpec._make(lo, hi, _normalize(_envelope(terms, lo, hi)), left, right)
 
 
 # --------------------------------------------------------------------------

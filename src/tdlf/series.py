@@ -30,7 +30,9 @@ from .seqspec import (
     AffineTail,
     ConstTail,
     ExtInt,
+    Frame,
     SeqSpec,
+    convolution_frame,
     ext_min,
     json_int,
     json_key,
@@ -115,15 +117,21 @@ class ValuationResult:
 
 
 def _left_tail_from_json(obj: Mapping) -> LeftTail:
-    if obj["kind"] == "zero":
+    kind = obj["kind"]
+    if kind == "zero":
         return ZeroTail()
-    return LeftValBound(json_int(obj["slope"]), json_int(obj["base"]))
+    if kind == "valbound":
+        return LeftValBound(json_int(obj["slope"]), json_int(obj["base"]))
+    raise ValueError(f"unknown tail kind {kind!r}")
 
 
 def _right_tail_from_json(obj: Mapping) -> RightTail:
-    if obj["kind"] == "zero":
+    kind = obj["kind"]
+    if kind == "zero":
         return ZeroTail()
-    return RightValBound(json_int(obj["floor"]))
+    if kind == "valbound":
+        return RightValBound(json_int(obj["floor"]))
+    raise ValueError(f"unknown tail kind {kind!r}")
 
 
 def _coeffs_from_json(obj: Mapping) -> dict[int, PAdic]:
@@ -481,10 +489,19 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     reports exactly what is certified.  When ``target_precision`` is given,
     any output coefficient certified below it raises
     :class:`PrecisionExhausted`; the precisions are known before any
-    coefficient is multiplied, so a failing target costs no big-int work.
+    coefficient is multiplied, so a failing target costs no big-int work,
+    and the stored pairs are walked only up to the first index where the
+    tail remainder fails the target.
     The product computes only the digits its certified precision keeps:
     the units are reduced to the highest output precision before they are
-    multiplied.
+    multiplied, then multiplied by four-point Kronecker substitution
+    (``_diagonal_sums``).
+
+    Of the min-plus convolution of the factors' valuation bounds a mixed
+    product reads only the window bounds and the tails, so it takes them
+    from ``convolution_frame``, which works from the tail rays and the ends
+    of the windows: the coefficients inside the window are certified by the
+    stored pairs and ``_tail_bound``, not by the convolution.
     """
     _check_pair(x, y)
     p, xs, ys = x.prime, _stored(x), _stored(y)
@@ -496,22 +513,45 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
             _check_target(k, q, target_precision)
         total = _products(p, xs, ys, precs)
         return EqualCharSeries.from_coeffs(p, total, order=order, trunc=trunc)
-    conv = minplus_convolve(x.bound_seq(), y.bound_seq())
-    lo = min(x.lo + y.lo, conv.window_lo)
-    hi = max(x.hi + y.hi, conv.window_hi)
-    rem = _tail_bound(x, y)
-    pairs = _precisions(xs, ys)
+    frame = convolution_frame(x.bound_seq(), y.bound_seq())
+    lo = min(x.lo + y.lo, frame.window_lo)
+    hi = max(x.hi + y.hi, frame.window_hi)
+    spans = _tail_bound(x, y).spans(lo, hi)
+    cut = math.inf
+    if target_precision is not None:
+        cut = _first_below(spans, target_precision) + 1
+    pairs = _precisions(xs, ys, cut)
     precs = {}
-    for k in range(lo, hi + 1):
-        r = rem.value_at(k)
-        q = min(pairs.get(k, math.inf), r.n if r.is_finite else math.inf)
-        _check_target(k, q, target_precision)
-        if q != math.inf:  # otherwise the coefficient is an exact zero
-            precs[k] = q
+    for a, b, slope, offset in spans:
+        for k in range(a, b + 1):
+            q = pairs.get(k, math.inf)
+            if slope is not None and slope * k + offset < q:
+                q = slope * k + offset
+            _check_target(k, q, target_precision)
+            if q != math.inf:  # otherwise the coefficient is an exact zero
+                precs[k] = q
     total = _products(p, xs, ys, precs)
-    left = _left_from_bound_tail(conv, lo)
-    right = _right_from_bound_tail(conv)
+    left = _left_from_bound_tail(frame, lo)
+    right = _right_from_bound_tail(frame)
     return MixedSeries.from_coeffs(p, total, left=left, right=right, lo=lo, hi=hi)
+
+
+def _first_below(spans: list[tuple], target: int) -> int | float:
+    """The first index of ``spans`` (see ``SeqSpec.spans``) whose finite
+    value is below ``target``; ``inf`` if there is none.  An affine run is
+    monotone, so each run is one step."""
+    for a, b, slope, offset in spans:
+        if slope is None:
+            continue
+        if slope >= 0:
+            if slope * a + offset < target:
+                return a
+        else:
+            # slope*k + offset < target from the first k above (offset - target)/-slope
+            k = max(a, (offset - target) // -slope + 1)
+            if k <= b:
+                return k
+    return math.inf
 
 
 def product_coeff(x: Series, y: Series, k: int) -> PAdic:
@@ -573,17 +613,19 @@ def _precisions(xs: dict, ys: dict, cut: float = math.inf) -> dict[int, int]:
     """Per product index ``k = i + j < cut`` of the stored pairs, the least
     precision ``min(p_i + v_j, p_j + v_i)`` one of its pair products
     certifies, in order of first appearance: one walk over the stored
-    pairs with small integers only."""
+    pairs with small integers only, which stops each row at ``cut`` as the
+    stored indices increase."""
     out: dict[int, int] = {}
     yl = [(j, vj, pj) for j, (vj, _, pj) in ys.items()]
     for i, (vi, _, pi) in xs.items():
         for j, vj, pj in yl:
             k = i + j
-            if k < cut:
-                a, b = pi + vj, pj + vi
-                q = a if a < b else b
-                if q < out.get(k, math.inf):
-                    out[k] = q
+            if k >= cut:
+                break
+            a, b = pi + vj, pj + vi
+            q = a if a < b else b
+            if q < out.get(k, math.inf):
+                out[k] = q
     return out
 
 
@@ -604,9 +646,10 @@ def _products(p: int, xs: dict, ys: dict, precs: dict[int, int]) -> dict[int, PA
 def _diagonal_sums(
     p: int, xs: dict, ys: dict, prec: int | None = None
 ) -> tuple[int, dict[int, int]]:
-    """The diagonal sums of the stored units by two-point Kronecker
-    substitution: two big-int products per pair of runs (see ``_runs``), so
-    two for dense factors.
+    """The diagonal sums of the stored units by four-point Kronecker
+    substitution (Harvey 2009, KS4): four big-int products per pair of runs
+    (see ``_runs``), each of operands about half as wide as a two-point
+    product needs.
 
     With ``v`` the least valuation of a nonzero unit of a factor, its units
     are scaled to ``a_i = u_i p^(v_i - v)``.  When ``prec`` is given they are
@@ -614,12 +657,18 @@ def _diagonal_sums(
     most ``p^prec`` depends on no higher digit, and ``R <= 0`` needs no
     multiply.  ``S_k = sum_{i+j=k} a_i b_j`` then takes fewer than ``bits =
     bits_x + bits_y + bitlen(min(#x, #y))`` bits.  ``_pack_pm`` evaluates a
-    run at ``2^N`` and ``-2^N``, ``N = 8h`` with ``h`` bytes holding half
-    of ``bits`` and every unit; the products ``P+`` and ``P-`` of two runs
-    give the even-offset sums in the ``2h``-byte slots of ``(P+ + P-) / 2``
-    and the odd-offset ones in those of ``(P+ - P-) / 2^(N+1)``, exactly,
-    as every ``S_k >= 0``.  Slot ``m`` of parity ``e`` adds to ``S_(i0 + j0
-    + 2m + e)``.  Returns ``v_x + v_y`` and the nonzero ``S_k``.
+    run at ``2^N`` and ``-2^N``, ``N = 8h``, with ``h`` bytes holding a
+    quarter of ``bits + 1`` and half of every unit.  The products ``P+-`` of
+    two runs split by parity into ``F_e = sum_t c_t 2^(tM)``, ``M = 2N``,
+    ``c_t = S_(i0 + j0 + 2t + e)``: the even sums are ``(P+ + P-) / 2``, the
+    odd ones ``(P+ - P-) / 2^(N+1)``, exactly, as every ``S_k >= 0``.  As
+    ``32h >= bits + 1``, a ``c_t`` is below ``2^(2M-1)``: wider than its
+    ``M``-bit slot, so neighbours overlap.  The reflected runs (``i -> -i``)
+    multiply to the reversed product, ``S_k`` at power ``top - k``, ``top =
+    n_x + n_y - 2``, whose half of parity ``(top - e) mod 2`` is ``G_e =
+    sum_t c_t 2^((T-1-t)M)`` over the ``T`` sums of parity ``e``; ``_unfold``
+    reads each ``c_t`` from ``F_e`` and ``G_e``.  Returns ``v_x + v_y`` and
+    the nonzero ``S_k``.
     """
     vx, vy = _least_val(xs), _least_val(ys)
     r = None if prec is None else prec - vx - vy
@@ -631,23 +680,61 @@ def _diagonal_sums(
     bx = max(a.bit_length() for _, a in ax)
     by = max(b.bit_length() for _, b in ay)
     bits = bx + by + min(len(ax), len(ay)).bit_length()
-    h = max(-(-bits // 16), -(-bx // 8), -(-by // 8))
-    packed_y = [_pack_pm(run, h) for run in _runs(ay)]
+    h = max(-(-(bits + 1) // 32), -(-bx // 16), -(-by // 16))
+    n = 8 * h
+    packed_y = [(_pack_pm(run, h), _pack_pm(_reflected(run), h)) for run in _runs(ay)]
     sums: dict[int, int] = {}
-    for i0, nx, xp, xm in (_pack_pm(run, h) for run in _runs(ax)):
-        for j0, ny, yp, ym in packed_y:
-            plus, minus = xp * yp, xm * ym
-            halves = ((plus + minus) >> 1, (plus - minus) >> (8 * h + 1))
-            del plus, minus
-            for e, half in enumerate(halves):
+    for run in _runs(ax):
+        i0, nx, xp, xm = _pack_pm(run, h)
+        _, _, rxp, rxm = _pack_pm(_reflected(run), h)
+        for (j0, ny, yp, ym), (_, _, ryp, rym) in packed_y:
+            forward = _halves(xp * yp, xm * ym, n)
+            backward = _halves(rxp * ryp, rxm * rym, n)
+            top = nx + ny - 2
+            for e in (0, 1):
                 count = (nx + ny - e) // 2
-                buf = half.to_bytes(count * 2 * h, "little")
-                for m in range(count):
-                    c = int.from_bytes(buf[2 * h * m : 2 * h * (m + 1)], "little")
+                k = i0 + j0 + e
+                for c in _unfold(forward[e], backward[(top - e) % 2], count, h):
                     if c:
-                        k = i0 + j0 + 2 * m + e
                         sums[k] = sums.get(k, 0) + c
+                    k += 2
     return vx + vy, sums
+
+
+def _halves(plus: int, minus: int, n: int) -> tuple[int, int]:
+    """The even and the odd part of a product from its values ``plus`` at
+    ``2^n`` and ``minus`` at ``-2^n``, each in powers of ``2^(2n)``."""
+    return (plus + minus) >> 1, (plus - minus) >> (n + 1)
+
+
+def _unfold(f: int, g: int, count: int, h: int) -> list[int]:
+    """``c_0 .. c_(count-1)`` from ``f = sum_t c_t 2^(tM)`` and ``g = sum_t
+    c_t 2^((count-1-t)M)``, ``M = 16h``, when every ``c_t < 2^(2M-1)``.
+
+    One pass from ``t = 0`` (KS3): the carry ``w`` into digit ``t`` of
+    ``f`` is known from the ``c`` below, so ``alpha = c_t mod 2^M``.  ``g``
+    shifted down to ``c_t``, less ``c_(t-1) 2^M`` and ``c_(t-2) 2^(2M)``,
+    modulo ``2^(2M+1)``, is ``d = c_t + e``, where ``e``, what the shift
+    keeps of the later terms, is below ``2^M`` because every ``c`` is below
+    ``2^(2M-1)``.  So ``e = (d - alpha) mod 2^M`` and ``c_t = d - e``.
+    Digits are read from the bytes, so a pass is linear in the size.
+    """
+    m, w2, w4 = 16 * h, 2 * h, 4 * h + 1
+    low, wide = (1 << m) - 1, (1 << (2 * m + 1)) - 1
+    size = w2 * (count + 1) + 1
+    fb, gb = f.to_bytes(size, "little"), g.to_bytes(size, "little")
+    out = []
+    w = c1 = c2 = 0
+    g_at = w2 * (count - 1)  # the byte of g where c_t starts
+    for f_at in range(0, w2 * count, w2):
+        alpha = (int.from_bytes(fb[f_at : f_at + w2], "little") - w) & low
+        d = (int.from_bytes(gb[g_at : g_at + w4], "little") - (c1 << m) - (c2 << 2 * m)) & wide
+        c = d - ((d - alpha) & low)
+        out.append(c)
+        w = (w + c) >> m
+        c2, c1 = c1, c
+        g_at -= w2
+    return out
 
 
 def _least_val(xs: dict) -> int:
@@ -688,15 +775,21 @@ def _pack_pm(run: list[tuple[int, int]], h: int) -> tuple[int, int, int, int]:
     """The first index ``i0`` of a run of ``(i, a_i)`` in index order, its
     slot count and the run evaluated at ``2^N`` and ``-2^N``, ``N = 8h``:
     ``sum_i a_i (+-2^N)^(i - i0)``, from the even and the odd offsets packed
-    apart in slots of ``h`` bytes.  Every ``a_i`` fits its slot; the bytes
-    are dropped as soon as the ints are built."""
+    apart.  Each ``a_i`` takes ``2h`` bytes at stride ``h`` in the buffer of
+    its parity, so units of one parity sit ``2h`` bytes apart and never
+    overlap; the bytes are dropped as soon as the ints are built."""
     i0, n = run[0][0], run[-1][0] - run[0][0] + 1
-    even, odd = bytearray(n * h), bytearray(n * h)
+    even, odd = bytearray((n + 1) * h), bytearray((n + 1) * h)
     for i, c in run:
         s = (i - i0) * h
-        (odd if (i - i0) & 1 else even)[s : s + h] = c.to_bytes(h, "little")
+        (odd if (i - i0) & 1 else even)[s : s + 2 * h] = c.to_bytes(2 * h, "little")
     e, o = int.from_bytes(even, "little"), int.from_bytes(odd, "little")
     return i0, n, e + o, e - o
+
+
+def _reflected(run: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The run at ``i -> -i``, in index order: its reversed polynomial."""
+    return [(-i, a) for i, a in reversed(run)]
 
 
 def _coefficient(p: int, pairs, rem: ExtInt = PLUS_INF) -> PAdic:
@@ -735,7 +828,9 @@ def _check_target(k: int, prec: int | float, target: int | None) -> None:
         raise PrecisionExhausted(f"coefficient {k} certified only modulo p^{prec}")
 
 
-def _left_from_bound_tail(conv: SeqSpec, lo: int) -> LeftTail:
+def _left_from_bound_tail(conv: SeqSpec | Frame, lo: int) -> LeftTail:
+    """The left tail of a product from the left tail of a valuation bound
+    (a frame or a sequence) of it."""
     t = conv.left
     if isinstance(t, ConstTail):
         if t.value == PLUS_INF:
@@ -747,7 +842,7 @@ def _left_from_bound_tail(conv: SeqSpec, lo: int) -> LeftTail:
     return LeftValBound(-t.slope, t.offset + t.slope * lo)
 
 
-def _right_from_bound_tail(conv: SeqSpec) -> RightTail:
+def _right_from_bound_tail(conv: SeqSpec | Frame) -> RightTail:
     t = conv.right
     if isinstance(t, ConstTail):
         if t.value == PLUS_INF:

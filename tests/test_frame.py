@@ -1,0 +1,180 @@
+"""The frame of a min-plus convolution and the products that read only it.
+
+``convolution_frame`` must give the window bounds, tails and errors of
+``minplus_convolve`` and of the dense reference on seeded sequence pairs
+(``-inf`` points, ``-inf`` rays, divergent tails) and on the valuation
+bounds of random series.  Mixed ``mul`` takes its frame from it, walks the
+tail remainder piece by piece and cuts the pair walk at the first index
+where the remainder fails a target: it must raise what the
+one-``PAdic``-at-a-time reference raises.
+"""
+
+import math
+
+from tdlf import (
+    MINUS_INF,
+    AffineTail,
+    ConstTail,
+    ExtInt,
+    PrecisionExhausted,
+    SeqSpec,
+    minplus_convolve,
+    mul,
+)
+from tdlf import seqspec as seqspec_module
+from tdlf import series as series_module
+from tdlf.errors import NonRepresentableTail
+from tdlf.seqspec import convolution_frame
+from helpers import (
+    rand_mixed_series,
+    reference_minplus_convolve,
+    reference_mul,
+    reference_tail_pairs_bound,
+    rng,
+)
+from test_pieces import seeded_pairs
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (NonRepresentableTail, PrecisionExhausted) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def frame_of(conv):
+    """What a frame states about a convolution, or its error."""
+    if not hasattr(conv, "window_lo"):
+        return conv
+    return conv.window_lo, conv.window_hi, conv.left, conv.right
+
+
+def assert_frame(a, b):
+    """The frame of ``a * b`` is that of the convolution and of the dense
+    reference, errors included; returns the frame."""
+    got = outcome(convolution_frame, a, b)
+    want = frame_of(outcome(minplus_convolve, a, b))
+    assert frame_of(got) == want
+    assert want == frame_of(outcome(reference_minplus_convolve, a, b))
+    return got
+
+
+def test_seeded_spec_pairs():
+    seen = {"divergent": 0, "-inf rays": 0, "-inf points": 0, "constant +inf": 0}
+    for seed in range(300, 340):
+        for a, b in seeded_pairs(seed, 40):
+            frame = assert_frame(a, b)
+            if frame.rays is None:
+                seen["divergent" if frame.left.value == MINUS_INF else "constant +inf"] += 1
+            elif any(r.minf for r in frame.rays):
+                seen["-inf rays"] += 1
+            if any(v == MINUS_INF for s in (a, b) for _, _, v in s.runs()):
+                seen["-inf points"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_series_bound_pairs():
+    """The frames ``mul`` reads, on tailed and untailed random series."""
+    r = rng(701)
+    with_rays = 0
+    for _ in range(600):
+        lo = r.randint(-8, 2)
+        x = rand_mixed_series(r, span=(lo, lo + r.randint(0, 12)), tails=True)
+        lo = r.randint(-8, 2)
+        y = rand_mixed_series(r, span=(lo, lo + r.randint(0, 12)), tails=True)
+        frame = assert_frame(x.bound_seq(), y.bound_seq())
+        with_rays += bool(frame.rays)
+    assert with_rays > 100
+
+
+def test_rays_are_pruned_to_staircases():
+    """A family keeps only rays that no other member beats: against flat
+    tails a flat window keeps one member per family, however long it is."""
+    flat = SeqSpec(-40, [ExtInt(3)] * 81, ConstTail(ExtInt(0)), ConstTail(ExtInt(0)))
+    point = SeqSpec.from_window({0: 1}, ConstTail(ExtInt(5)), ConstTail(ExtInt(4)))
+    frame = assert_frame(flat, point)
+    assert len(frame.rays) <= 4 + 8  # a member per family, and the ray pairs
+    assert frame.window_lo <= -40 and frame.window_hi >= 40
+
+
+def test_tail_guard_is_shared(monkeypatch):
+    """The tails always agree with the rays past the window (the marks
+    include every crossing of the eventual tail), so the guard is checked
+    here by bending the tail: both callers raise the same error."""
+    winner = seqspec_module._asymptote_winner
+
+    def bent(rays, leftward):
+        tail, crossings = winner(rays, leftward)
+        if isinstance(tail, AffineTail):
+            return AffineTail(tail.slope, tail.offset + 1), crossings
+        if tail.value.is_finite:
+            return ConstTail(tail.value + 1), crossings
+        return tail, crossings
+
+    monkeypatch.setattr(seqspec_module, "_asymptote_winner", bent)
+    raised = 0
+    for a, b in seeded_pairs(341, 200):
+        got = outcome(convolution_frame, a, b)
+        assert frame_of(got) == frame_of(outcome(minplus_convolve, a, b))
+        raised += not hasattr(got, "window_lo")
+    assert raised > 20
+
+
+def tailed_pairs(seed, n):
+    r = rng(seed)
+    for _ in range(n):
+        lo = r.randint(-6, 2)
+        x = rand_mixed_series(r, span=(lo, lo + r.randint(0, 8)), tails=True)
+        lo = r.randint(-6, 2)
+        y = rand_mixed_series(r, span=(lo, lo + r.randint(0, 8)), tails=True)
+        yield x, y
+
+
+def certified(z):
+    return sorted({c.precision.n for _, c in z.coeffs if c.precision.is_finite})
+
+
+def test_targets_raise_what_the_reference_raises():
+    """Every target from below the least to above the greatest certified
+    precision of the product: the same first index and message."""
+    checked = raised = 0
+    for x, y in tailed_pairs(702, 150):
+        want = outcome(reference_mul, x, y)
+        if isinstance(want, tuple):
+            assert outcome(mul, x, y) == want
+            continue
+        precs = certified(want)
+        if not precs:
+            continue
+        for t in range(precs[0] - 1, precs[-1] + 2):
+            expect = outcome(reference_mul, x, y, t)
+            assert outcome(mul, x, y, t) == expect
+            checked += 1
+            raised += isinstance(expect, tuple)
+    assert checked > 300 and raised > 150
+
+
+def test_pair_walk_stops_at_the_first_failing_remainder(monkeypatch):
+    """With a target, the stored pairs are walked up to the first index
+    where the tail remainder falls below it, and no further."""
+    cuts = []
+    precisions = series_module._precisions
+
+    def record(xs, ys, cut=math.inf):
+        cuts.append(cut)
+        return precisions(xs, ys, cut)
+
+    monkeypatch.setattr(series_module, "_precisions", record)
+    cut_short = 0
+    for x, y in tailed_pairs(703, 150):
+        product = outcome(reference_mul, x, y)
+        if isinstance(product, tuple) or not certified(product):
+            continue
+        for t in (certified(product)[0] + 1, certified(product)[-1]):
+            first = next((k for k in range(product.lo, product.hi + 1)
+                          if reference_tail_pairs_bound(x, y, k) < t), math.inf)
+            del cuts[:]
+            assert outcome(mul, x, y, t) == outcome(reference_mul, x, y, t)
+            assert cuts == [first + 1]
+            cut_short += first < product.hi
+    assert cut_short > 50
