@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 from .errors import IncompatiblePrimes, ParseError
@@ -21,6 +22,9 @@ from .seqspec import MINUS_INF, PLUS_INF, ExtInt, json_int, json_parse
 __all__ = ["PAdic", "ExponentResult", "DEFAULT_RELATIVE_PRECISION", "PRIME_LIMIT", "check_prime"]
 
 DEFAULT_RELATIVE_PRECISION = 32
+
+# prime_power(p, e) == p**e, cached: a series round reuses a few dozen (p, e)
+prime_power = lru_cache(maxsize=64)(pow)
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,7 @@ class PAdic:
         if rel <= 0:
             return PAdic.zero_mod(prime, precision)
         # a unit below 2^rel is below p^rel, so p^rel need not be built
-        u = unit % prime**rel if unit < 0 or unit.bit_length() > rel else unit
+        u = unit % prime_power(prime, rel) if unit < 0 or unit.bit_length() > rel else unit
         if u == 0:
             return PAdic.zero_mod(prime, precision)
         shift = _vp(u, prime)
@@ -147,7 +151,7 @@ class PAdic:
             val += shift
             if val >= precision:
                 return PAdic.zero_mod(prime, precision)
-            u //= prime**shift  # below p^(rel - shift), reduced already
+            u //= prime_power(prime, shift)  # below p^(rel - shift), reduced already
         return PAdic(prime, ExtInt(val), u, ExtInt(precision))
 
     @staticmethod
@@ -234,14 +238,14 @@ class PAdic:
         total = 0
         for x in (self, other):
             if x.unit:
-                total += x.unit * p ** (x.val.n - v)
+                total += x.unit * prime_power(p, x.val.n - v)
         return PAdic.make(p, v, total, prec)
 
     def __neg__(self) -> "PAdic":
         if not self.val.is_finite or self.unit == 0:
             return self
         rel = int(self.precision - self.val)
-        return PAdic(self.prime, self.val, self.prime**rel - self.unit, self.precision)
+        return PAdic(self.prime, self.val, prime_power(self.prime, rel) - self.unit, self.precision)
 
     def __sub__(self, other: "PAdic") -> "PAdic":
         return self + (-other)

@@ -74,17 +74,17 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: not '²' (no int) or '٣' (read as 3)
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             out.append(_Token("num", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if ch.isalpha():
+        if ch.isascii() and ch.isalpha():
             j = i
-            while j < len(text) and text[j].isalpha():
+            while j < len(text) and text[j].isascii() and text[j].isalpha():
                 j += 1
             out.append(_Token("ident", text[i:j], line, col))
             col += j - i

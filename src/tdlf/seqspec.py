@@ -78,36 +78,44 @@ class ExtInt:
     def of(x: Union["ExtInt", int]) -> "ExtInt":
         return x if isinstance(x, ExtInt) else ExtInt(x)
 
-    def _key(self) -> tuple:
-        # +inf and -inf sort around all finite values
-        if self._sign > 0:
-            return (1, 0)
-        if self._sign < 0:
-            return (-1, 0)
-        return (0, self._n)
-
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, ExtInt):
+            return self._sign == other._sign and self._n == other._n
+        if type(other) is int:
+            return self._sign == 0 and self._n == other
         if isinstance(other, int):
-            other = ExtInt(other)
-        if not isinstance(other, ExtInt):
-            return NotImplemented
-        return self._sign == other._sign and self._n == other._n
+            ExtInt(other)  # raises TypeError for an int subclass such as bool
+        return NotImplemented
 
     def __hash__(self) -> int:
         # finite values equal their int, so they must hash like it
-        return hash(self._n) if self._sign == 0 else hash(self._key())
+        return hash(self._n) if self._sign == 0 else hash((self._sign, 0))
 
+    # (sign, n) orders like the extended integers, as infinities have n = 0;
+    # an int operand is compared as (0, n) without building an ExtInt
     def __lt__(self, other: Union["ExtInt", int]) -> bool:
-        return self._key() < ExtInt.of(other)._key()
+        if type(other) is int:
+            return self._sign < 0 or (self._sign == 0 and self._n < other)
+        o = other if isinstance(other, ExtInt) else ExtInt(other)  # raises TypeError
+        return self._sign < o._sign or (self._sign == o._sign and self._n < o._n)
 
     def __le__(self, other: Union["ExtInt", int]) -> bool:
-        return self._key() <= ExtInt.of(other)._key()
+        if type(other) is int:
+            return self._sign < 0 or (self._sign == 0 and self._n <= other)
+        o = other if isinstance(other, ExtInt) else ExtInt(other)  # raises TypeError
+        return self._sign < o._sign or (self._sign == o._sign and self._n <= o._n)
 
     def __gt__(self, other: Union["ExtInt", int]) -> bool:
-        return self._key() > ExtInt.of(other)._key()
+        if type(other) is int:
+            return self._sign > 0 or (self._sign == 0 and self._n > other)
+        o = other if isinstance(other, ExtInt) else ExtInt(other)  # raises TypeError
+        return self._sign > o._sign or (self._sign == o._sign and self._n > o._n)
 
     def __ge__(self, other: Union["ExtInt", int]) -> bool:
-        return self._key() >= ExtInt.of(other)._key()
+        if type(other) is int:
+            return self._sign > 0 or (self._sign == 0 and self._n >= other)
+        o = other if isinstance(other, ExtInt) else ExtInt(other)  # raises TypeError
+        return self._sign > o._sign or (self._sign == o._sign and self._n >= o._n)
 
     def __add__(self, other: Union["ExtInt", int]) -> "ExtInt":
         other = ExtInt.of(other)
@@ -438,12 +446,6 @@ class SeqSpec:
         if slope is None:
             return PLUS_INF if offset > 0 else MINUS_INF
         return ExtInt(slope * i + offset)
-
-    def spans(self, lo: int, hi: int) -> list[tuple[int, int, int | None, int]]:
-        """``(x, y, slope, offset)`` runs covering ``[lo, hi]`` in order,
-        tails included: the value on ``[x, y]`` is ``slope*i + offset``, or
-        an infinity of the sign of ``offset`` when ``slope`` is None."""
-        return _spans(self, lo, hi)
 
     def eq_pointwise(self, other: "SeqSpec", lo: int, hi: int) -> bool:
         return all(self.value_at(i) == other.value_at(i) for i in range(lo, hi + 1))

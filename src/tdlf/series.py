@@ -12,9 +12,11 @@ so precision bookkeeping rides on :class:`~tdlf.padic.PAdic` itself.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Union
+from itertools import accumulate
+from typing import Mapping, NamedTuple, Union
 
 from .errors import (
     IncompatiblePrimes,
@@ -23,7 +25,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroElement,
 )
-from .padic import PAdic, check_prime
+from .padic import PAdic, check_prime, prime_power
 from .seqspec import (
     MINUS_INF,
     PLUS_INF,
@@ -37,8 +39,6 @@ from .seqspec import (
     json_int,
     json_key,
     json_parse,
-    minplus_convolve,
-    pointwise_min,
 )
 
 __all__ = [
@@ -501,7 +501,7 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     product reads only the window bounds and the tails, so it takes them
     from ``convolution_frame``, which works from the tail rays and the ends
     of the windows: the coefficients inside the window are certified by the
-    stored pairs and ``_tail_bound``, not by the convolution.
+    stored pairs and the tail remainder (``_TailBound.over``).
     """
     _check_pair(x, y)
     p, xs, ys = x.prime, _stored(x), _stored(y)
@@ -516,52 +516,35 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     frame = convolution_frame(x.bound_seq(), y.bound_seq())
     lo = min(x.lo + y.lo, frame.window_lo)
     hi = max(x.hi + y.hi, frame.window_hi)
-    spans = _tail_bound(x, y).spans(lo, hi)
+    rems = _TailBound(x, y).over(lo, hi)
     cut = math.inf
     if target_precision is not None:
-        cut = _first_below(spans, target_precision) + 1
+        cut = next((k for k, r in enumerate(rems, lo) if r < target_precision), cut) + 1
     pairs = _precisions(xs, ys, cut)
     precs = {}
-    for a, b, slope, offset in spans:
-        for k in range(a, b + 1):
-            q = pairs.get(k, math.inf)
-            if slope is not None and slope * k + offset < q:
-                q = slope * k + offset
-            _check_target(k, q, target_precision)
-            if q != math.inf:  # otherwise the coefficient is an exact zero
-                precs[k] = q
+    for k, r in enumerate(rems, lo):
+        q = min(pairs.get(k, r), r)
+        _check_target(k, q, target_precision)
+        if q != math.inf:  # otherwise the coefficient is an exact zero
+            precs[k] = q
     total = _products(p, xs, ys, precs)
     left = _left_from_bound_tail(frame, lo)
     right = _right_from_bound_tail(frame)
     return MixedSeries.from_coeffs(p, total, left=left, right=right, lo=lo, hi=hi)
 
 
-def _first_below(spans: list[tuple], target: int) -> int | float:
-    """The first index of ``spans`` (see ``SeqSpec.spans``) whose finite
-    value is below ``target``; ``inf`` if there is none.  An affine run is
-    monotone, so each run is one step."""
-    for a, b, slope, offset in spans:
-        if slope is None:
-            continue
-        if slope >= 0:
-            if slope * a + offset < target:
-                return a
-        else:
-            # slope*k + offset < target from the first k above (offset - target)/-slope
-            k = max(a, (offset - target) // -slope + 1)
-            if k <= b:
-                return k
-    return math.inf
-
-
 def product_coeff(x: Series, y: Series, k: int) -> PAdic:
     """``mul(x, y).coeff(k)`` from the stored pairs on ``i + j = k`` and,
-    for mixed series, the tail bound at ``k``; the product is never built.
+    for mixed series, the tail remainder at ``k``; the product is never
+    built, and no frame or convolution is computed.
 
     Raises what ``mul(x, y).coeff(k)`` raises, except that below the order
     of a Laurent product the coefficient is zero whatever its truncation.
-    Like ``mul``, it computes only the digits its certified precision
-    keeps.
+    The tail checks of a mixed ``mul`` cannot fire: left bounds have slope
+    at least 1 and right bounds are constant, so every ray of the product's
+    left tail has slope at most -1 (it decays) and every ray of its right
+    tail is constant.  Like ``mul``, it computes only the digits its
+    certified precision keeps.
     """
     _check_pair(x, y)
     p = x.prime
@@ -573,11 +556,7 @@ def product_coeff(x: Series, y: Series, k: int) -> PAdic:
             raise PrecisionExhausted(f"coefficient {k} is beyond the truncation")
         rem = PLUS_INF
     else:
-        bound = _tail_bound(x, y)
-        # its tails are those of the product, so the checks of mul apply
-        _left_from_bound_tail(bound, k)
-        _right_from_bound_tail(bound)
-        rem = bound.value_at(k)
+        rem = _TailBound(x, y).value_at(k)
     xs, ys = _stored(x), _stored(y)
     return _coefficient(p, ((a, ys[k - i]) for i, a in xs.items() if k - i in ys), rem)
 
@@ -589,18 +568,52 @@ def _equal_frame(x: EqualCharSeries, y: EqualCharSeries) -> tuple[int, ExtInt]:
     return x.order + y.order, min(x.order + y.trunc, y.order + x.trunc)
 
 
-def _tail_bound(x: MixedSeries, y: MixedSeries) -> SeqSpec:
-    """Per product index, the least ``v(x_i) + v(y_j)`` over pairs with a
-    factor in a tail region: ``min(conv(tail(bx), by), conv(win(bx),
-    tail(by)))``, where ``tail`` blanks the window and ``win`` the tails."""
-    bx, by = x.bound_seq(), y.bound_seq()
+class _TailBound(NamedTuple):
+    """The tail remainder of the product of two mixed series: at each index
+    ``k``, the least ``v(x_i) + v(y_j)``, ``i + j = k``, over the pairs in
+    which a factor lies in a bound tail.
 
-    def tail(s: SeqSpec) -> SeqSpec:
-        return SeqSpec.from_points(s.window_lo, s.window_hi, (), PLUS_INF, s.left, s.right)
+    For each ordered pair of factors ``(A, B)``, a right floor ``f`` of
+    ``A`` gives ``f + min{w_j : j < k - A.hi}``, a prefix minimum, and a
+    left bound ``base + s*(A.lo - i)`` gives ``base + s*(A.lo - k) +
+    min{w_j + s*j : j > k - A.lo}``, a suffix minimum, over the points
+    ``(j, w_j)`` of ``B``: its stored valuations and each bound tail at its
+    end next to the window, ``(lo - 1, base + slope)`` or ``(hi + 1,
+    floor)``.  These ends give the tail-by-tail terms in closed form: a
+    left bound grows leftwards and a right floor is constant, so two right
+    floors meet at ``f_x + f_y`` from ``k = x.hi + y.hi + 2`` on, two left
+    bounds at the lesser of their values at ``i = k - y.lo + 1`` and ``i =
+    x.lo - 1``, and a left bound of ``x`` meets a right floor at ``i =
+    min(x.lo - 1, k - y.hi - 1)``.
+    """
 
-    inf = ConstTail(PLUS_INF)
-    win_x = _bounds(x.lo, x.hi, x.coeffs, inf, inf)
-    return pointwise_min(minplus_convolve(tail(bx), by), minplus_convolve(win_x, tail(by)))
+    x: MixedSeries
+    y: MixedSeries
+
+    def value_at(self, k: int) -> ExtInt:
+        (r,) = self.over(k, k)  # O(stored coefficients)
+        return PLUS_INF if r == math.inf else ExtInt(r)
+
+    def over(self, lo: int, hi: int) -> list:
+        """The remainder at ``lo .. hi``, ``math.inf`` for none: running
+        minima built in O(stored coefficients), read by bisection."""
+        ks, inf = range(lo, hi + 1), math.inf
+        terms = [[inf] * len(ks)]
+        for a, b in (self, self[::-1]):
+            pts = [(j, c.val.n) for j, c in b.coeffs]
+            if isinstance(b.left, LeftValBound):
+                pts.insert(0, (b.lo - 1, b.left.base + b.left.slope))
+            if isinstance(b.right, RightValBound):
+                pts.append((b.hi + 1, b.right.floor))
+            js = [j for j, _ in pts]
+            if isinstance(a.right, RightValBound):
+                pre, f = [inf, *accumulate((w for _, w in pts), min)], a.right.floor
+                terms.append([f + pre[bisect_left(js, k - a.hi)] for k in ks])
+            if isinstance(a.left, LeftValBound):
+                s, c = a.left.slope, a.left.base + a.left.slope * a.lo
+                suf = [*accumulate((w + s * j for j, w in reversed(pts)), min)][::-1] + [inf]
+                terms.append([c - s * k + suf[bisect_right(js, k - a.lo)] for k in ks])
+        return list(map(min, *terms)) if len(terms) > 1 else terms[0]
 
 
 def _stored(x: Series) -> dict[int, tuple[int, int, int]]:
@@ -751,9 +764,9 @@ def _scaled(p: int, xs: dict, v: int, r: int | None) -> list[tuple[int, int]]:
     for i, (vi, u, pi) in xs.items():
         d = vi - v
         if r is not None and pi - v > r:
-            u = u % p ** (r - d) if d < r else 0
+            u = u % prime_power(p, r - d) if d < r else 0
         if u:
-            out.append((i, u * p**d))
+            out.append((i, u * prime_power(p, d)))
     return out
 
 
@@ -815,11 +828,11 @@ def _coefficient(p: int, pairs, rem: ExtInt = PLUS_INF) -> PAdic:
     r = prec - v
     if r <= 0:
         return PAdic.zero_mod(p, prec)
-    mod, s = p**r, 0
+    mod, s = prime_power(p, r), 0
     for (vi, ui, _), (vj, uj, _) in pairs:
         d = vi + vj - v
         if ui and uj and d < r:
-            s += (ui % mod) * (uj % mod) * p**d
+            s += (ui % mod) * (uj % mod) * prime_power(p, d)
     return PAdic.make(p, v, s, prec)
 
 

@@ -18,7 +18,7 @@ from tdlf import (
 )
 from tdlf.errors import PrecisionExhausted
 from tdlf.seqspec import AffineTail, ConstTail
-from tdlf.series import _tail_bound, product_coeff
+from tdlf.series import _TailBound, product_coeff
 from helpers import (
     PRIME,
     rand_equal_series,
@@ -271,6 +271,6 @@ class TestProductKernel:
         r = rng(212)
         for _ in range(150):
             x, y = rand_pair(r, "mixed")
-            rem = _tail_bound(x, y)
+            rem = _TailBound(x, y)
             for k in range(x.lo + y.lo - 12, x.hi + y.hi + 13):
                 assert rem.value_at(k) == reference_tail_pairs_bound(x, y, k)

@@ -3,8 +3,8 @@
 ``convolution_frame`` must give the window bounds, tails and errors of
 ``minplus_convolve`` and of the dense reference on seeded sequence pairs
 (``-inf`` points, ``-inf`` rays, divergent tails) and on the valuation
-bounds of random series.  Mixed ``mul`` takes its frame from it, walks the
-tail remainder piece by piece and cuts the pair walk at the first index
+bounds of random series.  Mixed ``mul`` takes its frame from it, reads the
+tail remainder over the window and cuts the pair walk at the first index
 where the remainder fails a target: it must raise what the
 one-``PAdic``-at-a-time reference raises.
 """
