@@ -27,7 +27,7 @@ from .errors import (
     TdlfError,
     UnknownName,
 )
-from .padic import PRIME_LIMIT, _is_prime
+from .padic import PRIME_LIMIT, _is_prime, check_precision
 from .parser import parse_series
 from .seminorm import SeminormSpec
 from .series import series_from_json
@@ -52,7 +52,8 @@ def _order(obj):
         else:
             keys.sort(key=str)
         return {k: _order(obj[k]) for k in keys}
-    if isinstance(obj, list):
+    if isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
+        # output lists hold only objects ("elements") or only digits
         return [_order(v) for v in obj]
     return obj
 
@@ -301,6 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: --prime {args.prime} is not prime", file=sys.stderr)
         return EXIT_PARSE
     try:
+        check_precision(args.precision)
         result = args.func(args)
     except (ParseError, KindMismatch, IncompatiblePrimes, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

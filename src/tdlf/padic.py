@@ -11,7 +11,6 @@ the ``val`` field is a valid lower bound for the true valuation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -19,9 +18,13 @@ from fractions import Fraction
 from .errors import IncompatiblePrimes, ParseError
 from .seqspec import MINUS_INF, PLUS_INF, ExtInt, json_int, json_parse
 
-__all__ = ["PAdic", "ExponentResult", "DEFAULT_RELATIVE_PRECISION", "PRIME_LIMIT", "check_prime"]
+__all__ = ["PAdic", "ExponentResult", "DEFAULT_RELATIVE_PRECISION", "MAX_RELATIVE_PRECISION",
+           "PRIME_LIMIT", "check_precision", "check_prime"]
 
 DEFAULT_RELATIVE_PRECISION = 32
+# the largest relative precision read from input: output writes one digit
+# per unit of it, in time quadratic in it
+MAX_RELATIVE_PRECISION = 10_000
 
 # prime_power(p, e) == p**e, cached: a series round reuses a few dozen (p, e)
 prime_power = lru_cache(maxsize=64)(pow)
@@ -83,7 +86,15 @@ def check_prime(p: int) -> int:
     return p
 
 
-def _digits(digits, p: int, rel: int | float) -> list[int]:
+def check_precision(rel: int) -> int:
+    """``rel`` when it is a relative precision in ``[1, MAX_RELATIVE_PRECISION]``;
+    ParseError otherwise."""
+    if not 1 <= rel <= MAX_RELATIVE_PRECISION:
+        raise ParseError(f"relative precision {rel} is not in [1, {MAX_RELATIVE_PRECISION}]")
+    return rel
+
+
+def _digits(digits, p: int, rel: int) -> list[int]:
     """``digits`` if it is a list of at most ``rel`` base-``p`` digits;
     ValueError otherwise."""
     if type(digits) is not list:
@@ -214,10 +225,11 @@ class PAdic:
         if not self.val.is_finite or self.unit == 0:
             return []
         out = []
-        u = self.unit
-        for _ in range(int(self.precision - self.val)):
-            u, d = divmod(u, self.prime)
+        u, p = self.unit, self.prime
+        while u:
+            u, d = divmod(u, p)
             out.append(d)
+        out += [0] * ((self.precision - self.val).n - len(out))
         return out
 
     # -- arithmetic ------------------------------------------------------------
@@ -284,14 +296,18 @@ class PAdic:
         """The element of a JSON object; ParseError names a bad key.
 
         Digits lie in ``[0, p)``, at most ``precision - valuation`` of
-        them; the exact zero (valuation ``+inf``) reads no digits.
+        them; the exact zero (valuation ``+inf``) reads no digits.  Other
+        elements have a finite valuation and precision, at most
+        ``MAX_RELATIVE_PRECISION`` apart.
         """
         p = check_prime(json_parse(obj, "prime", json_int))
         val = json_parse(obj, "valuation", ExtInt.from_json)
         prec = json_parse(obj, "precision", ExtInt.from_json)
         if val == PLUS_INF:
             return PAdic.zero(p)
-        rel = max((prec - val).n, 0) if prec.is_finite and val.is_finite else math.inf
+        if not (val.is_finite and prec.is_finite) or (prec - val).n > MAX_RELATIVE_PRECISION:
+            raise ParseError(f"bad key 'precision': relative precision above {MAX_RELATIVE_PRECISION}")
+        rel = max((prec - val).n, 0)
         digits = json_parse(obj, "digits", lambda ds: _digits(ds, p, rel))
         unit = 0
         for d in reversed(digits):

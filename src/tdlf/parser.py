@@ -17,15 +17,19 @@ A division by a plain integer is legal only when the prime does not divide
 it; negative powers of p express the rest.  An ``O(t^N)`` mark makes the
 series a Laurent series truncated at N; otherwise the literal is an element
 of the doubly infinite field (optionally with ``tail`` guarantees).
+
+Coefficients are read as exact triples ``(num, den, e)``, meaning
+``num/den * p^e`` with ``p`` not dividing ``den``: ``p^k`` is ``(1, 1, k)``,
+so the cost of a literal does not depend on the size of its ``p`` exponents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import re
+from typing import NamedTuple
 
 from .errors import ParseError
-from .padic import DEFAULT_RELATIVE_PRECISION, PAdic, check_prime
+from .padic import DEFAULT_RELATIVE_PRECISION, PAdic, _vp, check_precision, check_prime, prime_power
 from .series import (
     EqualCharSeries,
     LeftValBound,
@@ -35,175 +39,143 @@ from .series import (
     ZeroTail,
 )
 
-__all__ = ["parse_series", "render_series"]
+__all__ = ["parse_series", "render_series", "MAX_NUMERAL_DIGITS"]
+
+# the longest numeral read: CPython's default limit for int() of a string
+MAX_NUMERAL_DIGITS = 4300
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
     column: int
 
 
-_PUNCT = {
-    "^": "caret",
-    "*": "star",
-    "/": "slash",
-    "+": "plus",
-    "-": "minus",
-    "(": "lparen",
-    ")": "rparen",
-    ",": "comma",
-    ":": "colon",
-}
+# Blanks other than a newline, then one token (finditer would skip the
+# blanks, but matching them is faster).  Only ASCII digits and letters are
+# read: not '²' (no int) or '٣' (int reads it as 3).  Every character is one
+# column; `\s` is exactly `str.isspace`.
+_TOKEN = re.compile(
+    rf"[^\S\n]*(?:(?P<num>[0-9]{{1,{MAX_NUMERAL_DIGITS}}}(?![0-9]))|(?P<long>[0-9]+)"
+    r"|(?P<ident>[A-Za-z]+)|(?P<geq>>=)|(?P<caret>\^)|(?P<star>\*)|(?P<slash>/)"
+    r"|(?P<plus>\+)|(?P<minus>-)|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
+    r"|(?P<colon>:)|(?P<newline>\n)|(?P<bad>\S))"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     out = []
-    line, col = 1, 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if "0" <= ch <= "9":  # ASCII only: not '²' (no int) or '٣' (read as 3)
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            out.append(_Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isascii() and ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isascii() and text[j].isalpha():
-                j += 1
-            out.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == ">" and i + 1 < len(text) and text[i + 1] == "=":
-            out.append(_Token("geq", ">=", line, col))
-            col += 2
-            i += 2
-            continue
-        if ch in _PUNCT:
-            out.append(_Token(_PUNCT[ch], ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(_Token("eof", "", line, col))
+    line, start = 1, 0  # start: the index of the line's first character
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", line, m.start(kind) - start)
+        elif kind == "long":
+            raise ParseError(
+                f"numeral longer than {MAX_NUMERAL_DIGITS} digits", line, m.start(kind) - start
+            )
+        else:
+            out.append(_Token(kind, m[kind], line, m.start(kind) - start))
+    out.append(_Token("eof", "", line, len(text) - start))
     return out
 
 
 class _Parser:
-    def __init__(self, text: str, prime: int, rel_precision: int):
+    """Recursive descent over the tokens; ``tok`` is the next one."""
+
+    def __init__(self, text: str, prime: int):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.tok = self.tokens[0]
         self.prime = prime
-        self.rel_precision = rel_precision
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
     def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
     def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+        return ParseError(message, self.tok.line, self.tok.column)
 
     def expect(self, kind: str, what: str) -> _Token:
-        if self.peek().kind != kind:
+        if self.tok.kind != kind:
             raise self.fail(f"expected {what}")
         return self.next()
 
     def signed_int(self) -> int:
-        sign = 1
-        if self.peek().kind == "minus":
+        kind = self.tok.kind
+        if kind in ("minus", "plus"):
             self.next()
-            sign = -1
-        elif self.peek().kind == "plus":
-            self.next()
-        return sign * int(self.expect("num", "an integer").text)
+        n = int(self.expect("num", "an integer").text)
+        return -n if kind == "minus" else n
 
-    # -- factors ------------------------------------------------------------
+    # -- factors: (num, den, e) stands for num/den * p^e ----------------------
 
-    def cfactor(self) -> Fraction:
-        tok = self.peek()
+    def cfactor(self) -> tuple[int, int, int]:
+        tok = self.tok
         if tok.kind == "num":
             self.next()
-            return Fraction(int(tok.text))
-        if tok.kind == "ident" and tok.text == "p":
+            return int(tok.text), 1, 0
+        if tok.text == "p":
             self.next()
-            k = 1
-            if self.peek().kind == "caret":
-                self.next()
-                k = self.signed_int()
-            return Fraction(self.prime) ** k
+            if self.tok.kind != "caret":
+                return 1, 1, 1
+            self.next()
+            return 1, 1, self.signed_int()
         raise self.fail("expected an integer or a power of p")
 
-    def divide(self, total: Fraction) -> Fraction:
-        tok = self.peek()
-        factor = self.cfactor()
-        if factor == 0:
+    def divide(self, num: int, den: int, e: int) -> tuple[int, int, int]:
+        tok = self.tok
+        n, _, k = self.cfactor()
+        if tok.kind != "num":
+            return num, den, e - k
+        if n == 0:
             raise ParseError("division by zero", tok.line, tok.column)
-        if tok.kind == "num" and int(tok.text) % self.prime == 0:
-            raise ParseError(
-                "denominator divisible by p; use a negative power of p",
-                tok.line,
-                tok.column,
-            )
-        return total / factor
+        if n % self.prime == 0:
+            message = "denominator divisible by p; use a negative power of p"
+            raise ParseError(message, tok.line, tok.column)
+        return num, den * n, e
 
     def tpow(self) -> int:
         self.expect("ident", "t")
-        if self.peek().kind == "caret":
+        if self.tok.kind == "caret":
             self.next()
             return self.signed_int()
         return 1
 
     # -- terms ---------------------------------------------------------------
 
-    def term(self) -> tuple[Fraction, int]:
-        """One summand: (coefficient, exponent of t)."""
-        coeff = Fraction(1)
-        texp = None
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "t":
+    def term(self) -> tuple[tuple[int, int, int], int]:
+        """One summand: (coefficient triple, exponent of t)."""
+        coeff = (1, 1, 0)
+        texp = 0
+        if self.tok.text == "t":
             texp = self.tpow()
         else:
             coeff = self.cfactor()
-            while self.peek().kind in ("star", "slash"):
+            while self.tok.kind in ("star", "slash"):
                 op = self.next()
-                nxt = self.peek()
-                if nxt.kind == "ident" and nxt.text == "t":
+                if self.tok.text == "t":
                     if op.kind == "slash":
                         raise self.fail("cannot divide by t; use t^-k")
                     texp = self.tpow()
                     break
                 if op.kind == "star":
-                    coeff *= self.cfactor()
+                    a, b, k = self.cfactor()
+                    coeff = (coeff[0] * a, coeff[1] * b, coeff[2] + k)
                 else:
-                    coeff = self.divide(coeff)
+                    coeff = self.divide(*coeff)
             else:
-                if texp is None and self.peek().kind == "ident" and self.peek().text == "t":
+                if self.tok.text == "t":
                     texp = self.tpow()
-        while self.peek().kind == "slash":
+        while self.tok.kind == "slash":
             self.next()
-            coeff = self.divide(coeff)
-        return coeff, 0 if texp is None else texp
+            coeff = self.divide(*coeff)
+        return coeff, texp
 
     # -- tail marks -----------------------------------------------------------
 
@@ -216,17 +188,15 @@ class _Parser:
             n = self.signed_int()
             self.expect("rparen", "')'")
             return ("trunc", n)
-        floor = None
-        left = None
-        first = self.peek()
-        if first.kind == "ident" and first.text == "v":
+        floor = left = None
+        if self.tok.text == "v":
             self.next()
             self.expect("geq", "'>='")
             floor = self.signed_int()
-            if self.peek().kind == "comma":
+            if self.tok.kind == "comma":
                 self.next()
                 left = self._left_bound()
-        elif first.kind == "ident" and first.text == "left":
+        elif self.tok.text == "left":
             left = self._left_bound()
         else:
             raise self.fail("expected 'v >= ...' or 'left: slope, base'")
@@ -245,31 +215,61 @@ class _Parser:
 
     # -- top level ---------------------------------------------------------------
 
-    def series(self) -> tuple[dict[int, Fraction], object]:
-        terms: dict[int, Fraction] = {}
-        sign = 1
-        if self.peek().kind == "minus":
+    def series(self) -> tuple[dict[int, list], object]:
+        """The signed coefficient triples of each exponent of t, and the mark."""
+        terms: dict[int, list] = {}
+        negate = False
+        if self.tok.kind == "minus":
             self.next()
-            sign = -1
+            negate = True
         mark = None
         while True:
-            tok = self.peek()
-            if tok.kind == "ident" and tok.text in ("O", "tail"):
+            if self.tok.text in ("O", "tail"):
                 mark = self.tail_mark()
                 break
-            coeff, texp = self.term()
-            terms[texp] = terms.get(texp, Fraction(0)) + sign * coeff
-            nxt = self.peek()
-            if nxt.kind == "plus":
-                self.next()
-                sign = 1
-            elif nxt.kind == "minus":
-                self.next()
-                sign = -1
-            else:
+            (num, den, e), texp = self.term()
+            terms.setdefault(texp, []).append((-num if negate else num, den, e))
+            kind = self.tok.kind
+            if kind not in ("plus", "minus"):
                 break
-        self.expect("eof", "end of input")
+            self.next()
+            negate = kind == "minus"
+        if self.tok.kind != "eof":
+            raise self.fail("expected end of input")
         return terms, mark
+
+
+def _coefficient(terms: list, p: int, rel: int) -> PAdic | None:
+    """The sum of ``(num, den, e)`` triples at relative precision ``rel >= 1``;
+    None when it is exactly 0.
+
+    Terms are added in increasing valuation order, the running sum kept as
+    ``(unit, den, val)`` with ``p`` dividing neither.  Once a term's
+    valuation reaches ``val + rel``, neither it nor any later term changes
+    the sum modulo ``p^(val + rel)``, so they are never added.
+    """
+    units = []
+    for num, den, e in terms:
+        if num:
+            s = _vp(num, p)
+            units.append((e + s, num // prime_power(p, s), den))
+    units.sort(key=lambda t: t[0])
+    unit, den, val = 0, 1, 0  # unit 0: the sum so far is exactly 0
+    for v, u, d in units:
+        if not unit:
+            unit, den, val = u, d, v
+            continue
+        if v >= val + rel:
+            break
+        m = min(v, val)
+        unit = unit * d * prime_power(p, val - m) + u * den * prime_power(p, v - m)
+        s = _vp(unit, p) if unit else 0
+        unit, den, val = unit // prime_power(p, s), den * d, m + s
+    if not unit:
+        return None
+    if den != 1:
+        unit *= pow(den, -1, prime_power(p, rel))
+    return PAdic.make(p, val, unit, val + rel)
 
 
 def parse_series(
@@ -282,17 +282,15 @@ def parse_series(
 
     An ``O(t^N)`` mark (or ``field='equal'``) yields a Laurent series;
     everything else yields an element of the doubly infinite field.
-    A composite ``prime``, or one at or above ``PRIME_LIMIT``, raises
-    :class:`ParseError`.
+    A composite ``prime``, or one at or above ``PRIME_LIMIT``, a relative
+    precision outside ``[1, MAX_RELATIVE_PRECISION]`` and a numeral longer
+    than ``MAX_NUMERAL_DIGITS`` raise :class:`ParseError`.
     """
     check_prime(prime)
-    parser = _Parser(text, prime, rel_precision)
-    terms, mark = parser.series()
-    coeffs = {
-        i: PAdic.from_fraction(q, prime, rel_precision)
-        for i, q in terms.items()
-        if q != 0
-    }
+    check_precision(rel_precision)
+    terms, mark = _Parser(text, prime).series()
+    coeffs = {i: c for i, ts in terms.items()
+              if (c := _coefficient(ts, prime, rel_precision)) is not None}
     if mark is not None and mark[0] == "trunc":
         if field == "mixed":
             raise ParseError("O(t^N) marks a Laurent series, not a mixed one")

@@ -533,7 +533,7 @@ class SeqSpec:
     @staticmethod
     def from_json(obj: Mapping) -> "SeqSpec":
         window = json_parse(
-            obj, "window", lambda w: {int(k): ExtInt.from_json(v) for k, v in w.items()}
+            obj, "window", lambda w: {json_index(k): ExtInt.from_json(v) for k, v in w.items()}
         )
         left = json_parse(obj, "left", tail_from_json)
         right = json_parse(obj, "right", tail_from_json)
@@ -561,6 +561,17 @@ def json_int(value) -> int:
     if type(value) is not int:
         raise ValueError(f"expected an integer, got {type(value).__name__}")
     return value
+
+
+def json_index(key: str) -> int:
+    """The index a JSON object key writes as ``str(i)``; ValueError otherwise.
+
+    ``int`` would also read ``"03"``, ``"+3"``, ``" 3"``, ``"1_0"`` and ``"٣"``,
+    so two keys could name one index.
+    """
+    if key.isascii() and key == str(i := int(key)):
+        return i
+    raise ValueError(f"{key!r} is not an index")
 
 
 def json_parse(obj, key: str, parse):

@@ -36,6 +36,7 @@ from .seqspec import (
     SeqSpec,
     convolution_frame,
     ext_min,
+    json_index,
     json_int,
     json_key,
     json_parse,
@@ -135,7 +136,7 @@ def _right_tail_from_json(obj: Mapping) -> RightTail:
 
 
 def _coeffs_from_json(obj: Mapping) -> dict[int, PAdic]:
-    return {int(k): PAdic.from_json(v) for k, v in obj.items()}
+    return {json_index(k): PAdic.from_json(v) for k, v in obj.items()}
 
 
 def _normalize_coeffs(
