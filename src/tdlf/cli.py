@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 
 from . import duality, oracle, seminorm, series, submodule
@@ -38,24 +37,27 @@ EXIT_PRECISION = 3
 EXIT_ADMISSIBILITY = 4
 EXIT_UNKNOWN_NAME = 5
 
+# limits of the oracle flags; the library functions take any window and count
+MAX_WINDOW_WIDTH = 101
+MAX_SAMPLE_COUNT = 12
 
-_INT_KEY = re.compile(r"-?\d+$")
+# the objects keyed by index (docs/json-schemas.md)
+_INDEX_MAPS = ("window", "coeffs")
 
 
-def _order(obj):
-    """Canonical key order: numeric where every key is an integer (window
-    and coefficient maps), alphabetic everywhere else."""
-    if isinstance(obj, dict):
-        keys = list(obj)
-        if keys and all(isinstance(k, str) and _INT_KEY.match(k) for k in keys):
-            keys.sort(key=int)
-        else:
-            keys.sort(key=str)
-        return {k: _order(obj[k]) for k in keys}
-    if isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
-        # output lists hold only objects ("elements") or only digits
-        return [_order(v) for v in obj]
-    return obj
+def _order(obj: dict, by_index: bool = False) -> dict:
+    """Canonical key order: numeric in index maps, alphabetic everywhere
+    else, through nested objects and lists of objects."""
+    out = {}
+    for k in sorted(obj, key=int) if by_index else sorted(obj):
+        v = obj[k]
+        if isinstance(v, dict):
+            v = _order(v, k in _INDEX_MAPS)
+        elif isinstance(v, list) and v and isinstance(v[0], dict):
+            # output lists hold only objects ("elements") or only digits
+            v = [_order(e) for e in v]
+        out[k] = v
+    return out
 
 
 def _dump(obj) -> str:
@@ -88,11 +90,16 @@ def _load_seminorm(text: str) -> SeminormSpec:
 
 
 def _parse_window(text: str) -> tuple[int, int]:
+    """``lo:hi`` with ``lo <= hi``, at most ``MAX_WINDOW_WIDTH`` indices."""
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError as exc:
-        raise ParseError(f"window must look like '-20:20', got {text!r}") from exc
+        lo, hi = (int(bound) for bound in text.split(":"))
+    except ValueError:
+        raise ParseError(f"window must look like '-20:20', got {text!r}") from None
+    if lo > hi:
+        raise ParseError(f"window {text!r} has lo > hi")
+    if hi - lo >= MAX_WINDOW_WIDTH:
+        raise ParseError(f"window {text!r} holds more than {MAX_WINDOW_WIDTH} indices")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +171,8 @@ def _cmd_valuation(args) -> dict:
 
 def _cmd_oracle(args) -> dict:
     if args.oracle_cmd == "sample":
+        if not 0 <= args.count <= MAX_SAMPLE_COUNT:
+            raise ParseError(f"--count {args.count} is not in [0, {MAX_SAMPLE_COUNT}]")
         m = _load_module(args.module)
         cfg = oracle.SampleConfig(
             seed=args.seed, count=args.count, window=args.window, precision=args.precision
@@ -201,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument(
         "--window",
-        type=_parse_window,
-        default=(-20, 20),
+        default="-20:20",  # main reads it with _parse_window
         help="index window lo:hi for oracle enumeration (default -20:20)",
     )
     top.add_argument("--seed", type=int, default=0, help="sampler seed (default 0)")
@@ -303,6 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     try:
         check_precision(args.precision)
+        args.window = _parse_window(args.window)
         result = args.func(args)
     except (ParseError, KindMismatch, IncompatiblePrimes, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,10 +56,10 @@ class WindowInsufficient(TdlfError):
 
 
 class ParseError(TdlfError):
-    """Malformed textual input; carries a position."""
+    """Malformed input; carries the line and column of text input, if any."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 0):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {column})")
         self.message = message
         self.line = line
         self.column = column

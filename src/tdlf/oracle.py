@@ -8,8 +8,6 @@ output on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PrecisionExhausted, WindowInsufficient
 from .padic import PAdic
 from .seminorm import EQUAL, SeminormSpec
@@ -18,6 +16,7 @@ from .seqspec import (
     PLUS_INF,
     AffineTail,
     ExtInt,
+    Frozen,
     SeqSpec,
     minplus_term,
 )
@@ -71,12 +70,16 @@ class SplitMix64:
         return a + self.below(b - a + 1)
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    seed: int
-    count: int
-    window: tuple[int, int] = (-10, 10)
-    precision: int = 32
+class SampleConfig(Frozen):
+    __slots__ = _fields = ("seed", "count", "window", "precision")
+
+    def __init__(
+        self, seed: int, count: int, window: tuple[int, int] = (-10, 10), precision: int = 32
+    ):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "precision", precision)
 
 
 def brute_seminorm(

@@ -11,12 +11,14 @@ the ``val`` field is a valid lower bound for the true valuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import IncompatiblePrimes, ParseError
-from .seqspec import MINUS_INF, PLUS_INF, ExtInt, json_int, json_parse
+from .seqspec import MINUS_INF, PLUS_INF, ExtInt, Frozen, json_int, json_parse
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["PAdic", "ExponentResult", "DEFAULT_RELATIVE_PRECISION", "MAX_RELATIVE_PRECISION",
            "PRIME_LIMIT", "check_precision", "check_prime"]
@@ -30,16 +32,18 @@ MAX_RELATIVE_PRECISION = 10_000
 prime_power = lru_cache(maxsize=64)(pow)
 
 
-@dataclass(frozen=True)
-class ExponentResult:
+class ExponentResult(Frozen):
     """A value in log-q scale together with an exactness flag.
 
     ``exact=False`` means the true value is at most ``exponent`` (the flag
     arises from zero-within-precision coefficients or tail bounds only).
     """
 
-    exponent: ExtInt
-    exact: bool
+    __slots__ = _fields = ("exponent", "exact")
+
+    def __init__(self, exponent: ExtInt, exact: bool):
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "exact", exact)
 
     def to_json(self) -> dict:
         return {"exponent": self.exponent.to_json(), "exact": self.exact}
@@ -127,12 +131,15 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class PAdic:
-    prime: int
-    val: ExtInt
-    unit: int
-    precision: ExtInt
+class PAdic(Frozen):
+    __slots__ = _fields = ("prime", "val", "unit", "precision")
+
+    def __init__(self, prime: int, val: ExtInt, unit: int, precision: ExtInt):
+        set_ = object.__setattr__
+        set_(self, "prime", prime)
+        set_(self, "val", val)
+        set_(self, "unit", unit)
+        set_(self, "precision", precision)
 
     # -- constructors --------------------------------------------------------
 

@@ -11,7 +11,6 @@ the exponent scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
@@ -23,6 +22,7 @@ from .seqspec import (
     AffineTail,
     ConstTail,
     ExtInt,
+    Frozen,
     SeqSpec,
     json_key,
     sup_diff_on,
@@ -50,10 +50,12 @@ class BallResult(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SeminormSpec:
-    seq: SeqSpec
-    field_kind: str
+class SeminormSpec(Frozen):
+    __slots__ = _fields = ("seq", "field_kind")
+
+    def __init__(self, seq: SeqSpec, field_kind: str):
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "field_kind", field_kind)
 
     def to_json(self) -> dict:
         out = self.seq.to_json()

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
@@ -195,13 +194,55 @@ def minplus_term(a: ExtInt, b: ExtInt) -> ExtInt:
     return ExtInt(a._n + b._n)
 
 
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``_fields``, stores them in
+    ``__slots__`` and sets them once, with ``object.__setattr__``, in its
+    ``__init__``.  Like a frozen dataclass, an instance equals another of
+    the same class with equal fields, hashes its field tuple, prints as
+    ``Name(field=value, ...)`` and refuses assignment.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        # copy and pickle restore the slots here, past the refused __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
 # --------------------------------------------------------------------------
 # tails
 
 
-@dataclass(frozen=True)
-class ConstTail:
-    value: ExtInt
+class ConstTail(Frozen):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: ExtInt):
+        object.__setattr__(self, "value", value)
 
     def at(self, i: int) -> ExtInt:
         return self.value
@@ -210,12 +251,14 @@ class ConstTail:
         return {"kind": "const", "value": self.value.to_json()}
 
 
-@dataclass(frozen=True)
-class AffineTail:
+class AffineTail(Frozen):
     """Tail whose value at index ``i`` is ``slope*i + offset`` (always finite)."""
 
-    slope: int
-    offset: int
+    __slots__ = _fields = ("slope", "offset")
+
+    def __init__(self, slope: int, offset: int):
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "offset", offset)
 
     def at(self, i: int) -> ExtInt:
         return ExtInt(self.slope * i + self.offset)
@@ -337,8 +380,7 @@ class _Values(Sequence):
 # the sequence type
 
 
-@dataclass(frozen=True, init=False)
-class SeqSpec:
+class SeqSpec(Frozen):
     """Finitely presented total map ``Z -> Z u {+inf, -inf}``.
 
     The window ``[window_lo, window_hi]`` holds at least one index and is
@@ -347,11 +389,7 @@ class SeqSpec:
     it.  Two specs are equal when their windows, values and tails are.
     """
 
-    window_lo: int
-    window_hi: int
-    pieces: tuple[tuple[int, int | None, int], ...]
-    left: Tail
-    right: Tail
+    __slots__ = _fields = ("window_lo", "window_hi", "pieces", "left", "right")
 
     def __init__(self, window_lo: int, values: Sequence, left: Tail, right: Tail):
         """Build from the dense window ``values`` starting at ``window_lo``."""
@@ -801,8 +839,7 @@ def shift_add(s: SeqSpec, c: int) -> SeqSpec:
 _SHORT = 4
 
 
-@dataclass(frozen=True)
-class _Ray:
+class _Ray(NamedTuple):
     # leftward: domain k <= bound; otherwise k >= bound
     leftward: bool
     bound: int

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import Mapping, NamedTuple, Union
 
@@ -33,6 +31,7 @@ from .seqspec import (
     ConstTail,
     ExtInt,
     Frame,
+    Frozen,
     SeqSpec,
     convolution_frame,
     ext_min,
@@ -60,27 +59,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ZeroTail:
+class ZeroTail(Frozen):
     """All coefficients on this side are exactly zero."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"kind": "zero"}
 
 
-@dataclass(frozen=True)
-class LeftValBound:
+class LeftValBound(Frozen):
     """Guarantee ``v(x_i) >= base + slope*(lo - i)`` for ``i < lo``.
 
     The slope must be at least 1 so the bound certifies ``x_i -> 0``.
     """
 
-    slope: int
-    base: int
+    __slots__ = _fields = ("slope", "base")
 
-    def __post_init__(self):
-        if self.slope < 1:
+    def __init__(self, slope: int, base: int):
+        if slope < 1:
             raise ValueError("left tail bound needs slope >= 1")
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "base", base)
 
     def bound_at(self, lo: int, i: int) -> int:
         return self.base + self.slope * (lo - i)
@@ -92,11 +92,13 @@ class LeftValBound:
         return {"kind": "valbound", "slope": self.slope, "base": self.base}
 
 
-@dataclass(frozen=True)
-class RightValBound:
+class RightValBound(Frozen):
     """Guarantee ``v(x_i) >= floor`` for ``i > hi``."""
 
-    floor: int
+    __slots__ = _fields = ("floor",)
+
+    def __init__(self, floor: int):
+        object.__setattr__(self, "floor", floor)
 
     def to_json(self) -> dict:
         return {"kind": "valbound", "floor": self.floor}
@@ -106,12 +108,14 @@ LeftTail = Union[ZeroTail, LeftValBound]
 RightTail = Union[ZeroTail, RightValBound]
 
 
-@dataclass(frozen=True)
-class ValuationResult:
+class ValuationResult(Frozen):
     """A valuation together with an exactness flag (lower bound if inexact)."""
 
-    value: ExtInt
-    exact: bool
+    __slots__ = _fields = ("value", "exact")
+
+    def __init__(self, value: ExtInt, exact: bool):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "exact", exact)
 
     def to_json(self) -> dict:
         return {"value": self.value.to_json(), "exact": self.exact}
@@ -152,12 +156,21 @@ def _normalize_coeffs(
     return tuple(out)
 
 
+def _coeff_map(x: Series) -> dict[int, PAdic]:
+    """``dict(x.coeffs)``, built on first use and kept in a slot."""
+    try:
+        return x._map_cache
+    except AttributeError:
+        m = dict(x.coeffs)
+        object.__setattr__(x, "_map_cache", m)
+        return m
+
+
 # ---------------------------------------------------------------------------
 # equal characteristic: Laurent series
 
 
-@dataclass(frozen=True)
-class EqualCharSeries:
+class EqualCharSeries(Frozen):
     """Laurent series known exactly below the truncation exponent.
 
     ``order`` is a lower bound for the support; stored coefficients live in
@@ -165,17 +178,22 @@ class EqualCharSeries:
     there.  Nothing is known at or above ``trunc``.
     """
 
-    prime: int
-    order: int
-    coeffs: tuple[tuple[int, PAdic], ...]
-    trunc: ExtInt
+    _fields = ("prime", "order", "coeffs", "trunc")
+    __slots__ = (*_fields, "_map_cache")
 
     kind = "equal"
 
-    def __post_init__(self):
-        for i, c in self.coeffs:
-            if i < self.order or ExtInt(i) >= self.trunc:
+    def __init__(
+        self, prime: int, order: int, coeffs: tuple[tuple[int, PAdic], ...], trunc: ExtInt
+    ):
+        for i, c in coeffs:
+            if i < order or ExtInt(i) >= trunc:
                 raise ValueError(f"coefficient index {i} outside [order, trunc)")
+        set_ = object.__setattr__
+        set_(self, "prime", prime)
+        set_(self, "order", order)
+        set_(self, "coeffs", coeffs)
+        set_(self, "trunc", trunc)
 
     @staticmethod
     def zero(prime: int) -> "EqualCharSeries":
@@ -197,9 +215,7 @@ class EqualCharSeries:
     def monomial(prime: int, index: int, coeff: PAdic) -> "EqualCharSeries":
         return EqualCharSeries.from_coeffs(prime, {index: coeff}, order=index)
 
-    @cached_property
-    def _map(self) -> dict[int, PAdic]:
-        return dict(self.coeffs)
+    _map = property(_coeff_map)
 
     def coeff(self, i: int) -> PAdic:
         if ExtInt(i) >= self.trunc:
@@ -246,8 +262,7 @@ class EqualCharSeries:
 # mixed characteristic: doubly infinite series
 
 
-@dataclass(frozen=True)
-class MixedSeries:
+class MixedSeries(Frozen):
     """Doubly infinite series with certified coefficient decay.
 
     The left guarantee forces ``v(x_i) -> +inf`` as ``i -> -inf`` and the
@@ -255,21 +270,32 @@ class MixedSeries:
     the field requires.
     """
 
-    prime: int
-    lo: int
-    hi: int
-    coeffs: tuple[tuple[int, PAdic], ...]
-    left: LeftTail
-    right: RightTail
+    _fields = ("prime", "lo", "hi", "coeffs", "left", "right")
+    __slots__ = (*_fields, "_map_cache")
 
     kind = "mixed"
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(
+        self,
+        prime: int,
+        lo: int,
+        hi: int,
+        coeffs: tuple[tuple[int, PAdic], ...],
+        left: LeftTail,
+        right: RightTail,
+    ):
+        if lo > hi:
             raise ValueError("window must satisfy lo <= hi")
-        for i, _ in self.coeffs:
-            if not self.lo <= i <= self.hi:
+        for i, _ in coeffs:
+            if not lo <= i <= hi:
                 raise ValueError(f"coefficient index {i} outside window")
+        set_ = object.__setattr__
+        set_(self, "prime", prime)
+        set_(self, "lo", lo)
+        set_(self, "hi", hi)
+        set_(self, "coeffs", coeffs)
+        set_(self, "left", left)
+        set_(self, "right", right)
 
     @staticmethod
     def zero(prime: int) -> "MixedSeries":
@@ -299,9 +325,7 @@ class MixedSeries:
     def monomial(prime: int, index: int, coeff: PAdic) -> "MixedSeries":
         return MixedSeries.from_coeffs(prime, {index: coeff})
 
-    @cached_property
-    def _map(self) -> dict[int, PAdic]:
-        return dict(self.coeffs)
+    _map = property(_coeff_map)
 
     def coeff(self, i: int) -> PAdic:
         """Coefficient at ``i``; tail positions materialise as

@@ -10,7 +10,6 @@ and the named modules used throughout with their literature-sourced flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Mapping
 
@@ -23,6 +22,7 @@ from .seqspec import (
     AffineTail,
     ConstTail,
     ExtInt,
+    Frozen,
     SeqSpec,
     forall_ge,
     minplus_convolve,
@@ -54,10 +54,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubmoduleSpec:
-    seq: SeqSpec
-    field_kind: str
+class SubmoduleSpec(Frozen):
+    __slots__ = _fields = ("seq", "field_kind")
+
+    def __init__(self, seq: SeqSpec, field_kind: str):
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "field_kind", field_kind)
 
     def to_json(self) -> dict:
         out = self.seq.to_json()
@@ -73,16 +75,25 @@ class SubmoduleSpec:
         return SubmoduleSpec(self.seq.canonical(), self.field_kind)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Frozen):
     """Computed flags, plus literature-sourced ones on named modules only."""
 
-    open_lattice: bool
-    bounded: bool
-    compactoid: bool
-    complete: bool | None = None
-    c_compact: bool | None = None
-    closed: bool | None = None
+    __slots__ = _fields = (
+        "open_lattice", "bounded", "compactoid", "complete", "c_compact", "closed"
+    )
+
+    def __init__(
+        self,
+        open_lattice: bool,
+        bounded: bool,
+        compactoid: bool,
+        complete: bool | None = None,
+        c_compact: bool | None = None,
+        closed: bool | None = None,
+    ):
+        values = (open_lattice, bounded, compactoid, complete, c_compact, closed)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
         out = {

@@ -6,6 +6,7 @@ fully determines its data.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -928,3 +929,26 @@ def reference_parse_series(
     if field == "equal":
         return EqualCharSeries.from_coeffs(prime, coeffs)
     return MixedSeries.from_coeffs(prime, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the CLI key order
+
+
+_INT_KEY = re.compile(r"-?\d+$")
+
+
+def reference_order(obj):
+    """``cli._order`` as it chose numeric key order for any object whose
+    keys all read as integers, recursing into every value: the reference
+    for the order keyed by map name."""
+    if isinstance(obj, dict):
+        keys = list(obj)
+        if keys and all(isinstance(k, str) and _INT_KEY.match(k) for k in keys):
+            keys.sort(key=int)
+        else:
+            keys.sort(key=str)
+        return {k: reference_order(obj[k]) for k in keys}
+    if isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
+        return [reference_order(v) for v in obj]
+    return obj
