@@ -25,10 +25,13 @@ from .errors import (
     PrecisionExhausted,
     TdlfError,
     UnknownName,
+    WindowInsufficient,
+    ZeroElement,
 )
 from .padic import PRIME_LIMIT, _is_prime, check_precision
 from .parser import parse_series
 from .seminorm import SeminormSpec
+from .seqspec import check_index
 from .series import series_from_json
 from .submodule import SubmoduleSpec, named
 
@@ -113,7 +116,7 @@ def _cmd_eval(args) -> dict:
     if args.times is not None:
         x = series.mul(x, _load_series(args.times, args), args.target)
     if args.partial_sum is not None:
-        x = series.partial_sum(x, args.partial_sum)
+        x = series.partial_sum(x, check_index(args.partial_sum, "--partial-sum"))
     return x.to_json()
 
 
@@ -182,7 +185,7 @@ def _cmd_oracle(args) -> dict:
     if args.oracle_cmd == "minplus":
         a = _load_module(args.a)
         b = _load_module(args.b)
-        value = oracle.brute_minplus(a.seq, b.seq, args.k, args.window)
+        value = oracle.brute_minplus(a.seq, b.seq, check_index(args.k, "--k"), args.window)
         return {"k": args.k, "value": value.to_json()}
     if args.oracle_cmd == "seminorm":
         spec = _load_seminorm(args.spec)
@@ -313,7 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         check_precision(args.precision)
         args.window = _parse_window(args.window)
         result = args.func(args)
-    except (ParseError, KindMismatch, IncompatiblePrimes, ValueError) as exc:
+    # a bad input or --window, or a request that needs different input
+    except (ParseError, KindMismatch, IncompatiblePrimes, ValueError, WindowInsufficient,
+            ZeroElement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PrecisionExhausted as exc:

@@ -8,7 +8,7 @@ output on any platform.
 
 from __future__ import annotations
 
-from .errors import PrecisionExhausted, WindowInsufficient
+from .errors import ParseError, PrecisionExhausted, WindowInsufficient
 from .padic import PAdic
 from .seminorm import EQUAL, SeminormSpec
 from .seqspec import (
@@ -76,6 +76,8 @@ class SampleConfig(Frozen):
     def __init__(
         self, seed: int, count: int, window: tuple[int, int] = (-10, 10), precision: int = 32
     ):
+        if count < 0:
+            raise ParseError(f"sample count {count} is negative")
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "window", window)

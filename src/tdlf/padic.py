@@ -256,7 +256,9 @@ class PAdic(Frozen):
         v = min(self.val, other.val).n
         total = 0
         for x in (self, other):
-            if x.unit:
+            # a term at or above the sum's precision is 0 modulo p^prec, so
+            # no power of p beyond the relative precision is built
+            if x.unit and x.val.n < prec:
                 total += x.unit * prime_power(p, x.val.n - v)
         return PAdic.make(p, v, total, prec)
 

@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 from .errors import ParseError
 from .padic import DEFAULT_RELATIVE_PRECISION, PAdic, _vp, check_precision, check_prime, prime_power
+from .seqspec import check_index
 from .series import (
     EqualCharSeries,
     LeftValBound,
@@ -106,6 +107,11 @@ class _Parser:
             raise self.fail(f"expected {what}")
         return self.next()
 
+    def index(self) -> int:
+        """A signed integer that is an exponent of ``t``."""
+        tok = self.tok
+        return check_index(self.signed_int(), "index", tok.line, tok.column)
+
     def signed_int(self) -> int:
         kind = self.tok.kind
         if kind in ("minus", "plus"):
@@ -144,7 +150,7 @@ class _Parser:
         self.expect("ident", "t")
         if self.tok.kind == "caret":
             self.next()
-            return self.signed_int()
+            return self.index()
         return 1
 
     # -- terms ---------------------------------------------------------------
@@ -185,7 +191,7 @@ class _Parser:
         if tok.text == "O":
             self.expect("ident", "t")
             self.expect("caret", "'^'")
-            n = self.signed_int()
+            n = self.index()
             self.expect("rparen", "')'")
             return ("trunc", n)
         floor = left = None
@@ -283,8 +289,9 @@ def parse_series(
     An ``O(t^N)`` mark (or ``field='equal'``) yields a Laurent series;
     everything else yields an element of the doubly infinite field.
     A composite ``prime``, or one at or above ``PRIME_LIMIT``, a relative
-    precision outside ``[1, MAX_RELATIVE_PRECISION]`` and a numeral longer
-    than ``MAX_NUMERAL_DIGITS`` raise :class:`ParseError`.
+    precision outside ``[1, MAX_RELATIVE_PRECISION]``, a numeral longer
+    than ``MAX_NUMERAL_DIGITS`` and an exponent of ``t`` beyond
+    ``MAX_INDEX`` in magnitude raise :class:`ParseError`.
     """
     check_prime(prime)
     check_precision(rel_precision)

@@ -27,7 +27,7 @@ from .seqspec import (
     json_key,
     sup_diff_on,
 )
-from .series import EqualCharSeries, MixedSeries, ZeroTail
+from .series import EqualCharSeries, MixedSeries
 
 __all__ = [
     "FieldKind",
@@ -134,18 +134,18 @@ def _combine(best_exact: ExtInt, best_bound: ExtInt) -> ExponentResult:
     return ExponentResult(best_bound, False)
 
 
-def _eval_equal(spec: SeminormSpec, x: EqualCharSeries) -> ExponentResult:
-    seq = spec.seq
-    # the largest index carrying a finite weight
-    last = max((end for _, end, v in seq.runs() if v != MINUS_INF), default=None)
-    if last is None:
-        left = seq.left
-        if not (isinstance(left, ConstTail) and left.value == MINUS_INF):
-            last = seq.window_lo - 1
-    if last is not None and ExtInt(last) >= x.trunc:
-        raise PrecisionExhausted(
-            f"series truncated at t^{x.trunc} but weights reach index {last}"
-        )
+def _eval(seq: SeqSpec, x: Union[EqualCharSeries, MixedSeries]) -> ExponentResult:
+    if isinstance(x, EqualCharSeries):
+        # the largest index carrying a finite weight
+        last = max((end for _, end, v in seq.runs() if v != MINUS_INF), default=None)
+        if last is None:
+            left = seq.left
+            if not (isinstance(left, ConstTail) and left.value == MINUS_INF):
+                last = seq.window_lo - 1
+        if last is not None and ExtInt(last) >= x.trunc:
+            raise PrecisionExhausted(
+                f"series truncated at t^{x.trunc} but weights reach index {last}"
+            )
     best_exact = MINUS_INF
     best_bound = MINUS_INF
     for i, c in x.coeffs:
@@ -154,29 +154,19 @@ def _eval_equal(spec: SeminormSpec, x: EqualCharSeries) -> ExponentResult:
             best_exact = max(best_exact, cand)
         else:
             best_bound = max(best_bound, cand)
-    return _combine(best_exact, best_bound)
-
-
-def _eval_mixed(spec: SeminormSpec, x: MixedSeries) -> ExponentResult:
-    seq = spec.seq
-    best_exact = MINUS_INF
-    best_bound = MINUS_INF
-    for i, c in x.coeffs:
-        cand = _diff(seq.value_at(i), c.val)
-        if c.valuation_exact:
-            best_exact = max(best_exact, cand)
-        else:
-            best_bound = max(best_bound, cand)
-    bseq = x.bound_seq()
-    if not isinstance(x.left, ZeroTail):
+    if isinstance(x, MixedSeries):
+        # a zero tail is +inf in the bounds and adds -inf.  Below the window
         # n(i) - bound(i) decays leftwards (slope of the bound is >= 1 while
         # the weights are bounded above), so the ray maximum sits at the
         # inner edge of the evaluation range
+        bseq = x.bound_seq()
         start = min(seq.window_lo, x.lo) - 1
-        best_bound = max(best_bound, sup_diff_on(seq, bseq, start, x.lo - 1))
-    if not isinstance(x.right, ZeroTail):
         stop = max(seq.window_hi, x.hi) + 1
-        best_bound = max(best_bound, sup_diff_on(seq, bseq, x.hi + 1, stop))
+        best_bound = max(
+            best_bound,
+            sup_diff_on(seq, bseq, start, x.lo - 1),
+            sup_diff_on(seq, bseq, x.hi + 1, stop),
+        )
     return _combine(best_exact, best_bound)
 
 
@@ -192,10 +182,9 @@ def eval_exponent(
     if spec.field_kind == EQUAL:
         if not isinstance(x, EqualCharSeries):
             raise KindMismatch("equal-characteristic seminorm needs a Laurent series")
-        return _eval_equal(spec, x)
-    if not isinstance(x, MixedSeries):
+    elif not isinstance(x, MixedSeries):
         raise KindMismatch("mixed-characteristic seminorm needs a doubly infinite series")
-    return _eval_mixed(spec, x)
+    return _eval(spec.seq, x)
 
 
 def closed_ball_test(

@@ -37,6 +37,7 @@ __all__ = [
     "sup_diff",
     "sup_diff_on",
     "forall_ge",
+    "MAX_INDEX",
 ]
 
 
@@ -170,15 +171,6 @@ class ExtInt:
 
 PLUS_INF = ExtInt._infinite(+1)
 MINUS_INF = ExtInt._infinite(-1)
-
-
-def ext_min(values: Iterable[ExtInt]) -> ExtInt:
-    """Minimum of extended integers; +inf on empty input."""
-    out = PLUS_INF
-    for v in values:
-        if v < out:
-            out = v
-    return out
 
 
 def minplus_term(a: ExtInt, b: ExtInt) -> ExtInt:
@@ -612,6 +604,19 @@ def json_index(key: str) -> int:
     raise ValueError(f"{key!r} is not an index")
 
 
+# the largest index magnitude read from input (literals, series JSON, CLI
+# flags); the constructors take any index
+MAX_INDEX = 10_000
+
+
+def check_index(i: int, what: str = "index", line: int | None = None,
+                column: int | None = None) -> int:
+    """``i`` when ``|i| <= MAX_INDEX``; ParseError naming ``what`` otherwise."""
+    if -MAX_INDEX <= i <= MAX_INDEX:
+        return i
+    raise ParseError(f"{what} {i} is not in [-{MAX_INDEX}, {MAX_INDEX}]", line, column)
+
+
 def json_parse(obj, key: str, parse):
     """``parse(obj[key])``; ParseError names the key of a bad value."""
     value = json_key(obj, key)
@@ -821,10 +826,12 @@ def shift_add(s: SeqSpec, c: int) -> SeqSpec:
 # -inf.  The window is the lower envelope of the terms, swept from one term
 # boundary to the next.  Pieces of at most _SHORT indices count as points:
 # a point pair is one integer sum, while a segment term costs a heap entry
-# in the sweep, so short runs in dense windows are cheaper expanded.  On
-# the dense_products benchmark (2-vCPU host, Python 3.11), making every
-# piece of two or more indices a segment cost 9.5% of ops_per_s and raised
-# op_p90_ms by 60%.
+# in the sweep, so short runs are cheaper expanded.  Series products read
+# only the frame, so the split now matters to ``product_bound``: making
+# every piece of two or more indices a segment (_SHORT = 1) cost far_sparse
+# 5.6% of ops_per_s (10 alternating pairs of 10 s runs, 2-core Xeon,
+# Python 3.11; won 2 of 10) and 12-20% per ``product_bound`` call on its
+# module pairs, while dense_products moved by 0.1%.
 #
 # The point + ray rays come in families, one per ray of the other factor:
 # a family shares that ray's direction and slope, and its members differ
@@ -1151,41 +1158,46 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
 # global comparisons of two sequences
 
 
+def _sup_on(sa: int | None, oa: int, sb: int | None, ob: int, x, y) -> int | float:
+    """sup of ``a(i) - b(i)`` over ``x <= i <= y`` for forms ``(sa, oa)`` of
+    ``a`` and ``(sb, ob)`` of ``b``, ``math.inf`` and ``-math.inf`` for the
+    infinities; ``x`` may be ``-math.inf`` and ``y`` ``math.inf``."""
+    if (sa is None and oa < 0) or (sb is None and ob > 0):
+        return -math.inf
+    if sa is None or sb is None:
+        return math.inf
+    # a linear difference peaks at an end of its run
+    d = sa - sb
+    return (d * y if d > 0 else d * x if d < 0 else 0) + oa - ob
+
+
+def _run_sups(a: SeqSpec, b: SeqSpec, lo: int, hi: int, rays: bool) -> Iterator[int | float]:
+    """sup of ``a(i) - b(i)`` on each run of ``[lo, hi]`` on which both keep
+    one form, then, with ``rays``, on the half lines below ``lo`` and above
+    ``hi``, where only the tails apply."""
+    for x, y, sa, oa, sb, ob in _overlay(a, b, lo, hi):
+        yield _sup_on(sa, oa, sb, ob, x, y)
+    if rays:
+        yield _sup_on(*_form(a.left), *_form(b.left), -math.inf, lo - 1)
+        yield _sup_on(*_form(a.right), *_form(b.right), hi + 1, math.inf)
+
+
 def _ray_sup_diff(a: SeqSpec, b: SeqSpec, leftward: bool, start: int) -> ExtInt:
     """sup of a(i) - b(i) over the half line beyond ``start`` (exclusive)."""
-    fa = _form(a.left if leftward else a.right)
-    fb = _form(b.left if leftward else b.right)
-    sa, oa = fa
-    sb, ob = fb
-    if sa is None and oa < 0:
-        return MINUS_INF
-    if sb is None and ob > 0:
-        return MINUS_INF
-    if sa is None:  # a = +inf against finite b
-        return PLUS_INF
-    if sb is None:  # b = -inf against finite a
-        return PLUS_INF
-    d = sa - sb
-    diverges = d < 0 if leftward else d > 0
-    if diverges:
-        return PLUS_INF
-    i = start - 1 if leftward else start + 1
-    return ExtInt((sa - sb) * i + (oa - ob))
+    if leftward:
+        return _ext(_sup_on(*_form(a.left), *_form(b.left), -math.inf, start - 1))
+    return _ext(_sup_on(*_form(a.right), *_form(b.right), start + 1, math.inf))
+
+
+def _ext(v: int | float) -> ExtInt:
+    return PLUS_INF if v == math.inf else MINUS_INF if v == -math.inf else ExtInt(v)
 
 
 def sup_diff_on(a: SeqSpec, b: SeqSpec, lo: int, hi: int) -> ExtInt:
     """``sup over lo <= i <= hi of a(i) - b(i)``, one step per run on which
     both keep one form; ``-inf`` on an empty range.  Drops and divergence
     follow :func:`sup_diff`."""
-    best = MINUS_INF
-    for x, y, sa, oa, sb, ob in _overlay(a, b, lo, hi):
-        if (sa is None and oa < 0) or (sb is None and ob > 0):
-            continue
-        if sa is None or sb is None:
-            return PLUS_INF
-        # a linear difference peaks at an end of its run
-        best = max(best, ExtInt(max((sa - sb) * x, (sa - sb) * y) + oa - ob))
-    return best
+    return _ext(max(_run_sups(a, b, lo, hi, rays=False), default=-math.inf))
 
 
 def sup_diff(a: SeqSpec, b: SeqSpec) -> ExtInt:
@@ -1196,36 +1208,13 @@ def sup_diff(a: SeqSpec, b: SeqSpec) -> ExtInt:
     """
     lo = min(a.window_lo, b.window_lo)
     hi = max(a.window_hi, b.window_hi)
-    return max(
-        sup_diff_on(a, b, lo, hi),
-        _ray_sup_diff(a, b, leftward=True, start=lo),
-        _ray_sup_diff(a, b, leftward=False, start=hi),
-    )
+    return _ext(max(_run_sups(a, b, lo, hi, rays=True)))
 
 
 def forall_ge(a: SeqSpec, b: SeqSpec) -> bool:
-    """Whether ``a(i) >= b(i)`` holds at every index.
-
-    Unlike :func:`sup_diff` this is a plain order comparison, so equal
-    infinities on both sides count as satisfied.
-    """
+    """Whether ``a(i) >= b(i)`` holds at every index, that is ``sup_diff(b,
+    a) <= 0``: equal infinities on both sides count as satisfied.  Stops at
+    the first run that fails."""
     lo = min(a.window_lo, b.window_lo)
     hi = max(a.window_hi, b.window_hi)
-    # the extra boundary points sit in pure tail mode on both sides; beyond
-    # them the difference of the affine forms is monotone
-    for x, y, sa, oa, sb, ob in _overlay(a, b, lo - 1, hi + 1):
-        if sa is None or sb is None:
-            # -inf < finite < +inf, finite counting as sign 0
-            if (oa if sa is None else 0) < (ob if sb is None else 0):
-                return False
-        elif min((sa - sb) * x, (sa - sb) * y) + oa - ob < 0:
-            return False
-    for leftward in (True, False):
-        sa, _ = _form(a.left if leftward else a.right)
-        sb, _ = _form(b.left if leftward else b.right)
-        if sa is None or sb is None:
-            continue  # infinite constant: region already decided at boundary
-        d = sa - sb
-        if (d > 0 and leftward) or (d < 0 and not leftward):
-            return False  # difference runs off to -inf on this side
-    return True
+    return all(s <= 0 for s in _run_sups(b, a, lo, hi, rays=True))

@@ -33,8 +33,8 @@ from .seqspec import (
     Frame,
     Frozen,
     SeqSpec,
+    check_index,
     convolution_frame,
-    ext_min,
     json_index,
     json_int,
     json_key,
@@ -140,7 +140,12 @@ def _right_tail_from_json(obj: Mapping) -> RightTail:
 
 
 def _coeffs_from_json(obj: Mapping) -> dict[int, PAdic]:
-    return {json_index(k): PAdic.from_json(v) for k, v in obj.items()}
+    what = "bad key 'coeffs': index"
+    return {check_index(json_index(k), what): PAdic.from_json(v) for k, v in obj.items()}
+
+
+def _index_field(obj: Mapping, key: str) -> int:
+    return check_index(json_parse(obj, key, json_int), f"bad key {key!r}: index")
 
 
 def _normalize_coeffs(
@@ -156,21 +161,42 @@ def _normalize_coeffs(
     return tuple(out)
 
 
-def _coeff_map(x: Series) -> dict[int, PAdic]:
-    """``dict(x.coeffs)``, built on first use and kept in a slot."""
-    try:
-        return x._map_cache
-    except AttributeError:
-        m = dict(x.coeffs)
-        object.__setattr__(x, "_map_cache", m)
-        return m
+class _Series(Frozen):
+    """The base of both series kinds: the coefficient map and the ring
+    operators.  A subclass lists ``coeffs`` among its ``_fields``, which
+    its ``__init__`` takes in that order."""
+
+    __slots__ = ("_map_cache",)
+
+    @property
+    def _map(self) -> dict[int, PAdic]:
+        """``dict(self.coeffs)``, built on first use and kept in a slot."""
+        try:
+            return self._map_cache
+        except AttributeError:
+            m = dict(self.coeffs)
+            object.__setattr__(self, "_map_cache", m)
+            return m
+
+    def __add__(self, other):
+        return add(self, other)
+
+    def __sub__(self, other):
+        return add(self, -other)
+
+    def __neg__(self):
+        neg = tuple((i, -c) for i, c in self.coeffs)
+        return type(self)(*(neg if f == "coeffs" else getattr(self, f) for f in self._fields))
+
+    def __mul__(self, other):
+        return mul(self, other)
 
 
 # ---------------------------------------------------------------------------
 # equal characteristic: Laurent series
 
 
-class EqualCharSeries(Frozen):
+class EqualCharSeries(_Series):
     """Laurent series known exactly below the truncation exponent.
 
     ``order`` is a lower bound for the support; stored coefficients live in
@@ -178,8 +204,7 @@ class EqualCharSeries(Frozen):
     there.  Nothing is known at or above ``trunc``.
     """
 
-    _fields = ("prime", "order", "coeffs", "trunc")
-    __slots__ = (*_fields, "_map_cache")
+    __slots__ = _fields = ("prime", "order", "coeffs", "trunc")
 
     kind = "equal"
 
@@ -215,8 +240,6 @@ class EqualCharSeries(Frozen):
     def monomial(prime: int, index: int, coeff: PAdic) -> "EqualCharSeries":
         return EqualCharSeries.from_coeffs(prime, {index: coeff}, order=index)
 
-    _map = property(_coeff_map)
-
     def coeff(self, i: int) -> PAdic:
         if ExtInt(i) >= self.trunc:
             raise PrecisionExhausted(f"coefficient {i} is beyond the truncation")
@@ -243,26 +266,12 @@ class EqualCharSeries(Frozen):
             "coeffs": {str(i): c.to_json() for i, c in self.coeffs},
         }
 
-    def __add__(self, other: "EqualCharSeries") -> "EqualCharSeries":
-        return add(self, other)
-
-    def __sub__(self, other: "EqualCharSeries") -> "EqualCharSeries":
-        return add(self, -other)
-
-    def __neg__(self) -> "EqualCharSeries":
-        return EqualCharSeries(
-            self.prime, self.order, tuple((i, -c) for i, c in self.coeffs), self.trunc
-        )
-
-    def __mul__(self, other: "EqualCharSeries") -> "EqualCharSeries":
-        return mul(self, other)
-
 
 # ---------------------------------------------------------------------------
 # mixed characteristic: doubly infinite series
 
 
-class MixedSeries(Frozen):
+class MixedSeries(_Series):
     """Doubly infinite series with certified coefficient decay.
 
     The left guarantee forces ``v(x_i) -> +inf`` as ``i -> -inf`` and the
@@ -270,8 +279,7 @@ class MixedSeries(Frozen):
     the field requires.
     """
 
-    _fields = ("prime", "lo", "hi", "coeffs", "left", "right")
-    __slots__ = (*_fields, "_map_cache")
+    __slots__ = _fields = ("prime", "lo", "hi", "coeffs", "left", "right")
 
     kind = "mixed"
 
@@ -325,8 +333,6 @@ class MixedSeries(Frozen):
     def monomial(prime: int, index: int, coeff: PAdic) -> "MixedSeries":
         return MixedSeries.from_coeffs(prime, {index: coeff})
 
-    _map = property(_coeff_map)
-
     def coeff(self, i: int) -> PAdic:
         """Coefficient at ``i``; tail positions materialise as
         zero-within-precision elements carrying the tail bound."""
@@ -354,12 +360,7 @@ class MixedSeries(Frozen):
 
     def valuation_floor(self) -> ExtInt:
         """A certified lower bound for all coefficient valuations."""
-        cands = [c.val for _, c in self.coeffs]
-        if isinstance(self.left, LeftValBound):
-            cands.append(ExtInt(self.left.base + self.left.slope))
-        if isinstance(self.right, RightValBound):
-            cands.append(ExtInt(self.right.floor))
-        return ext_min(cands)
+        return vF_exponent(self).value
 
     def to_json(self) -> dict:
         return {
@@ -371,25 +372,6 @@ class MixedSeries(Frozen):
             "left": self.left.to_json(),
             "right": self.right.to_json(),
         }
-
-    def __add__(self, other: "MixedSeries") -> "MixedSeries":
-        return add(self, other)
-
-    def __sub__(self, other: "MixedSeries") -> "MixedSeries":
-        return add(self, -other)
-
-    def __neg__(self) -> "MixedSeries":
-        return MixedSeries(
-            self.prime,
-            self.lo,
-            self.hi,
-            tuple((i, -c) for i, c in self.coeffs),
-            self.left,
-            self.right,
-        )
-
-    def __mul__(self, other: "MixedSeries") -> "MixedSeries":
-        return mul(self, other)
 
 
 Series = Union[EqualCharSeries, MixedSeries]
@@ -410,19 +392,19 @@ def series_from_json(obj: Mapping) -> Series:
     coeffs = json_parse(obj, "coeffs", _coeffs_from_json)
     try:
         if kind == "equal":
+            trunc = json_parse(obj, "trunc", ExtInt.from_json)
+            if trunc.is_finite:
+                check_index(trunc.n, "bad key 'trunc': index")
             return EqualCharSeries.from_coeffs(
-                prime,
-                coeffs,
-                order=json_parse(obj, "order", json_int),
-                trunc=json_parse(obj, "trunc", ExtInt.from_json),
+                prime, coeffs, order=_index_field(obj, "order"), trunc=trunc
             )
         return MixedSeries.from_coeffs(
             prime,
             coeffs,
             left=json_parse(obj, "left", _left_tail_from_json),
             right=json_parse(obj, "right", _right_tail_from_json),
-            lo=json_parse(obj, "lo", json_int),
-            hi=json_parse(obj, "hi", json_int),
+            lo=_index_field(obj, "lo"),
+            hi=_index_field(obj, "hi"),
         )
     except ValueError as exc:  # a coefficient outside [order, trunc)
         raise ParseError(f"bad key 'coeffs': {exc}") from None
@@ -677,8 +659,23 @@ def _products(p: int, xs: dict, ys: dict, precs: dict[int, int]) -> dict[int, PA
     """
     if not precs:
         return {}
+    widest = max((pi - vi for vi, _, pi in [*xs.values(), *ys.values()]), default=0)
+    if _val_span(xs) + _val_span(ys) > widest:
+        # scaled to one valuation, the units would be wider than any
+        # coefficient needs (a pair certifies at most its widest relative
+        # precision): multiply the pairs of each coefficient alone
+        return {
+            k: _coefficient(p, ((a, ys[k - i]) for i, a in xs.items() if k - i in ys), ExtInt(q))
+            for k, q in precs.items()
+        }
     v, sums = _diagonal_sums(p, xs, ys, max(precs.values()))
     return {k: PAdic.make(p, v, sums.get(k, 0), q) for k, q in precs.items()}
+
+
+def _val_span(xs: dict) -> int:
+    """The spread of the valuations of the nonzero units of ``xs``."""
+    vals = [vi for vi, u, _ in xs.values() if u]
+    return max(vals) - min(vals) if vals else 0
 
 
 def _diagonal_sums(

@@ -118,12 +118,16 @@ class Membership:
 # classification predicates
 
 
-def _has_minus_inf(seq: SeqSpec) -> bool:
-    if any(v == MINUS_INF for _, _, v in seq.runs()):
-        return True
-    return any(
-        isinstance(t, ConstTail) and t.value == MINUS_INF for t in (seq.left, seq.right)
-    )
+def _minus_inf_index(seq: SeqSpec) -> int | None:
+    """An index where the exponent is ``-inf``, or None if there is none."""
+    for i, _, v in seq.runs():
+        if v == MINUS_INF:
+            return i
+    if isinstance(seq.left, ConstTail) and seq.left.value == MINUS_INF:
+        return seq.window_lo - 1
+    if isinstance(seq.right, ConstTail) and seq.right.value == MINUS_INF:
+        return seq.window_hi + 1
+    return None
 
 
 def _left_bounded_below(seq: SeqSpec) -> bool:
@@ -159,7 +163,7 @@ def is_open_lattice(m: SubmoduleSpec) -> bool:
 
 def is_bounded(m: SubmoduleSpec) -> bool:
     seq = m.seq
-    if _has_minus_inf(seq):
+    if _minus_inf_index(seq) is not None:
         return False
     if m.field_kind == EQUAL:
         left = seq.left
@@ -259,56 +263,16 @@ def _named_table() -> dict[str, tuple[SubmoduleSpec, Classification]]:
             kind,
         )
 
-    taylor = spec(EQUAL, {0: ninf}, inf, ninf)  # K[[t]]
-    t_taylor = spec(EQUAL, {1: ninf}, inf, ninf)  # tK[[t]]
-    rank2_equal_ring = spec(EQUAL, {0: 0}, inf, ninf)  # O + tK[[t]]
-    int_mixed = spec(MIXED, {0: 0}, 0, 0)  # O{{t}}
-    p_mixed = spec(MIXED, {0: 1}, 1, 1)  # p{{t}}
-    rank2_mixed_ring = spec(MIXED, {0: 0}, 1, 0)  # p-below, O-above
-
+    # the three Laurent modules share one set of flags, the three mixed ones another
+    laurent = Classification(False, False, False, complete=True, c_compact=True, closed=True)
+    mixed = Classification(False, True, False, complete=True, c_compact=False, closed=True)
     return {
-        "K[[t]]": (
-            taylor,
-            Classification(
-                open_lattice=False, bounded=False, compactoid=False,
-                complete=True, c_compact=True, closed=True,
-            ),
-        ),
-        "tK[[t]]": (
-            t_taylor,
-            Classification(
-                open_lattice=False, bounded=False, compactoid=False,
-                complete=True, c_compact=True, closed=True,
-            ),
-        ),
-        "O+tK[[t]]": (
-            rank2_equal_ring,
-            Classification(
-                open_lattice=False, bounded=False, compactoid=False,
-                complete=True, c_compact=True, closed=True,
-            ),
-        ),
-        "O{{t}}": (
-            int_mixed,
-            Classification(
-                open_lattice=False, bounded=True, compactoid=False,
-                complete=True, c_compact=False, closed=True,
-            ),
-        ),
-        "p{{t}}": (
-            p_mixed,
-            Classification(
-                open_lattice=False, bounded=True, compactoid=False,
-                complete=True, c_compact=False, closed=True,
-            ),
-        ),
-        "rank2_mixed": (
-            rank2_mixed_ring,
-            Classification(
-                open_lattice=False, bounded=True, compactoid=False,
-                complete=True, c_compact=False, closed=True,
-            ),
-        ),
+        "K[[t]]": (spec(EQUAL, {0: ninf}, inf, ninf), laurent),
+        "tK[[t]]": (spec(EQUAL, {1: ninf}, inf, ninf), laurent),
+        "O+tK[[t]]": (spec(EQUAL, {0: 0}, inf, ninf), laurent),
+        "O{{t}}": (spec(MIXED, {0: 0}, 0, 0), mixed),
+        "p{{t}}": (spec(MIXED, {0: 1}, 1, 1), mixed),
+        "rank2_mixed": (spec(MIXED, {0: 0}, 1, 0), mixed),  # p-below, O-above
     }
 
 
@@ -332,17 +296,6 @@ def literature_classification(name: str) -> Classification:
 
 # ---------------------------------------------------------------------------
 # constructive unboundedness witnesses
-
-
-def _minus_inf_index(seq: SeqSpec) -> int | None:
-    for i, _, v in seq.runs():
-        if v == MINUS_INF:
-            return i
-    if isinstance(seq.left, ConstTail) and seq.left.value == MINUS_INF:
-        return seq.window_lo - 1
-    if isinstance(seq.right, ConstTail) and seq.right.value == MINUS_INF:
-        return seq.window_hi + 1
-    return None
 
 
 def _monomial(m: SubmoduleSpec, index: int, val: int, prime: int) -> Series:

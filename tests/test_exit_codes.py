@@ -1,0 +1,38 @@
+"""Requests that need a different input or ``--window`` exit 2, and the
+oracle's sample count is refused below zero by the library too."""
+
+import pytest
+
+from tdlf import ParseError, named
+from tdlf.cli import main
+from tdlf.oracle import SampleConfig, sample_elements
+
+
+def run(capsys, argv):
+    code = main(["--prime", "5", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_window_that_cannot_certify_exits_2(capsys):
+    argv = ["--window", "7:7", "oracle", "minplus", "--a", "O{{t}}", "--b", "O{{t}}", "--k", "0"]
+    assert run(capsys, argv) == (
+        2, "", "error: window (7, 7) does not clear the explicit values for k=0\n"
+    )
+
+
+@pytest.mark.parametrize("field", [[], ["--field", "equal"], ["--field", "mixed"]])
+def test_the_rank_two_valuation_of_zero_exits_2(capsys, field):
+    argv = [*field, "valuation", "--rank2", "--series", "0"]
+    assert run(capsys, argv) == (2, "", "error: rank-two valuation of zero is undefined\n")
+
+
+@pytest.mark.parametrize("count", [-1, -12, -(10**9)])
+def test_a_negative_sample_count_is_refused(count):
+    with pytest.raises(ParseError, match=f"^sample count {count} is negative$"):
+        SampleConfig(seed=1, count=count)
+
+
+def test_a_zero_sample_count_samples_nothing():
+    assert sample_elements(named("p{{t}}"), SampleConfig(seed=1, count=0), 5) == []
+    assert len(sample_elements(named("p{{t}}"), SampleConfig(seed=1, count=3), 5)) == 3
