@@ -155,10 +155,10 @@ def _eval(seq: SeqSpec, x: Union[EqualCharSeries, MixedSeries]) -> ExponentResul
         else:
             best_bound = max(best_bound, cand)
     if isinstance(x, MixedSeries):
-        # a zero tail is +inf in the bounds and adds -inf.  Below the window
-        # n(i) - bound(i) decays leftwards (slope of the bound is >= 1 while
-        # the weights are bounded above), so the ray maximum sits at the
-        # inner edge of the evaluation range
+        # a zero tail is +inf in the bounds and adds -inf at once.  Below
+        # the window n(i) - bound(i) decays leftwards (slope of the bound is
+        # >= 1 while the weights are bounded above), so the ray maximum
+        # sits at the inner edge of the evaluation range
         bseq = x.bound_seq()
         start = min(seq.window_lo, x.lo) - 1
         stop = max(seq.window_hi, x.hi) + 1

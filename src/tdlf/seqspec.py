@@ -1197,6 +1197,9 @@ def sup_diff_on(a: SeqSpec, b: SeqSpec, lo: int, hi: int) -> ExtInt:
     """``sup over lo <= i <= hi of a(i) - b(i)``, one step per run on which
     both keep one form; ``-inf`` on an empty range.  Drops and divergence
     follow :func:`sup_diff`."""
+    tail = b.left if hi < b.window_lo else b.right if lo > b.window_hi else None
+    if tail is not None and _form(tail) == (None, 1):  # b is +inf throughout
+        return MINUS_INF
     return _ext(max(_run_sups(a, b, lo, hi, rays=False), default=-math.inf))
 
 

@@ -663,11 +663,17 @@ def _products(p: int, xs: dict, ys: dict, precs: dict[int, int]) -> dict[int, PA
     if _val_span(xs) + _val_span(ys) > widest:
         # scaled to one valuation, the units would be wider than any
         # coefficient needs (a pair certifies at most its widest relative
-        # precision): multiply the pairs of each coefficient alone
-        return {
-            k: _coefficient(p, ((a, ys[k - i]) for i, a in xs.items() if k - i in ys), ExtInt(q))
-            for k, q in precs.items()
-        }
+        # precision): multiply the pairs of each coefficient alone.  Only
+        # pairs of nonzero units add digits; ``precs`` holds the precision
+        # of the others.
+        pairs: dict[int, list] = {k: [] for k in precs}
+        ny = [(j, b) for j, b in ys.items() if b[1]]
+        for i, a in xs.items():
+            if a[1]:
+                for j, b in ny:
+                    if (g := pairs.get(i + j)) is not None:
+                        g.append((a, b))
+        return {k: _coefficient(p, g, ExtInt(precs[k])) for k, g in pairs.items()}
     v, sums = _diagonal_sums(p, xs, ys, max(precs.values()))
     return {k: PAdic.make(p, v, sums.get(k, 0), q) for k, q in precs.items()}
 

@@ -264,8 +264,14 @@ def _named_table() -> dict[str, tuple[SubmoduleSpec, Classification]]:
         )
 
     # the three Laurent modules share one set of flags, the three mixed ones another
-    laurent = Classification(False, False, False, complete=True, c_compact=True, closed=True)
-    mixed = Classification(False, True, False, complete=True, c_compact=False, closed=True)
+    laurent = Classification(
+        open_lattice=False, bounded=False, compactoid=False,
+        complete=True, c_compact=True, closed=True,
+    )
+    mixed = Classification(
+        open_lattice=False, bounded=True, compactoid=False,
+        complete=True, c_compact=False, closed=True,
+    )
     return {
         "K[[t]]": (spec(EQUAL, {0: ninf}, inf, ninf), laurent),
         "tK[[t]]": (spec(EQUAL, {1: ninf}, inf, ninf), laurent),

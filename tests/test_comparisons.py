@@ -5,9 +5,9 @@ one base."""
 
 import pytest
 
-from helpers import rand_equal_series, rand_mixed_series, rand_seqspec, rng
+from helpers import rand_equal_series, rand_mixed_series, rand_seqspec, reference_sup_diff_on, rng
 from tdlf import EqualCharSeries, MixedSeries, add, forall_ge, mul, sup_diff, vF_exponent
-from tdlf.seqspec import sup_diff_on
+from tdlf.seqspec import MINUS_INF, PLUS_INF, ConstTail, SeqSpec, sup_diff_on
 
 
 def test_forall_ge_is_sup_diff_at_most_zero():
@@ -22,6 +22,16 @@ def test_sup_diff_on_an_empty_range_is_minus_inf():
     r = rng(1)
     a, b = rand_seqspec(r), rand_seqspec(r)
     assert repr(sup_diff_on(a, b, 3, 2)) == "-inf"
+
+
+def test_sup_diff_on_a_plus_inf_tail_of_b_is_minus_inf():
+    """Where ``b`` is a ``+inf`` tail every term drops, even over ``a = +inf``:
+    the answer the run sweep gives, read off the tail alone."""
+    a = SeqSpec.from_window({0: 1}, ConstTail(PLUS_INF), ConstTail(PLUS_INF))
+    b = SeqSpec.from_window({0: 2, 1: 3}, ConstTail(PLUS_INF), ConstTail(PLUS_INF))
+    for lo, hi in [(-50, -1), (2, 50)]:
+        assert sup_diff_on(a, b, lo, hi) == MINUS_INF == reference_sup_diff_on(a, b, lo, hi)
+    assert sup_diff_on(a, b, -5, 5) == PLUS_INF == reference_sup_diff_on(a, b, -5, 5)
 
 
 def test_the_valuation_floor_is_the_discrete_valuation():
