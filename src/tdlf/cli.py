@@ -7,11 +7,12 @@ identical invocations produce identical bytes.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import duality, oracle, seminorm, series, submodule
 from .errors import (
@@ -34,6 +35,9 @@ from .seminorm import SeminormSpec
 from .seqspec import check_index
 from .series import series_from_json
 from .submodule import SubmoduleSpec, named
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_PARSE = 2
 EXIT_PRECISION = 3
@@ -196,97 +200,136 @@ def _cmd_oracle(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the grammar, one table for both readers of argv: _read_argv serves every
+# request it can, and build_parser builds argparse from it for the rest
+
+
+def _flag(name: str, kind=str, default=None, help=None, required=False) -> tuple:
+    """``(name, dest, kind, required, default, help)``: ``kind`` is ``int``,
+    ``str``, ``bool`` (store-true) or a tuple of choices, and ``dest`` is the
+    name as argparse derives it."""
+    return name, name[2:].replace("-", "_"), kind, required, default, help
+
+
+def _node(func, *flags, dest=None, commands=None) -> tuple:
+    """``(flags by name, handler, subcommand dest, {name: (help, node)})``."""
+    return {f[0]: f for f in flags}, func, dest, commands
+
+
+_SERIES = _flag("--series", required=True)
+_MODULE = _flag("--module", required=True)
+_A, _B = _flag("--a", required=True), _flag("--b", required=True)
+_GRAMMAR = _node(
+    None,
+    _flag("--prime", int, help="residue characteristic p", required=True),
+    # main reads TDLF_PRECISION, then 32, on every call
+    _flag("--precision", int, help="relative p-adic precision for parsed literals (default 32)"),
+    # main reads it with _parse_window
+    _flag("--window", str, "-20:20", "index window lo:hi for oracle enumeration (default -20:20)"),
+    _flag("--seed", int, 0, "sampler seed (default 0)"),
+    _flag("--field", ("equal", "mixed"), help="force the field kind of bare series literals"),
+    dest="command",
+    commands={
+        "eval": ("parse and combine series", _node(
+            _cmd_eval, _SERIES, _flag("--plus"), _flag("--times"), _flag("--partial-sum", int),
+            _flag("--target", int, help="certified precision for --times"))),
+        "norm": ("evaluate an admissible seminorm", _node(
+            _cmd_norm, _SERIES, _flag("--seminorm", help="seminorm spec as JSON", required=True))),
+        "classify": ("open lattice / bounded / compactoid flags", _node(
+            _cmd_classify, _flag("--module", help="named module or JSON", required=True),
+            _flag("--literature", bool, False, "include literature-sourced flags"))),
+        "polar": ("polar of a submodule", _node(_cmd_polar, _MODULE)),
+        "pseudo-polar": ("pseudo-polar of a submodule", _node(_cmd_pseudo_polar, _MODULE)),
+        "pair": ("the t^0 pairing of two series", _node(
+            _cmd_pair, _flag("--x", required=True), _flag("--y", required=True),
+            _flag("--target", int))),
+        "product-bound": ("min-plus bound for a module product", _node(_cmd_product_bound, _A, _B)),
+        "dual-norm": ("dual seminorm of a module", _node(_cmd_dual_norm, _MODULE)),
+        "valuation": ("discrete or rank-two valuation", _node(
+            _cmd_valuation, _SERIES, _flag("--rank2", bool, False))),
+        "oracle": ("brute-force reference computations", _node(None, dest="oracle_cmd", commands={
+            "sample": ("deterministic elements of a module", _node(
+                _cmd_oracle, _MODULE, _flag("--count", int, 10))),
+            "minplus": ("enumerated min-plus convolution value", _node(
+                _cmd_oracle, _A, _B, _flag("--k", int, required=True))),
+            "seminorm": ("enumerated seminorm value", _node(
+                _cmd_oracle, _flag("--spec", required=True), _SERIES)),
+        })),
+    },
+)
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read off
+    ``_GRAMMAR``; ``None``, for argparse to read, unless argv holds only
+    exact flags as ``--flag value`` or ``--flag=value``, global flags before
+    the command, separate values that start with ``-`` only as ``-<digits>``
+    (so no ``-h``, ``--help`` or ``--``), ints that convert and every
+    required flag and command."""
+    args, node, i = SimpleNamespace(), _GRAMMAR, 0
+    while True:
+        flags, func, dest, commands = node
+        for _, fdest, _, _, default, _ in flags.values():
+            setattr(args, fdest, default)
+        while i < len(argv) and argv[i].startswith("--"):
+            name, eq, value = argv[i].partition("=")
+            if name not in flags:
+                return None
+            _, fdest, kind, _, _, _ = flags[name]
+            i += 1
+            if kind is bool:
+                if eq:
+                    return None
+                value = True
+            elif not eq:
+                if i == len(argv):
+                    return None
+                value = argv[i]
+                i += 1
+                if value.startswith("-") and not (value[1:].isdigit() and value.isascii()):
+                    return None
+            elif value == "--":  # argparse drops it from the values it reads
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            elif isinstance(kind, tuple) and value not in kind:
+                return None
+            setattr(args, fdest, value)
+        if any(f[3] and getattr(args, f[1]) is None for f in flags.values()):
+            return None
+        if not commands:
+            args.func = func
+            return args if i == len(argv) else None
+        if i == len(argv) or argv[i] not in commands:
+            return None
+        setattr(args, dest, argv[i])
+        node = commands[argv[i]][1]
+        i += 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="tdlf",
-        description="Exact calculator for locally convex structure on "
-        "two-dimensional local fields.",
-    )
-    top.add_argument("--prime", type=int, required=True, help="residue characteristic p")
-    top.add_argument(
-        "--precision",
-        type=int,
-        default=None,  # main reads TDLF_PRECISION, then 32, on every call
-        help="relative p-adic precision for parsed literals (default 32)",
-    )
-    top.add_argument(
-        "--window",
-        default="-20:20",  # main reads it with _parse_window
-        help="index window lo:hi for oracle enumeration (default -20:20)",
-    )
-    top.add_argument("--seed", type=int, default=0, help="sampler seed (default 0)")
-    top.add_argument(
-        "--field",
-        choices=("equal", "mixed"),
-        default=None,
-        help="force the field kind of bare series literals",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+    import argparse  # here, so that a request _read_argv serves never loads it
 
-    p = sub.add_parser("eval", help="parse and combine series")
-    p.add_argument("--series", required=True)
-    p.add_argument("--plus", default=None)
-    p.add_argument("--times", default=None)
-    p.add_argument("--partial-sum", dest="partial_sum", type=int, default=None)
-    p.add_argument("--target", type=int, default=None, help="certified precision for --times")
-    p.set_defaults(func=_cmd_eval)
+    def build(parser, node) -> None:
+        flags, func, dest, commands = node
+        for name, fdest, kind, required, default, help in flags.values():
+            how = ({"action": "store_true"} if kind is bool
+                   else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            parser.add_argument(name, dest=fdest, required=required, default=default,
+                                help=help, **how)
+        if func is not None:
+            parser.set_defaults(func=func)
+        if commands:
+            sub = parser.add_subparsers(dest=dest, required=True)
+            for name, (help, child) in commands.items():
+                build(sub.add_parser(name, help=help), child)
 
-    p = sub.add_parser("norm", help="evaluate an admissible seminorm")
-    p.add_argument("--series", required=True)
-    p.add_argument("--seminorm", required=True, help="seminorm spec as JSON")
-    p.set_defaults(func=_cmd_norm)
-
-    p = sub.add_parser("classify", help="open lattice / bounded / compactoid flags")
-    p.add_argument("--module", required=True, help="named module or JSON")
-    p.add_argument("--literature", action="store_true", help="include literature-sourced flags")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("polar", help="polar of a submodule")
-    p.add_argument("--module", required=True)
-    p.set_defaults(func=_cmd_polar)
-
-    p = sub.add_parser("pseudo-polar", help="pseudo-polar of a submodule")
-    p.add_argument("--module", required=True)
-    p.set_defaults(func=_cmd_pseudo_polar)
-
-    p = sub.add_parser("pair", help="the t^0 pairing of two series")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--target", type=int, default=None)
-    p.set_defaults(func=_cmd_pair)
-
-    p = sub.add_parser("product-bound", help="min-plus bound for a module product")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(func=_cmd_product_bound)
-
-    p = sub.add_parser("dual-norm", help="dual seminorm of a module")
-    p.add_argument("--module", required=True)
-    p.set_defaults(func=_cmd_dual_norm)
-
-    p = sub.add_parser("valuation", help="discrete or rank-two valuation")
-    p.add_argument("--series", required=True)
-    p.add_argument("--rank2", action="store_true")
-    p.set_defaults(func=_cmd_valuation)
-
-    p = sub.add_parser("oracle", help="brute-force reference computations")
-    osub = p.add_subparsers(dest="oracle_cmd", required=True)
-    q = osub.add_parser("sample", help="deterministic elements of a module")
-    q.add_argument("--module", required=True)
-    q.add_argument("--count", type=int, default=10)
-    q.set_defaults(func=_cmd_oracle)
-    q = osub.add_parser("minplus", help="enumerated min-plus convolution value")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.set_defaults(func=_cmd_oracle)
-    q = osub.add_parser("seminorm", help="enumerated seminorm value")
-    q.add_argument("--spec", required=True)
-    q.add_argument("--series", required=True)
-    q.set_defaults(func=_cmd_oracle)
-
+    top = argparse.ArgumentParser(prog="tdlf", description="Exact calculator for locally convex "
+                                  "structure on two-dimensional local fields.")
+    build(top, _GRAMMAR)
     return top
 
 
@@ -295,10 +338,14 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits after --help (0) and on bad arguments (2)
-        return exc.code
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits after --help (0) and on bad arguments (2)
+            return exc.code
     if args.precision is None:
         env = os.environ.get("TDLF_PRECISION", "32")
         try:

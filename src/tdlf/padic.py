@@ -111,6 +111,12 @@ def _digits(digits, p: int, rel: int) -> list[int]:
     return digits
 
 
+def _check_prime(prime: int) -> None:
+    """Refuse a prime below 2; primality itself is the parsers' check."""
+    if prime < 2:
+        raise ValueError("prime must be at least 2")
+
+
 def _vp(n: int, p: int) -> int:
     """The exponent of ``p`` in ``n != 0`` with O(log v) big divisions:
     strip ``p^(2^j)`` for ``j = 0, 1, ...`` while it divides, then the rest,
@@ -155,8 +161,7 @@ class PAdic(Frozen):
     @staticmethod
     def make(prime: int, val: int, unit: int, precision: int) -> "PAdic":
         """Normalised element ``p^val * unit`` known modulo ``p^precision``."""
-        if prime < 2:
-            raise ValueError("prime must be at least 2")
+        _check_prime(prime)
         rel = precision - val
         if rel <= 0:
             return PAdic.zero_mod(prime, precision)
@@ -176,6 +181,7 @@ class PAdic(Frozen):
     def from_int(
         n: int, prime: int, rel_precision: int = DEFAULT_RELATIVE_PRECISION
     ) -> "PAdic":
+        _check_prime(prime)  # before _vp, which never returns for prime 1
         if n == 0:
             return PAdic.zero(prime)
         v = _vp(n, prime)
@@ -185,6 +191,7 @@ class PAdic(Frozen):
     def from_fraction(
         q: Fraction, prime: int, rel_precision: int = DEFAULT_RELATIVE_PRECISION
     ) -> "PAdic":
+        _check_prime(prime)
         if q == 0:
             return PAdic.zero(prime)
         num, den = q.numerator, q.denominator

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tdlf
 from tdlf import (
     MINUS_INF,
     PLUS_INF,
@@ -24,6 +29,26 @@ def residue(x: PAdic, a: int) -> int:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("call", [
+        "PAdic.make(1, 0, 5, 3)",
+        "PAdic.from_int(5, 1)",
+        "PAdic.from_int(5, 0)",
+        "PAdic.from_int(0, 1)",
+        "PAdic.from_fraction(Fraction(2, 3), 1)",
+        "PAdic.from_fraction(Fraction(2, 3), 0)",
+        "PAdic.from_fraction(Fraction(-1, 2), -7)",
+    ])
+    def test_a_prime_below_two_is_refused(self, call):
+        """In a subprocess with a timeout: ``_vp`` never returns for prime 1."""
+        code = (
+            "from fractions import Fraction\nfrom tdlf import PAdic\n"
+            f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tdlf.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=30, env=env)
+        assert (proc.stdout, proc.stderr) == ("prime must be at least 2\n", "")
+
     def test_from_int_normalises(self):
         x = PAdic.from_int(50, P)  # 50 = 2 * 5^2
         assert x.val == 2 and x.unit % P == 2
