@@ -346,6 +346,12 @@ def main(argv: list[str] | None = None) -> int:
             args = _parser().parse_args(argv)
         except SystemExit as exc:  # argparse exits after --help (0) and on bad arguments (2)
             return exc.code
+        # Python 3.11's argparse drops the "--" of --flag=-- and stores []
+        for dest, value in vars(args).items():
+            if isinstance(value, list):
+                print(f"error: argument --{dest.replace('_', '-')}: expected one argument",
+                      file=sys.stderr)
+                return EXIT_PARSE
     if args.precision is None:
         env = os.environ.get("TDLF_PRECISION", "32")
         try:

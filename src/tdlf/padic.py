@@ -82,7 +82,10 @@ def check_prime(p: int) -> int:
     """``p`` when it is a prime below ``PRIME_LIMIT``; ParseError otherwise.
 
     The parsers check the prime of their input; ``PAdic.make`` does not.
+    An ``int`` subclass such as ``bool`` is refused too.
     """
+    if type(p) is not int:
+        raise ParseError(f"prime {p!r} is not an int")
     if p >= PRIME_LIMIT:
         raise ParseError(f"prime {p} is not below {PRIME_LIMIT}")
     if not _is_prime(p):
@@ -92,7 +95,9 @@ def check_prime(p: int) -> int:
 
 def check_precision(rel: int) -> int:
     """``rel`` when it is a relative precision in ``[1, MAX_RELATIVE_PRECISION]``;
-    ParseError otherwise."""
+    ParseError otherwise, also for anything but an ``int``."""
+    if type(rel) is not int:
+        raise ParseError(f"relative precision {rel!r} is not an int")
     if not 1 <= rel <= MAX_RELATIVE_PRECISION:
         raise ParseError(f"relative precision {rel} is not in [1, {MAX_RELATIVE_PRECISION}]")
     return rel

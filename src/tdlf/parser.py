@@ -26,8 +26,6 @@ so the cost of a literal does not depend on the size of its ``p`` exponents.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
-
 from .errors import ParseError
 from .padic import DEFAULT_RELATIVE_PRECISION, PAdic, _vp, check_precision, check_prime, prime_power
 from .seqspec import check_index
@@ -46,109 +44,103 @@ __all__ = ["parse_series", "render_series", "MAX_NUMERAL_DIGITS"]
 MAX_NUMERAL_DIGITS = 4300
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-# Blanks other than a newline, then one token (finditer would skip the
-# blanks, but matching them is faster).  Only ASCII digits and letters are
-# read: not '²' (no int) or '٣' (int reads it as 3).  Every character is one
-# column; `\s` is exactly `str.isspace`.
+# One findall per literal gives ``(blanks, numeral, word, punctuation, bad)``
+# matches that cover the text, the last one empty, so a position is worked
+# out from them, and only for an error.  ``bad`` runs from a character no
+# token starts with, or an over-long numeral, to the end: it can only be the
+# match before the last.  Only ASCII digits and letters are read: not '²'
+# (no int) or '٣' (int reads it as 3).  `\s` is exactly `str.isspace`, and
+# every character is one column.
 _TOKEN = re.compile(
-    rf"[^\S\n]*(?:(?P<num>[0-9]{{1,{MAX_NUMERAL_DIGITS}}}(?![0-9]))|(?P<long>[0-9]+)"
-    r"|(?P<ident>[A-Za-z]+)|(?P<geq>>=)|(?P<caret>\^)|(?P<star>\*)|(?P<slash>/)"
-    r"|(?P<plus>\+)|(?P<minus>-)|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
-    r"|(?P<colon>:)|(?P<newline>\n)|(?P<bad>\S))"
+    rf"(\s*)(?:([0-9]{{1,{MAX_NUMERAL_DIGITS}}})(?![0-9])|([A-Za-z]+)|(>=|[-+*/^(),:])"
+    r"|(\S[\s\S]*))?"
 )
 
 
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    line, start = 1, 0  # start: the index of the line's first character
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line, start = line + 1, m.end()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", line, m.start(kind) - start)
-        elif kind == "long":
-            raise ParseError(
-                f"numeral longer than {MAX_NUMERAL_DIGITS} digits", line, m.start(kind) - start
-            )
-        else:
-            out.append(_Token(kind, m[kind], line, m.start(kind) - start))
-    out.append(_Token("eof", "", line, len(text) - start))
-    return out
-
-
 class _Parser:
-    """Recursive descent over the tokens; ``tok`` is the next one."""
+    """Recursive descent over the matches of ``_TOKEN``; ``tok`` is the next
+    one, read by its texts: ``tok[1]`` a numeral, ``tok[2]`` a word and
+    ``tok[3]`` punctuation, all three empty at the end of the input."""
 
     def __init__(self, text: str, prime: int):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = tokens = _TOKEN.findall(text)
         self.pos = 0
-        self.tok = self.tokens[0]
+        self.tok = tokens[0]
         self.prime = prime
+        bad = tokens[-2][4] if len(tokens) > 1 else ""
+        if bad:
+            message = (f"numeral longer than {MAX_NUMERAL_DIGITS} digits" if "0" <= bad[0] <= "9"
+                       else f"unexpected character {bad[0]!r}")
+            raise self.fail(message, len(tokens) - 2)
 
-    def next(self) -> _Token:
+    def where(self, pos: int) -> tuple[int, int]:
+        """The line and column of token ``pos``."""
+        offset = sum(len("".join(tok)) for tok in self.tokens[:pos]) + len(self.tokens[pos][0])
+        return self.text.count("\n", 0, offset) + 1, offset - self.text.rfind("\n", 0, offset) - 1
+
+    def fail(self, message: str, pos: int | None = None) -> ParseError:
+        return ParseError(message, *self.where(self.pos if pos is None else pos))
+
+    def next(self) -> tuple:
         tok = self.tok
         self.pos += 1
         self.tok = self.tokens[self.pos]
         return tok
 
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.tok.line, self.tok.column)
-
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.tok.kind != kind:
-            raise self.fail(f"expected {what}")
-        return self.next()
+    def expect(self, punct: str) -> None:
+        if self.tok[3] != punct:
+            raise self.fail(f"expected '{punct}'")
+        self.next()
 
     def index(self) -> int:
         """A signed integer that is an exponent of ``t``."""
-        tok = self.tok
-        return check_index(self.signed_int(), "index", tok.line, tok.column)
+        pos = self.pos
+        n = self.signed_int()
+        try:
+            return check_index(n)
+        except ParseError as exc:
+            raise self.fail(exc.message, pos) from None
 
     def signed_int(self) -> int:
-        kind = self.tok.kind
-        if kind in ("minus", "plus"):
+        sign = self.tok[3]
+        if sign in ("-", "+"):
             self.next()
-        n = int(self.expect("num", "an integer").text)
-        return -n if kind == "minus" else n
+        num = self.tok[1]
+        if not num:
+            raise self.fail("expected an integer")
+        self.next()
+        return -int(num) if sign == "-" else int(num)
 
     # -- factors: (num, den, e) stands for num/den * p^e ----------------------
 
     def cfactor(self) -> tuple[int, int, int]:
-        tok = self.tok
-        if tok.kind == "num":
+        _, num, word, _, _ = self.tok
+        if num:
             self.next()
-            return int(tok.text), 1, 0
-        if tok.text == "p":
+            return int(num), 1, 0
+        if word == "p":
             self.next()
-            if self.tok.kind != "caret":
+            if self.tok[3] != "^":
                 return 1, 1, 1
             self.next()
             return 1, 1, self.signed_int()
         raise self.fail("expected an integer or a power of p")
 
     def divide(self, num: int, den: int, e: int) -> tuple[int, int, int]:
-        tok = self.tok
+        pos = self.pos
         n, _, k = self.cfactor()
-        if tok.kind != "num":
+        if not self.tokens[pos][1]:
             return num, den, e - k
         if n == 0:
-            raise ParseError("division by zero", tok.line, tok.column)
+            raise self.fail("division by zero", pos)
         if n % self.prime == 0:
-            message = "denominator divisible by p; use a negative power of p"
-            raise ParseError(message, tok.line, tok.column)
+            raise self.fail("denominator divisible by p; use a negative power of p", pos)
         return num, den * n, e
 
     def tpow(self) -> int:
-        self.expect("ident", "t")
-        if self.tok.kind == "caret":
+        self.next()  # 't'
+        if self.tok[3] == "^":
             self.next()
             return self.index()
         return 1
@@ -157,28 +149,27 @@ class _Parser:
 
     def term(self) -> tuple[tuple[int, int, int], int]:
         """One summand: (coefficient triple, exponent of t)."""
-        coeff = (1, 1, 0)
-        texp = 0
-        if self.tok.text == "t":
+        coeff, texp = (1, 1, 0), 0
+        if self.tok[2] == "t":
             texp = self.tpow()
         else:
             coeff = self.cfactor()
-            while self.tok.kind in ("star", "slash"):
-                op = self.next()
-                if self.tok.text == "t":
-                    if op.kind == "slash":
+            while self.tok[3] in ("*", "/"):
+                op = self.next()[3]
+                if self.tok[2] == "t":
+                    if op == "/":
                         raise self.fail("cannot divide by t; use t^-k")
                     texp = self.tpow()
                     break
-                if op.kind == "star":
+                if op == "*":
                     a, b, k = self.cfactor()
                     coeff = (coeff[0] * a, coeff[1] * b, coeff[2] + k)
                 else:
                     coeff = self.divide(*coeff)
             else:
-                if self.tok.text == "t":
+                if self.tok[2] == "t":
                     texp = self.tpow()
-        while self.tok.kind == "slash":
+        while self.tok[3] == "/":
             self.next()
             coeff = self.divide(*coeff)
         return coeff, texp
@@ -186,61 +177,61 @@ class _Parser:
     # -- tail marks -----------------------------------------------------------
 
     def tail_mark(self):
-        tok = self.next()  # 'O' or 'tail'
-        self.expect("lparen", "'('")
-        if tok.text == "O":
-            self.expect("ident", "t")
-            self.expect("caret", "'^'")
+        word = self.next()[2]  # 'O' or 'tail'
+        self.expect("(")
+        if word == "O":
+            if not self.tok[2]:  # any word: O(x^3) reads as O(t^3)
+                raise self.fail("expected t")
+            self.next()
+            self.expect("^")
             n = self.index()
-            self.expect("rparen", "')'")
+            self.expect(")")
             return ("trunc", n)
         floor = left = None
-        if self.tok.text == "v":
+        if self.tok[2] == "v":
             self.next()
-            self.expect("geq", "'>='")
+            self.expect(">=")
             floor = self.signed_int()
-            if self.tok.kind == "comma":
+            if self.tok[3] == ",":
                 self.next()
                 left = self._left_bound()
-        elif self.tok.text == "left":
+        elif self.tok[2] == "left":
             left = self._left_bound()
         else:
             raise self.fail("expected 'v >= ...' or 'left: slope, base'")
-        self.expect("rparen", "')'")
+        self.expect(")")
         return ("tail", floor, left)
 
     def _left_bound(self) -> tuple[int, int]:
-        ident = self.expect("ident", "'left'")
-        if ident.text != "left":
-            raise ParseError("expected 'left'", ident.line, ident.column)
-        self.expect("colon", "':'")
+        if self.tok[2] != "left":
+            raise self.fail("expected 'left'")
+        self.next()
+        self.expect(":")
         slope = self.signed_int()
-        self.expect("comma", "','")
-        base = self.signed_int()
-        return slope, base
+        self.expect(",")
+        return slope, self.signed_int()
 
     # -- top level ---------------------------------------------------------------
 
     def series(self) -> tuple[dict[int, list], object]:
         """The signed coefficient triples of each exponent of t, and the mark."""
         terms: dict[int, list] = {}
-        negate = False
-        if self.tok.kind == "minus":
+        negate = self.tok[3] == "-"
+        if negate:
             self.next()
-            negate = True
         mark = None
         while True:
-            if self.tok.text in ("O", "tail"):
+            if self.tok[2] in ("O", "tail"):
                 mark = self.tail_mark()
                 break
             (num, den, e), texp = self.term()
             terms.setdefault(texp, []).append((-num if negate else num, den, e))
-            kind = self.tok.kind
-            if kind not in ("plus", "minus"):
+            sign = self.tok[3]
+            if sign not in ("+", "-"):
                 break
             self.next()
-            negate = kind == "minus"
-        if self.tok.kind != "eof":
+            negate = sign == "-"
+        if any(self.tok[1:]):
             raise self.fail("expected end of input")
         return terms, mark
 
@@ -288,13 +279,20 @@ def parse_series(
 
     An ``O(t^N)`` mark (or ``field='equal'``) yields a Laurent series;
     everything else yields an element of the doubly infinite field.
-    A composite ``prime``, or one at or above ``PRIME_LIMIT``, a relative
-    precision outside ``[1, MAX_RELATIVE_PRECISION]``, a numeral longer
-    than ``MAX_NUMERAL_DIGITS`` and an exponent of ``t`` beyond
-    ``MAX_INDEX`` in magnitude raise :class:`ParseError`.
+    A ``text`` that is not a ``str``, a ``prime`` or ``rel_precision`` that
+    is not an ``int`` (``bool`` included), a composite ``prime``, or one at
+    or above ``PRIME_LIMIT``, a relative precision outside
+    ``[1, MAX_RELATIVE_PRECISION]``, a ``field`` other than ``None``,
+    ``'equal'`` and ``'mixed'``, a numeral longer than ``MAX_NUMERAL_DIGITS``
+    and an exponent of ``t`` beyond ``MAX_INDEX`` in magnitude raise
+    :class:`ParseError`.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"a literal is a str, not {type(text).__name__}")
     check_prime(prime)
     check_precision(rel_precision)
+    if field not in (None, "equal", "mixed"):
+        raise ParseError(f"field {field!r} is not 'equal' or 'mixed'")
     terms, mark = _Parser(text, prime).series()
     coeffs = {i: c for i, ts in terms.items()
               if (c := _coefficient(ts, prime, rel_precision)) is not None}

@@ -609,12 +609,11 @@ def json_index(key: str) -> int:
 MAX_INDEX = 10_000
 
 
-def check_index(i: int, what: str = "index", line: int | None = None,
-                column: int | None = None) -> int:
+def check_index(i: int, what: str = "index") -> int:
     """``i`` when ``|i| <= MAX_INDEX``; ParseError naming ``what`` otherwise."""
     if -MAX_INDEX <= i <= MAX_INDEX:
         return i
-    raise ParseError(f"{what} {i} is not in [-{MAX_INDEX}, {MAX_INDEX}]", line, column)
+    raise ParseError(f"{what} {i} is not in [-{MAX_INDEX}, {MAX_INDEX}]")
 
 
 def json_parse(obj, key: str, parse):

@@ -1,5 +1,6 @@
-"""Requests that need a different input or ``--window`` exit 2, and the
-oracle's sample count is refused below zero by the library too."""
+"""Requests that need a different input or ``--window`` exit 2, as does a
+flag written ``--flag=--``, and the oracle's sample count is refused below
+zero by the library too."""
 
 import pytest
 
@@ -36,3 +37,31 @@ def test_a_negative_sample_count_is_refused(count):
 def test_a_zero_sample_count_samples_nothing():
     assert sample_elements(named("p{{t}}"), SampleConfig(seed=1, count=0), 5) == []
     assert len(sample_elements(named("p{{t}}"), SampleConfig(seed=1, count=3), 5)) == 3
+
+
+SERIES = ["eval", "--series", "1"]
+SPEC = ('{"window":{},"left":{"kind":"const","value":0},"right":{"kind":"const","value":"-inf"},'
+        '"field":"mixed"}')
+
+
+@pytest.mark.parametrize("argv", [
+    ["--window=--", *SERIES],
+    ["--seed=--", *SERIES],
+    ["--precision=--", *SERIES],
+    ["--field=--", *SERIES],
+    ["eval", "--series=--"],
+    ["eval", "--series", "1", "--plus=--"],
+    ["eval", "--series", "1", "--partial-sum=--"],
+    ["pair", "--x=--", "--y", "1"],
+    ["pair", "--x", "1", "--y", "1", "--target=--"],
+    ["norm", "--series", "1", "--seminorm=--"],
+    ["--seed", "1", "oracle", "sample", "--module", "p{{t}}", "--count=--"],
+    ["oracle", "minplus", "--a", "O{{t}}", "--b", "O{{t}}", "--k=--"],
+    ["oracle", "seminorm", "--spec=--", "--series", "1"],
+    ["oracle", "seminorm", "--spec", SPEC, "--series=--"],
+], ids=lambda argv: " ".join(argv)[:50])
+def test_a_flag_value_of_two_dashes_is_a_usage_error(capsys, argv):
+    """Python 3.11's argparse reads ``--flag=--`` as ``[]``; no handler sees it."""
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err

@@ -1,6 +1,7 @@
 """The integer-triple literal parser against the ``Fraction`` reference, its
-bounded work on huge ``p`` exponents, and the limits on input: numeral
-length, JSON index keys and relative precision."""
+tokens and positions against the reference tokenizer, its bounded work on
+huge ``p`` exponents, and the limits on input: numeral length, JSON index
+keys, relative precision and the types of ``parse_series`` arguments."""
 
 import json
 import time
@@ -11,19 +12,23 @@ from tdlf import MixedSeries, PAdic, ParseError, SeqSpec, parse_series
 from tdlf import parser as parser_module
 from tdlf.cli import main
 from tdlf.padic import MAX_RELATIVE_PRECISION
-from tdlf.parser import MAX_NUMERAL_DIGITS, _tokenize
+from tdlf.parser import MAX_NUMERAL_DIGITS, _Parser
 from tdlf.series import series_from_json
-from helpers import reference_parse_series, rng
+from helpers import _REF_PUNCT, _ref_tokenize, reference_parse_series, rng
 
 PRIMES = (2, 3, 5, 7)
 RELS = (1, 2, 5, 32)
+
+
+def outcome_error(exc):
+    return ("ParseError", exc.message, exc.line, exc.column)
 
 
 def outcome(parse, text, p, rel):
     try:
         return parse(text, p, rel_precision=rel)
     except ParseError as exc:
-        return ("ParseError", exc.message, exc.line, exc.column)
+        return outcome_error(exc)
 
 
 def assert_agree(text, p, rel):
@@ -138,9 +143,76 @@ def test_random_strings_agree_with_the_reference():
         assert_agree(text, p, RELS[r.below(len(RELS))])
 
 
+@pytest.mark.parametrize("text", [
+    "", "-", "*", "2 3", "t t", "t/t", "2*t/t", "1/0", "1/10", "1/p^2/3", "p^", "p^x", "t^-",
+    "t^+", "1 +", "O(3)", "1 + O(t 3)", "1 + O(x^3)", "1 + O(t^3", "1 + tail(w)",
+    "1 + tail(v 1)", "1 + tail(v>=1", "1 + tail(v>=1, 3)", "1 + tail(v>=1, x: 1, 2)",
+    "1 + tail(left 1, 2)", "1 + tail(left: 1 2)", "1 + tail(left: 1, 2) + 3", "1 +\n  O(t^)",
+])
+def test_grammar_errors_agree_with_the_reference(text):
+    assert_agree(text, 5, 32)
+
+
+_KINDS = {**_REF_PUNCT, ">=": "geq"}
+
+
+def tokens(text):
+    """``(kind, text, line, column)`` of each token of ``_Parser`` up to the
+    end of the input, with the kinds of ``helpers._ref_tokenize``."""
+    try:
+        parser = _Parser(text, 5)
+    except ParseError as exc:
+        return outcome_error(exc)
+    out = []
+    for pos, (_, num, word, punct, _) in enumerate(parser.tokens):
+        kind = "num" if num else "ident" if word else _KINDS[punct] if punct else "eof"
+        out.append((kind, num or word or punct, *parser.where(pos)))
+        if kind == "eof":
+            return out
+
+
+def reference_tokens(text):
+    """``_ref_tokenize``, which reads numerals of any length, as ``tokens``
+    gives them: a numeral over ``MAX_NUMERAL_DIGITS`` digits before the first
+    bad character is an error at that numeral."""
+    try:
+        ref, error = _ref_tokenize(text), None
+    except ParseError as exc:
+        error, start = exc, 0
+        for _ in range(exc.line - 1):
+            start = text.index("\n", start) + 1
+        ref = _ref_tokenize(text[:start + exc.column])
+    for tok in ref:
+        if tok.kind == "num" and len(tok.text) > MAX_NUMERAL_DIGITS:
+            return ("ParseError", f"numeral longer than {MAX_NUMERAL_DIGITS} digits", tok.line,
+                    tok.column)
+    return outcome_error(error) if error else [(t.kind, t.text, t.line, t.column) for t in ref]
+
+
+LONG_PIECES = ("1" * MAX_NUMERAL_DIGITS, "9" * (MAX_NUMERAL_DIGITS + 1))
+
+
+def test_tokens_agree_with_the_reference_tokenizer():
+    r = rng(8103)
+    for _ in range(2400):
+        text = "".join(LONG_PIECES[r.below(2)] if r.below(60) == 0 else PIECES[r.below(len(PIECES))]
+                       for _ in range(r.randint(1, 14)))
+        assert tokens(text) == reference_tokens(text), text[:80]
+        p = PRIMES[r.below(len(PRIMES))]
+        text = _literal(r, p)
+        assert tokens(text) == reference_tokens(text), text
+
+
+@pytest.mark.parametrize("text", [
+    "1 \u00b2 " + "1" * 5000, "1" * 5000 + " \u00b2", "x\n" + "1" * MAX_NUMERAL_DIGITS + "\n>",
+    "t^" + "1" * MAX_NUMERAL_DIGITS + "0", "", " \n\t", "1\n", "\u0663",
+])
+def test_tokens_at_the_edges(text):
+    assert tokens(text) == reference_tokens(text)
+
+
 def test_token_positions():
-    tokens = _tokenize("1\u3000+\tt^\u2003-2\n  p\r*\u00a0t")
-    assert [(k.kind, k.text, k.line, k.column) for k in tokens] == [
+    assert tokens("1\u3000+\tt^\u2003-2\n  p\r*\u00a0t") == [
         ("num", "1", 1, 0), ("plus", "+", 1, 2), ("ident", "t", 1, 4), ("caret", "^", 1, 5),
         ("minus", "-", 1, 7), ("num", "2", 1, 8), ("ident", "p", 2, 2), ("star", "*", 2, 4),
         ("ident", "t", 2, 6), ("eof", "", 2, 7),
@@ -278,6 +350,22 @@ def test_parse_series_precision_limit():
     for rel in (0, -3, MAX_RELATIVE_PRECISION + 1, 10**20):
         with pytest.raises(ParseError, match="relative precision"):
             parse_series("1/3", 5, rel_precision=rel)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("1", 5.0), "prime 5.0 is not an int"),
+    (("1", True), "prime True is not an int"),
+    (("1", 5, None, True), "relative precision True is not an int"),
+    (("1", 5, None, 2.5), "relative precision 2.5 is not an int"),
+    (("1", 5, "bogus"), "field 'bogus' is not 'equal' or 'mixed'"),
+    (("1", 5, ""), "field '' is not 'equal' or 'mixed'"),
+    ((None, 5), "a literal is a str, not NoneType"),
+    ((b"1", 5), "a literal is a str, not bytes"),
+])
+def test_parse_series_refuses_bad_arguments(args, message):
+    with pytest.raises(ParseError) as err:
+        parse_series(*args)
+    assert (err.value.message, err.value.line, err.value.column) == (message, None, None)
 
 
 @pytest.mark.parametrize("precision", ["100000000", "10001", "0", "-3"])
