@@ -161,7 +161,8 @@ class PAdic(Frozen):
     @staticmethod
     def zero_mod(prime: int, precision: int) -> "PAdic":
         """Zero within precision: congruent to 0 modulo p^precision."""
-        return PAdic(prime, ExtInt(precision), 0, ExtInt(precision))
+        n = ExtInt(precision)
+        return PAdic(prime, n, 0, n)
 
     @staticmethod
     def make(prime: int, val: int, unit: int, precision: int) -> "PAdic":

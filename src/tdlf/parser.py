@@ -180,7 +180,7 @@ class _Parser:
         word = self.next()[2]  # 'O' or 'tail'
         self.expect("(")
         if word == "O":
-            if not self.tok[2]:  # any word: O(x^3) reads as O(t^3)
+            if self.tok[2] != "t":
                 raise self.fail("expected t")
             self.next()
             self.expect("^")

@@ -146,27 +146,17 @@ def _eval(seq: SeqSpec, x: Union[EqualCharSeries, MixedSeries]) -> ExponentResul
             raise PrecisionExhausted(
                 f"series truncated at t^{x.trunc} but weights reach index {last}"
             )
-    best_exact = MINUS_INF
-    best_bound = MINUS_INF
-    for i, c in x.coeffs:
-        cand = _diff(seq.value_at(i), c.val)
-        if c.valuation_exact:
-            best_exact = max(best_exact, cand)
-        else:
-            best_bound = max(best_bound, cand)
-    if isinstance(x, MixedSeries):
-        # a zero tail is +inf in the bounds and adds -inf at once.  Below
-        # the window n(i) - bound(i) decays leftwards (slope of the bound is
-        # >= 1 while the weights are bounded above), so the ray maximum
-        # sits at the inner edge of the evaluation range
-        bseq = x.bound_seq()
-        start = min(seq.window_lo, x.lo) - 1
-        stop = max(seq.window_hi, x.hi) + 1
-        best_bound = max(
-            best_bound,
-            sup_diff_on(seq, bseq, start, x.lo - 1),
-            sup_diff_on(seq, bseq, x.hi + 1, stop),
-        )
+    # the stored coefficients are exact and g bounds every other index.
+    # Past the windows n(i) - g(i) only falls: mixed weights are bounded
+    # above against a left bound of slope >= 1 and tend to -inf against a
+    # constant right floor, and a Laurent g is +inf below the order and
+    # meets -inf weights from the truncation on.  So one index past each
+    # window ends the range.
+    best_exact = max((_diff(seq.value_at(i), c.val) for i, c in x.stored), default=MINUS_INF)
+    g = x.g
+    start = min(seq.window_lo, g.window_lo) - 1
+    stop = max(seq.window_hi, g.window_hi) + 1
+    best_bound = sup_diff_on(seq, g, start, stop)
     return _combine(best_exact, best_bound)
 
 

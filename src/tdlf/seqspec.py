@@ -439,18 +439,36 @@ class SeqSpec(Frozen):
         right: Tail,
     ) -> "SeqSpec":
         """The window ``[lo, hi]`` holding ``points`` ``(index, value)``,
-        sorted by index, and ``fill`` at every other index.  The cost
-        follows the number of points, not the window length."""
-        gap = _point_form(ExtInt.of(fill))
+        sorted by index, and ``fill`` at every other index: one value, or a
+        sequence read there.  The cost follows the number of points and of
+        the pieces of ``fill``, not the window length."""
+        if isinstance(fill, SeqSpec):
+            def gap(x: int, y: int) -> list[tuple]:
+                return _spans(fill, x, y)
+        else:
+            form = _point_form(ExtInt.of(fill))
+            if not points:  # one constant piece
+                return SeqSpec._make(lo, hi, ((lo, *form),), left, right)
+
+            def gap(x: int, y: int) -> list[tuple]:
+                return [(x, y, *form)]
         frags, nxt = [], lo
         for i, v in points:
             if i > nxt:
-                frags.append((nxt, i - 1, *gap))
+                frags += gap(nxt, i - 1)
             frags.append((i, i, *_point_form(ExtInt.of(v))))
             nxt = i + 1
         if nxt <= hi:
-            frags.append((nxt, hi, *gap))
+            frags += gap(nxt, hi)
         return SeqSpec._make(lo, hi, _normalize(frags), left, right)
+
+    @staticmethod
+    def from_terms(lo: int, hi: int, terms: Iterable[tuple], left: Tail, right: Tail) -> "SeqSpec":
+        """The window ``[lo, hi]`` holding at each index the least of the
+        affine ``terms`` ``(k0, k1, slope, offset)`` that cover it (value
+        ``slope*i + offset`` on ``k0 <= i <= k1``), ``+inf`` where none
+        does.  The cost follows the number of terms, not the window length."""
+        return SeqSpec._make(lo, hi, _normalize(_envelope(terms, lo, hi)), left, right)
 
     @staticmethod
     def constant(value: Union[ExtInt, int]) -> "SeqSpec":
@@ -476,6 +494,27 @@ class SeqSpec(Frozen):
         if slope is None:
             return PLUS_INF if offset > 0 else MINUS_INF
         return ExtInt(slope * i + offset)
+
+    def spans(self, lo: int, hi: int) -> list[tuple]:
+        """``(x, y, slope, offset)`` per run of ``[lo, hi]``, tails
+        included: the value is ``slope*i + offset`` on ``x <= i <= y``, and
+        slope None marks ``+inf`` (offset 1) or ``-inf`` (offset -1)."""
+        return _spans(self, lo, hi)
+
+    def first_at_most(self, bound: int, lo: int, hi: int) -> int | None:
+        """The least ``i`` in ``[lo, hi]`` with value at most ``bound``,
+        None if there is none: one step per run."""
+        for x, y, slope, offset in _spans(self, lo, hi):
+            if slope is None:
+                if offset < 0:
+                    return x
+            elif slope >= 0:
+                if slope * x + offset <= bound:
+                    return x
+            elif slope * y + offset <= bound:
+                # slope*i <= bound - offset from the ceiling of the quotient on
+                return max(x, -((bound - offset) // -slope))
+        return None
 
     def eq_pointwise(self, other: "SeqSpec", lo: int, hi: int) -> bool:
         return all(self.value_at(i) == other.value_at(i) for i in range(lo, hi + 1))
@@ -646,7 +685,7 @@ def _spans(s: SeqSpec, lo: int, hi: int) -> list[tuple]:
             break
         end = ps[j + 1][0] - 1 if j < last else s.window_hi
         if end >= lo:
-            out.append((max(start, lo), min(end, hi), slope, offset))
+            out.append((start if start > lo else lo, end if end < hi else hi, slope, offset))
     if hi > s.window_hi:
         out.append((max(lo, s.window_hi + 1), hi, *_form(s.right)))
     return out
@@ -1150,7 +1189,7 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
                     terms.append((x + j, y + j, None, -1))
                 else:
                     terms.append((x + j, y + j, slope, offset - slope * j + w))
-    return SeqSpec._make(lo, hi, _normalize(_envelope(terms, lo, hi)), left, right)
+    return SeqSpec.from_terms(lo, hi, terms, left, right)
 
 
 # --------------------------------------------------------------------------
@@ -1179,13 +1218,6 @@ def _run_sups(a: SeqSpec, b: SeqSpec, lo: int, hi: int, rays: bool) -> Iterator[
     if rays:
         yield _sup_on(*_form(a.left), *_form(b.left), -math.inf, lo - 1)
         yield _sup_on(*_form(a.right), *_form(b.right), hi + 1, math.inf)
-
-
-def _ray_sup_diff(a: SeqSpec, b: SeqSpec, leftward: bool, start: int) -> ExtInt:
-    """sup of a(i) - b(i) over the half line beyond ``start`` (exclusive)."""
-    if leftward:
-        return _ext(_sup_on(*_form(a.left), *_form(b.left), -math.inf, start - 1))
-    return _ext(_sup_on(*_form(a.right), *_form(b.right), start + 1, math.inf))
 
 
 def _ext(v: int | float) -> ExtInt:

@@ -4,16 +4,26 @@
 order up to a truncation exponent, nothing known beyond it.
 ``MixedSeries`` models doubly infinite series whose coefficients have
 valuations bounded below and tend to zero towards ``-inf``: a finite window
-of explicit coefficients plus per-side valuation guarantees.  Tail
-positions are materialised on demand as zero-within-precision coefficients,
-so precision bookkeeping rides on :class:`~tdlf.padic.PAdic` itself.
+of coefficients plus per-side valuation guarantees.
+
+Both kinds are one representation: the prime, the *stored* coefficients
+(index -> ``PAdic``, each of exactly known valuation) and one guarantee
+``g``, a :class:`~tdlf.seqspec.SeqSpec` bounding ``v(x_i)`` from below at
+every index that is not stored and ``+inf`` at the stored ones.  A
+coefficient known only to vanish modulo ``p^n`` is the bound ``n`` in
+``g``, an exact zero is ``+inf`` and an unknown one (from a Laurent
+truncation on) is ``-inf``.  The window of ``g`` is the series' window and
+its tails are the tail guarantees, so a run of tail-covered positions is
+one affine piece: the operations cost the stored coefficients and the
+pieces of ``g``, not the distances between indices.  ``order``, ``trunc``,
+``lo``, ``hi``, ``left``, ``right`` and ``coeffs`` are views derived from
+``g``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Union
 
 from .errors import (
@@ -30,7 +40,6 @@ from .seqspec import (
     AffineTail,
     ConstTail,
     ExtInt,
-    Frame,
     Frozen,
     SeqSpec,
     check_index,
@@ -82,12 +91,6 @@ class LeftValBound(Frozen):
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "base", base)
 
-    def bound_at(self, lo: int, i: int) -> int:
-        return self.base + self.slope * (lo - i)
-
-    def rebased(self, old_lo: int, new_lo: int) -> "LeftValBound":
-        return LeftValBound(self.slope, self.base + self.slope * (old_lo - new_lo))
-
     def to_json(self) -> dict:
         return {"kind": "valbound", "slope": self.slope, "base": self.base}
 
@@ -106,6 +109,10 @@ class RightValBound(Frozen):
 
 LeftTail = Union[ZeroTail, LeftValBound]
 RightTail = Union[ZeroTail, RightValBound]
+
+PLUS_TAIL = ConstTail(PLUS_INF)
+MINUS_TAIL = ConstTail(MINUS_INF)
+_INDEX = itemgetter(0)
 
 
 class ValuationResult(Frozen):
@@ -148,35 +155,113 @@ def _index_field(obj: Mapping, key: str) -> int:
     return check_index(json_parse(obj, key, json_int), f"bad key {key!r}: index")
 
 
-def _normalize_coeffs(
-    prime: int, coeffs: Mapping[int, PAdic]
-) -> tuple[tuple[int, PAdic], ...]:
-    out = []
-    for i in sorted(coeffs):
-        c = coeffs[i]
+def _split(prime: int, coeffs) -> tuple[tuple[tuple[int, PAdic], ...], list[tuple[int, ExtInt]]]:
+    """The stored coefficients of ``(index, PAdic)`` pairs, in index order,
+    and the ``(index, precision)`` of the zero-within-precision ones; exact
+    zeros drop."""
+    stored, bounds = [], []
+    for i, c in sorted(coeffs, key=_INDEX):
         if c.prime != prime:
             raise IncompatiblePrimes(f"coefficient prime {c.prime} != {prime}")
-        if not c.is_exact_zero:
-            out.append((i, c))
-    return tuple(out)
+        if c.unit:
+            stored.append((i, c))
+        elif c.val.is_finite:
+            bounds.append((i, c.val))
+    return tuple(stored), bounds
+
+
+def _nonzero(coeffs: Mapping[int, PAdic]) -> list[int]:
+    return [i for i, c in coeffs.items() if not c.is_exact_zero]
 
 
 class _Series(Frozen):
-    """The base of both series kinds: the coefficient map and the ring
-    operators.  A subclass lists ``coeffs`` among its ``_fields``, which
-    its ``__init__`` takes in that order."""
+    """The base of both series kinds: ``prime``, ``stored`` and ``g`` (see
+    the module docstring), which are its value, and the ring operators.  A
+    subclass's ``__init__`` turns its constructor arguments into ``g``; its
+    ``_view`` names them, the derived views its ``repr`` prints."""
 
-    __slots__ = ("_map_cache",)
+    __slots__ = ("prime", "stored", "g", "_map_cache", "_bounds_cache", "_runs_cache")
+    _fields = ("prime", "stored", "g")
+    _view: tuple[str, ...] = ()
+
+    @classmethod
+    def _make(cls, prime: int, stored: tuple, g: SeqSpec) -> "_Series":
+        out = object.__new__(cls)
+        out._set(prime, stored, g)
+        return out
+
+    def _set(self, prime: int, stored: tuple, g: SeqSpec) -> None:
+        set_ = object.__setattr__
+        set_(self, "prime", prime)
+        set_(self, "stored", stored)
+        set_(self, "g", g)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._view)
+        return f"{type(self).__qualname__}({args})"
 
     @property
     def _map(self) -> dict[int, PAdic]:
-        """``dict(self.coeffs)``, built on first use and kept in a slot."""
+        """``dict(self.stored)``, built on first use and kept in a slot."""
         try:
             return self._map_cache
         except AttributeError:
-            m = dict(self.coeffs)
+            m = dict(self.stored)
             object.__setattr__(self, "_map_cache", m)
             return m
+
+    @property
+    def coeffs(self) -> tuple[tuple[int, PAdic], ...]:
+        """The stored coefficients and, at each window index where ``g`` is
+        finite, the zero-within-precision coefficient it bounds, in index
+        order: one entry per such index, for output."""
+        p = self.prime
+        bounds = [
+            (i, PAdic.zero_mod(p, slope * i + offset))
+            for x, y, slope, offset in _window_runs(self.g)
+            for i in range(x, y + 1)
+        ]
+        return tuple(sorted(self.stored + tuple(bounds), key=_INDEX)) if bounds else self.stored
+
+    def coeff(self, i: int) -> PAdic:
+        """The coefficient at ``i``: a stored one, or zero within the bound
+        ``g`` gives there (exactly zero at ``+inf``)."""
+        c = self._map.get(i)
+        if c is not None:
+            return c
+        v = self.g.value_at(i)
+        if v == PLUS_INF:
+            return PAdic.zero(self.prime)
+        if v == MINUS_INF:
+            raise PrecisionExhausted(f"coefficient {i} is beyond the truncation")
+        return PAdic.zero_mod(self.prime, v.n)
+
+    def bound_seq(self) -> SeqSpec:
+        """Valuation lower bounds at every index: ``g`` with the valuations
+        of the stored coefficients; ``-inf`` marks the unknown region.
+        Built on first use and kept in a slot."""
+        try:
+            return self._bounds_cache
+        except AttributeError:
+            g = self.g
+            points = ((i, c.val) for i, c in self.stored)
+            b = SeqSpec.from_points(g.window_lo, g.window_hi, points, g, g.left, g.right)
+            object.__setattr__(self, "_bounds_cache", b)
+            return b
+
+    @property
+    def _runs(self) -> list[tuple]:
+        """The finite runs ``(x, y, slope, offset)`` of ``bound_seq()`` from
+        ``lo - 1`` to ``hi + 1``: the stored valuations, the bounds inside
+        the window and each bound tail at its end next to the window.
+        Built on first use and kept in a slot."""
+        try:
+            return self._runs_cache
+        except AttributeError:
+            b = self.bound_seq()
+            runs = _finite(b.spans(b.window_lo - 1, b.window_hi + 1))
+            object.__setattr__(self, "_runs_cache", runs)
+            return runs
 
     def __add__(self, other):
         return add(self, other)
@@ -185,8 +270,7 @@ class _Series(Frozen):
         return add(self, -other)
 
     def __neg__(self):
-        neg = tuple((i, -c) for i, c in self.coeffs)
-        return type(self)(*(neg if f == "coeffs" else getattr(self, f) for f in self._fields))
+        return self._make(self.prime, tuple((i, -c) for i, c in self.stored), self.g)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -199,26 +283,56 @@ class _Series(Frozen):
 class EqualCharSeries(_Series):
     """Laurent series known exactly below the truncation exponent.
 
-    ``order`` is a lower bound for the support; stored coefficients live in
-    ``[order, trunc)`` and indices absent from storage are exactly zero
-    there.  Nothing is known at or above ``trunc``.
+    ``order`` is a lower bound for the support; coefficients live in
+    ``[order, trunc)`` and indices absent there are exactly zero.  Nothing
+    is known at or above ``trunc``.  So ``g`` is ``+inf`` below the order
+    and ``-inf`` from the truncation on, and its window runs from the order
+    to the truncation or, without one, to the last coefficient.  When
+    ``trunc <= order`` the window ``[trunc, order]`` is all ``-inf``, as is
+    all of ``g`` for a truncation at ``-inf``.
     """
 
-    __slots__ = _fields = ("prime", "order", "coeffs", "trunc")
+    __slots__ = ()
+    _view = ("prime", "order", "coeffs", "trunc")
 
     kind = "equal"
 
     def __init__(
         self, prime: int, order: int, coeffs: tuple[tuple[int, PAdic], ...], trunc: ExtInt
     ):
-        for i, c in coeffs:
-            if i < order or ExtInt(i) >= trunc:
+        stored, bounds = _split(prime, coeffs)
+        trunc = ExtInt.of(trunc)
+        for i, _ in (*stored, *bounds):
+            if i < order or trunc <= i:
                 raise ValueError(f"coefficient index {i} outside [order, trunc)")
-        set_ = object.__setattr__
-        set_(self, "prime", prime)
-        set_(self, "order", order)
-        set_(self, "coeffs", coeffs)
-        set_(self, "trunc", trunc)
+        if trunc <= order:
+            lo, left = (order, MINUS_TAIL) if trunc == MINUS_INF else (trunc.n, PLUS_TAIL)
+            self._set(prime, (), SeqSpec.from_points(lo, order, (), MINUS_INF, left, MINUS_TAIL))
+            return
+        if trunc.is_finite:
+            hi, right = trunc.n - 1, MINUS_TAIL
+        else:
+            hi, right = max([order] + [c[-1][0] for c in (stored, bounds) if c]), PLUS_TAIL
+        self._set(prime, stored, SeqSpec.from_points(order, hi, bounds, PLUS_INF, PLUS_TAIL, right))
+
+    @property
+    def _unknown_from_start(self) -> bool:
+        """Whether ``trunc <= order``: ``g`` opens on its ``-inf`` run."""
+        return self.g.pieces[0][1:] == (None, -1)
+
+    @property
+    def order(self) -> int:
+        g = self.g
+        return g.window_hi if self._unknown_from_start else g.window_lo
+
+    @property
+    def trunc(self) -> ExtInt:
+        g = self.g
+        if g.right.value == PLUS_INF:
+            return PLUS_INF
+        if g.left.value == MINUS_INF:
+            return MINUS_INF
+        return ExtInt(g.window_lo if self._unknown_from_start else g.window_hi + 1)
 
     @staticmethod
     def zero(prime: int) -> "EqualCharSeries":
@@ -231,31 +345,13 @@ class EqualCharSeries(_Series):
         order: int | None = None,
         trunc: Union[ExtInt, int] = PLUS_INF,
     ) -> "EqualCharSeries":
-        stored = _normalize_coeffs(prime, coeffs)
         if order is None:
-            order = min((i for i, _ in stored), default=0)
-        return EqualCharSeries(prime, order, stored, ExtInt.of(trunc))
+            order = min(_nonzero(coeffs), default=0)
+        return EqualCharSeries(prime, order, coeffs.items(), trunc)
 
     @staticmethod
     def monomial(prime: int, index: int, coeff: PAdic) -> "EqualCharSeries":
         return EqualCharSeries.from_coeffs(prime, {index: coeff}, order=index)
-
-    def coeff(self, i: int) -> PAdic:
-        if ExtInt(i) >= self.trunc:
-            raise PrecisionExhausted(f"coefficient {i} is beyond the truncation")
-        return self._map.get(i, PAdic.zero(self.prime))
-
-    def bound_seq(self) -> SeqSpec:
-        """Valuation lower bounds; ``-inf`` marks the unknown region."""
-        if self.trunc == PLUS_INF:
-            hi = max((i for i, _ in self.coeffs), default=self.order)
-            right: ConstTail | AffineTail = ConstTail(PLUS_INF)
-        else:
-            hi = max(self.order, self.trunc.n - 1)
-            right = ConstTail(MINUS_INF)
-            if self.order >= self.trunc.n:  # nothing is known at all
-                return SeqSpec(self.order, (MINUS_INF,), ConstTail(PLUS_INF), right)
-        return _bounds(self.order, hi, self.coeffs, ConstTail(PLUS_INF), right)
 
     def to_json(self) -> dict:
         return {
@@ -276,10 +372,13 @@ class MixedSeries(_Series):
 
     The left guarantee forces ``v(x_i) -> +inf`` as ``i -> -inf`` and the
     global valuation floor is finite, which is exactly what membership in
-    the field requires.
+    the field requires.  ``g`` is ``+inf`` at the window indices that hold
+    nothing, and its tails are the left bound (affine, decreasing to the
+    right) and the right floor (constant), ``+inf`` for a zero tail.
     """
 
-    __slots__ = _fields = ("prime", "lo", "hi", "coeffs", "left", "right")
+    __slots__ = ()
+    _view = ("prime", "lo", "hi", "coeffs", "left", "right")
 
     kind = "mixed"
 
@@ -294,16 +393,36 @@ class MixedSeries(_Series):
     ):
         if lo > hi:
             raise ValueError("window must satisfy lo <= hi")
-        for i, _ in coeffs:
+        stored, bounds = _split(prime, coeffs)
+        for i, _ in (*stored, *bounds):
             if not lo <= i <= hi:
                 raise ValueError(f"coefficient index {i} outside window")
-        set_ = object.__setattr__
-        set_(self, "prime", prime)
-        set_(self, "lo", lo)
-        set_(self, "hi", hi)
-        set_(self, "coeffs", coeffs)
-        set_(self, "left", left)
-        set_(self, "right", right)
+        if isinstance(left, ZeroTail):
+            lt: ConstTail | AffineTail = PLUS_TAIL
+        else:  # base + slope*(lo - i) as a function of i
+            lt = AffineTail(-left.slope, left.base + left.slope * lo)
+        rt = PLUS_TAIL if isinstance(right, ZeroTail) else ConstTail(ExtInt(right.floor))
+        self._set(prime, stored, SeqSpec.from_points(lo, hi, bounds, PLUS_INF, lt, rt))
+
+    @property
+    def lo(self) -> int:
+        return self.g.window_lo
+
+    @property
+    def hi(self) -> int:
+        return self.g.window_hi
+
+    @property
+    def left(self) -> LeftTail:
+        t = self.g.left
+        if isinstance(t, ConstTail):  # +inf
+            return ZeroTail()
+        return LeftValBound(-t.slope, t.offset + t.slope * self.lo)
+
+    @property
+    def right(self) -> RightTail:
+        v = self.g.right.value
+        return ZeroTail() if v == PLUS_INF else RightValBound(v.n)
 
     @staticmethod
     def zero(prime: int) -> "MixedSeries":
@@ -318,45 +437,19 @@ class MixedSeries(_Series):
         lo: int | None = None,
         hi: int | None = None,
     ) -> "MixedSeries":
-        stored = _normalize_coeffs(prime, coeffs)
-        if stored:
-            ilo = min(i for i, _ in stored)
-            ihi = max(i for i, _ in stored)
+        nonzero = _nonzero(coeffs)
+        if nonzero:
+            ilo, ihi = min(nonzero), max(nonzero)
             lo = ilo if lo is None else min(lo, ilo)
             hi = ihi if hi is None else max(hi, ihi)
         else:
             lo = 0 if lo is None else lo
             hi = lo if hi is None else max(hi, lo)
-        return MixedSeries(prime, lo, hi, stored, left, right)
+        return MixedSeries(prime, lo, hi, coeffs.items(), left, right)
 
     @staticmethod
     def monomial(prime: int, index: int, coeff: PAdic) -> "MixedSeries":
         return MixedSeries.from_coeffs(prime, {index: coeff})
-
-    def coeff(self, i: int) -> PAdic:
-        """Coefficient at ``i``; tail positions materialise as
-        zero-within-precision elements carrying the tail bound."""
-        if self.lo <= i <= self.hi:
-            return self._map.get(i, PAdic.zero(self.prime))
-        if i < self.lo:
-            if isinstance(self.left, ZeroTail):
-                return PAdic.zero(self.prime)
-            return PAdic.zero_mod(self.prime, self.left.bound_at(self.lo, i))
-        if isinstance(self.right, ZeroTail):
-            return PAdic.zero(self.prime)
-        return PAdic.zero_mod(self.prime, self.right.floor)
-
-    def bound_seq(self) -> SeqSpec:
-        if isinstance(self.left, ZeroTail):
-            left: ConstTail | AffineTail = ConstTail(PLUS_INF)
-        else:
-            # base + slope*(lo - i) as a function of i
-            left = AffineTail(-self.left.slope, self.left.base + self.left.slope * self.lo)
-        if isinstance(self.right, ZeroTail):
-            right: ConstTail | AffineTail = ConstTail(PLUS_INF)
-        else:
-            right = ConstTail(ExtInt(self.right.floor))
-        return _bounds(self.lo, self.hi, self.coeffs, left, right)
 
     def valuation_floor(self) -> ExtInt:
         """A certified lower bound for all coefficient valuations."""
@@ -375,13 +468,6 @@ class MixedSeries(_Series):
 
 
 Series = Union[EqualCharSeries, MixedSeries]
-
-
-def _bounds(lo: int, hi: int, coeffs, left, right) -> SeqSpec:
-    """The valuations of the stored coefficients on ``[lo, hi]``, ``+inf``
-    between them."""
-    points = ((i, c.val) for i, c in coeffs)
-    return SeqSpec.from_points(lo, hi, points, PLUS_INF, left, right)
 
 
 def series_from_json(obj: Mapping) -> Series:
@@ -417,65 +503,66 @@ def _check_pair(x: Series, y: Series) -> None:
         raise IncompatiblePrimes(f"{x.prime} vs {y.prime}")
 
 
+def _finite(spans: list[tuple]) -> list[tuple]:
+    """The runs of ``spans`` with a finite value."""
+    return [s for s in spans if s[2] is not None]
+
+
+def _window_runs(g: SeqSpec) -> list[tuple]:
+    """The runs of the window of ``g`` with a finite value."""
+    if all(slope is None for _, slope, _ in g.pieces):
+        return []
+    return _finite(g.spans(g.window_lo, g.window_hi))
+
+
 # ---------------------------------------------------------------------------
 # addition
 
 
 def add(x: Series, y: Series) -> Series:
+    """The sum.  For mixed series, each stored coefficient is known only
+    modulo the other summand's bound there; off the stored indices the
+    guarantee is the least of the two, and beyond the window the left bound
+    takes the least slope and the least base at the new ``lo``."""
     _check_pair(x, y)
+    p = x.prime
     if isinstance(x, EqualCharSeries):
         trunc = min(x.trunc, y.trunc)
-        order = min(x.order, y.order)
         total: dict[int, PAdic] = {}
-        for i, c in list(x.coeffs) + list(y.coeffs):
-            if ExtInt(i) >= trunc:
-                continue
-            total[i] = total[i] + c if i in total else c
-        return EqualCharSeries.from_coeffs(x.prime, total, order=order, trunc=trunc)
+        for i, c in x.coeffs + y.coeffs:
+            if ExtInt(i) < trunc:
+                total[i] = total[i] + c if i in total else c
+        return EqualCharSeries.from_coeffs(p, total, order=min(x.order, y.order), trunc=trunc)
 
-    lo = min(x.lo, y.lo)
-    hi = max(x.hi, y.hi)
-    # both summands are exact zeros off their stored coefficients and the
-    # parts of [lo, hi] that a bound tail covers
-    indices = {i for i, _ in x.coeffs + y.coeffs}
-    for part in _tail_spans(x, lo, hi) + _tail_spans(y, lo, hi):
-        indices.update(part)
+    gx, gy = x.g, y.g
+    lo, hi = min(gx.window_lo, gy.window_lo), max(gx.window_hi, gy.window_hi)
     total = {}
-    for i in sorted(indices):
-        c = x.coeff(i) + y.coeff(i)
-        if not c.is_exact_zero:
-            total[i] = c
-    left = _combine_left(x.left, x.lo, y.left, y.lo, lo)
-    right = _combine_right(x.right, y.right)
-    return MixedSeries.from_coeffs(x.prime, total, left=left, right=right, lo=lo, hi=hi)
+    for a, b in ((x, y), (y, x)):
+        for i, c in a.stored:
+            if i not in total:
+                total[i] = c + b.coeff(i)
+    items = sorted(total.items())
+    stored = tuple((i, c) for i, c in items if c.unit)
+    points = [(i, PLUS_INF if c.unit else c.val) for i, c in items]
+    left = _least_left(gx.left, gy.left, lo)
+    right = ConstTail(min(gx.right.value, gy.right.value))
+    rx, ry = _finite(gx.spans(lo, hi)), _finite(gy.spans(lo, hi))
+    if rx and ry:
+        least = SeqSpec.from_terms(lo, hi, rx + ry, PLUS_TAIL, PLUS_TAIL)
+    else:  # the other summand's guarantee is +inf on all of [lo, hi]
+        least = gx if rx else gy
+    return MixedSeries._make(p, stored, SeqSpec.from_points(lo, hi, points, least, left, right))
 
 
-def _tail_spans(x: MixedSeries, lo: int, hi: int) -> list[range]:
-    """The indices of ``[lo, hi]`` at which a bound tail of ``x`` applies."""
-    out = []
-    if not isinstance(x.left, ZeroTail):
-        out.append(range(lo, x.lo))
-    if not isinstance(x.right, ZeroTail):
-        out.append(range(x.hi + 1, hi + 1))
-    return out
-
-
-def _combine_left(a: LeftTail, a_lo: int, b: LeftTail, b_lo: int, lo: int) -> LeftTail:
-    if isinstance(a, ZeroTail) and isinstance(b, ZeroTail):
-        return ZeroTail()
-    if isinstance(a, ZeroTail):
-        return b.rebased(b_lo, lo)
-    if isinstance(b, ZeroTail):
-        return a.rebased(a_lo, lo)
-    ra, rb = a.rebased(a_lo, lo), b.rebased(b_lo, lo)
-    return LeftValBound(min(ra.slope, rb.slope), min(ra.base, rb.base))
-
-
-def _combine_right(a: RightTail, b: RightTail) -> RightTail:
-    if isinstance(a, ZeroTail) and isinstance(b, ZeroTail):
-        return ZeroTail()
-    floors = [t.floor for t in (a, b) if isinstance(t, RightValBound)]
-    return RightValBound(min(floors))
+def _least_left(a, b, lo: int):
+    """The left guarantee of a sum: the least slope and the least value at
+    ``lo`` of the two bounds, a zero tail (``+inf``) giving way."""
+    if isinstance(a, ConstTail):  # +inf
+        return b
+    if isinstance(b, ConstTail):
+        return a
+    slope = max(a.slope, b.slope)  # the bounds fall to the right: -slope is the decay
+    return AffineTail(slope, min(a.at(lo), b.at(lo)).n - slope * lo)
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +577,18 @@ def default_mul_target(x: MixedSeries, y: MixedSeries) -> ExtInt:
 def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     """Product of two series of the same kind.
 
-    For mixed series each output coefficient is the exact sum over
-    window-by-window pairs plus a zero-within-precision remainder whose
-    bound covers every pair touching a tail; the coefficient precision
-    reports exactly what is certified.  When ``target_precision`` is given,
-    any output coefficient certified below it raises
-    :class:`PrecisionExhausted`; the precisions are known before any
+    For mixed series each output coefficient is the exact sum over the
+    pairs of stored coefficients plus a zero-within-precision remainder
+    whose bound covers every pair with a factor that is not stored
+    (``_TailBound``); the coefficient precision reports exactly what is
+    certified.  Only indices with a stored pair get a coefficient: every
+    other index of the product window takes the remainder into ``g``, so
+    the product costs its stored pairs and the pieces of the remainder.
+    When ``target_precision`` is given, the first index certified below it
+    raises :class:`PrecisionExhausted`; the precisions are known before any
     coefficient is multiplied, so a failing target costs no big-int work,
     and the stored pairs are walked only up to the first index where the
-    tail remainder fails the target.
+    remainder fails the target.
     The product computes only the digits its certified precision keeps:
     the units are reduced to the highest output precision before they are
     multiplied, then multiplied by four-point Kronecker substitution
@@ -507,11 +597,10 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     Of the min-plus convolution of the factors' valuation bounds a mixed
     product reads only the window bounds and the tails, so it takes them
     from ``convolution_frame``, which works from the tail rays and the ends
-    of the windows: the coefficients inside the window are certified by the
-    stored pairs and the tail remainder (``_TailBound.over``).
+    of the windows.
     """
     _check_pair(x, y)
-    p, xs, ys = x.prime, _stored(x), _stored(y)
+    p, xs, ys = x.prime, _units(x), _units(y)
     if isinstance(x, EqualCharSeries):
         order, trunc = _equal_frame(x, y)
         # trunc is -inf only when a factor stores nothing, so no pair is lost
@@ -523,27 +612,49 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     frame = convolution_frame(x.bound_seq(), y.bound_seq())
     lo = min(x.lo + y.lo, frame.window_lo)
     hi = max(x.hi + y.hi, frame.window_hi)
-    rems = _TailBound(x, y).over(lo, hi)
+    left, right = frame.left, frame.right
+    if left != PLUS_TAIL and not (isinstance(left, AffineTail) and left.slope < 0):
+        raise PrecisionExhausted("product coefficients do not decay leftwards")
+    if not isinstance(right, ConstTail):
+        # inputs carry constant floors on the right, so the convolved bound does too
+        raise PrecisionExhausted("product bound has a non-constant right tail")
+    rem = _TailBound(x, y).over(lo, hi)
     cut = math.inf
     if target_precision is not None:
-        cut = next((k for k, r in enumerate(rems, lo) if r < target_precision), cut) + 1
+        first = rem.first_at_most(target_precision - 1, lo, hi)
+        cut = cut if first is None else first + 1
     pairs = _precisions(xs, ys, cut)
-    precs = {}
-    for k, r in enumerate(rems, lo):
-        q = min(pairs.get(k, r), r)
-        _check_target(k, q, target_precision)
-        if q != math.inf:  # otherwise the coefficient is an exact zero
-            precs[k] = q
+    ks = sorted(pairs)
+    precs = {k: min(pairs[k], r) for k, r in zip(ks, _values_at(rem, ks))}
+    if target_precision is not None:
+        bad = [k for k in ks if precs[k] < target_precision]
+        if bad or cut != math.inf:
+            k = min(bad, default=cut - 1)
+            _check_target(k, precs[k] if k in precs else rem.value_at(k).n, target_precision)
     total = _products(p, xs, ys, precs)
-    left = _left_from_bound_tail(frame, lo)
-    right = _right_from_bound_tail(frame)
-    return MixedSeries.from_coeffs(p, total, left=left, right=right, lo=lo, hi=hi)
+    points = [(k, PLUS_INF if c.unit else c.val) for k, c in total.items()]
+    stored = tuple((k, c) for k, c in total.items() if c.unit)
+    return MixedSeries._make(p, stored, SeqSpec.from_points(lo, hi, points, rem, left, right))
+
+
+def _values_at(seq: SeqSpec, ks: list[int]) -> list:
+    """The values of ``seq`` at the increasing indices ``ks``, as ints, and
+    ``math.inf`` for ``+inf``: one walk over its runs."""
+    out: list = []
+    if not ks:
+        return out
+    n = 0
+    for _, y, slope, offset in seq.spans(ks[0], ks[-1]):
+        while n < len(ks) and ks[n] <= y:
+            out.append(math.inf if slope is None else slope * ks[n] + offset)
+            n += 1
+    return out
 
 
 def product_coeff(x: Series, y: Series, k: int) -> PAdic:
     """``mul(x, y).coeff(k)`` from the stored pairs on ``i + j = k`` and,
-    for mixed series, the tail remainder at ``k``; the product is never
-    built, and no frame or convolution is computed.
+    for mixed series, the remainder at ``k``; the product is never built,
+    and no frame or convolution is computed.
 
     Raises what ``mul(x, y).coeff(k)`` raises, except that below the order
     of a Laurent product the coefficient is zero whatever its truncation.
@@ -564,69 +675,129 @@ def product_coeff(x: Series, y: Series, k: int) -> PAdic:
         rem = PLUS_INF
     else:
         rem = _TailBound(x, y).value_at(k)
-    xs, ys = _stored(x), _stored(y)
+    xs, ys = _units(x), _units(y)
     return _coefficient(p, ((a, ys[k - i]) for i, a in xs.items() if k - i in ys), rem)
 
 
 def _equal_frame(x: EqualCharSeries, y: EqualCharSeries) -> tuple[int, ExtInt]:
     """Order and truncation of a Laurent product; an exact zero absorbs."""
-    if any(not s.coeffs and s.trunc == PLUS_INF for s in (x, y)):
+    if any(s.trunc == PLUS_INF and not s.coeffs for s in (x, y)):
         return 0, PLUS_INF
     return x.order + y.order, min(x.order + y.trunc, y.order + x.trunc)
 
 
 class _TailBound(NamedTuple):
-    """The tail remainder of the product of two mixed series: at each index
-    ``k``, the least ``v(x_i) + v(y_j)``, ``i + j = k``, over the pairs in
-    which a factor lies in a bound tail.
+    """The remainder of the product of two mixed series: at each index
+    ``k``, the least ``g_A(i) + w_B(j)``, ``i + j = k``, over the pairs in
+    which a factor ``A`` is not stored at ``i`` (it lies in a bound tail or
+    is zero within precision), ``w_B`` being the valuation bounds
+    (``bound_seq``) of the other factor ``B``.
 
-    For each ordered pair of factors ``(A, B)``, a right floor ``f`` of
-    ``A`` gives ``f + min{w_j : j < k - A.hi}``, a prefix minimum, and a
-    left bound ``base + s*(A.lo - i)`` gives ``base + s*(A.lo - k) +
-    min{w_j + s*j : j > k - A.lo}``, a suffix minimum, over the points
-    ``(j, w_j)`` of ``B``: its stored valuations and each bound tail at its
-    end next to the window, ``(lo - 1, base + slope)`` or ``(hi + 1,
-    floor)``.  These ends give the tail-by-tail terms in closed form: a
-    left bound grows leftwards and a right floor is constant, so two right
-    floors meet at ``f_x + f_y`` from ``k = x.hi + y.hi + 2`` on, two left
-    bounds at the lesser of their values at ``i = k - y.lo + 1`` and ``i =
-    x.lo - 1``, and a left bound of ``x`` meets a right floor at ``i =
-    min(x.lo - 1, k - y.hi - 1)``.
+    For each ordered pair of factors ``(A, B)``, read ``w_B`` as its runs
+    from ``B.lo - 1`` to ``B.hi + 1``: its window and each bound tail at
+    its end next to the window.  A right floor ``f`` of ``A`` gives ``f +
+    min{w_j : j < k - A.hi}``, a running minimum, and a left bound ``base +
+    s*(A.lo - i)`` gives ``base + s*(A.lo - k) + min{w_j + s*j : j > k -
+    A.lo}``, a running minimum from the right: each is affine between the
+    indices where it changes run, so it costs the runs of ``w_B``.  The
+    tail ends give the tail-by-tail terms in closed form: a left bound
+    grows leftwards and a right floor is constant, so two right floors meet
+    at ``f_x + f_y`` from ``k = x.hi + y.hi + 2`` on, two left bounds at
+    the lesser of their values at ``i = k - y.lo + 1`` and ``i = x.lo -
+    1``, and a left bound of ``x`` meets a right floor at ``i = min(x.lo -
+    1, k - y.hi - 1)``.  A finite run of ``g_A`` inside the window against
+    a run of ``w_B`` inside its window is linear in ``i`` along ``i + j =
+    k``, so its least value sits at an end of the feasible ``i`` and gives
+    two affine terms.  The remainder is the least of all these terms.
     """
 
     x: MixedSeries
     y: MixedSeries
 
     def value_at(self, k: int) -> ExtInt:
-        (r,) = self.over(k, k)  # O(stored coefficients)
-        return PLUS_INF if r == math.inf else ExtInt(r)
+        v = min((s * k + o for k0, k1, s, o in self.terms(k, k) if k0 <= k <= k1), default=None)
+        return PLUS_INF if v is None else ExtInt(v)
 
-    def over(self, lo: int, hi: int) -> list:
-        """The remainder at ``lo .. hi``, ``math.inf`` for none: running
-        minima built in O(stored coefficients), read by bisection."""
-        ks, inf = range(lo, hi + 1), math.inf
-        terms = [[inf] * len(ks)]
+    def over(self, lo: int, hi: int) -> SeqSpec:
+        """The remainder on ``lo .. hi`` (``+inf`` for none) as a sequence
+        on that window."""
+        return SeqSpec.from_terms(lo, hi, self.terms(lo, hi), PLUS_TAIL, PLUS_TAIL)
+
+    def terms(self, lo: int, hi: int) -> list[tuple]:
+        """Affine terms ``(k0, k1, slope, offset)`` whose least value at
+        each index of ``lo .. hi`` is the remainder there: O(runs) of them."""
+        terms: list[tuple] = []
         for a, b in (self, self[::-1]):
-            pts = [(j, c.val.n) for j, c in b.coeffs]
-            if isinstance(b.left, LeftValBound):
-                pts.insert(0, (b.lo - 1, b.left.base + b.left.slope))
-            if isinstance(b.right, RightValBound):
-                pts.append((b.hi + 1, b.right.floor))
-            js = [j for j, _ in pts]
-            if isinstance(a.right, RightValBound):
-                pre, f = [inf, *accumulate((w for _, w in pts), min)], a.right.floor
-                terms.append([f + pre[bisect_left(js, k - a.hi)] for k in ks])
-            if isinstance(a.left, LeftValBound):
-                s, c = a.left.slope, a.left.base + a.left.slope * a.lo
-                suf = [*accumulate((w + s * j for j, w in reversed(pts)), min)][::-1] + [inf]
-                terms.append([c - s * k + suf[bisect_right(js, k - a.lo)] for k in ks])
-        return list(map(min, *terms)) if len(terms) > 1 else terms[0]
+            ga, runs = a.g, b._runs
+            if ga.right.value != PLUS_INF:
+                f, d = ga.right.value.n, ga.window_hi + 1
+                for start, end, s, o in _running_min(runs, hi - d):
+                    terms.append((start + d, end + d, s, o - s * d + f))
+            if isinstance(ga.left, AffineTail):
+                sa, ca, e = ga.left.slope, ga.left.offset, ga.window_lo - 1
+                # w_j - sa*j at -j, so that its minimum over j >= J is a running one
+                mirrored = ((-y, -x, sa - s, o) for x, y, s, o in reversed(runs))
+                for start, end, s, o in _running_min(mirrored, e - lo):
+                    terms.append((e - end, e - start, sa - s, ca + s * e + o))
+            inner = [r for r in runs if b.g.window_lo <= r[0] and r[1] <= b.g.window_hi]
+            for run in _window_runs(ga):
+                for other in inner:
+                    terms += _run_pair(run, other)
+        return terms
 
 
-def _stored(x: Series) -> dict[int, tuple[int, int, int]]:
-    """Stored coefficients as ``i -> (val, unit, precision)`` integers, in
-    increasing ``i``."""
-    return {i: (c.val.n, c.unit, c.precision.n) for i, c in x.coeffs}
+def _running_min(runs, last: int) -> list[tuple[int, int, int, int]]:
+    """``K -> min{w_j : j <= K}`` for the finite runs ``(x, y, slope,
+    offset)`` of ``w`` in index order, as ``(start, end, slope, offset)``
+    pieces up to ``K = last``; none before the first run."""
+    marks: list[list[int]] = []  # [start, slope, offset], each up to the next
+    m = math.inf
+    for x, y, s, o in runs:
+        if x > last:
+            break
+        if s >= 0:
+            if s * x + o < m:
+                m = s * x + o
+                _mark(marks, x, 0, m)
+            continue
+        c = x if m == math.inf else max(x, (m - o) // s + 1)  # s*j + o < m from c on
+        if c <= y:
+            _mark(marks, c, s, o)
+            m = s * y + o
+            _mark(marks, y + 1, 0, m)
+    ends = [start - 1 for start, _, _ in marks[1:]] + [last]
+    return [(start, end, s, o) for (start, s, o), end in zip(marks, ends) if start <= end]
+
+
+def _mark(marks: list, start: int, slope: int, offset: int) -> None:
+    if marks and marks[-1][0] == start:
+        marks[-1][1:] = slope, offset
+    else:
+        marks.append([start, slope, offset])
+
+
+def _run_pair(a: tuple, b: tuple) -> list[tuple]:
+    """The least ``a(i) + b(k - i)`` of two finite affine runs ``(x, y,
+    slope, offset)``, as affine terms in ``k``: linear in ``i``, it sits at
+    the end of the feasible ``i`` that the slopes favour."""
+    x1, y1, s1, o1 = a
+    x2, y2, s2, o2 = b
+    if s1 >= s2:  # least i = max(x1, k - y2)
+        out = [(x1 + x2, x1 + y2, s2, (s1 - s2) * x1 + o1 + o2),
+               (x1 + y2 + 1, y1 + y2, s1, o1 + o2 - (s1 - s2) * y2)]
+    else:  # greatest i = min(y1, k - x2)
+        out = [(x1 + x2, y1 + x2 - 1, s1, o1 + o2 - (s1 - s2) * x2),
+               (y1 + x2, y1 + y2, s2, (s1 - s2) * y1 + o1 + o2)]
+    return [t for t in out if t[0] <= t[1]]
+
+
+def _units(x: Series) -> dict[int, tuple[int, int, int]]:
+    """The coefficients a product multiplies pairwise, as ``i -> (val,
+    unit, precision)`` integers in increasing ``i``: every coefficient of a
+    Laurent series, the stored ones of a mixed series (``_TailBound``
+    covers the rest)."""
+    pairs = x.coeffs if isinstance(x, EqualCharSeries) else x.stored
+    return {i: (c.val.n, c.unit, c.precision.n) for i, c in pairs}
 
 
 def _precisions(xs: dict, ys: dict, cut: float = math.inf) -> dict[int, int]:
@@ -864,33 +1035,10 @@ def _coefficient(p: int, pairs, rem: ExtInt = PLUS_INF) -> PAdic:
     return PAdic.make(p, v, s, prec)
 
 
+
 def _check_target(k: int, prec: int | float, target: int | None) -> None:
     if target is not None and prec < target:
         raise PrecisionExhausted(f"coefficient {k} certified only modulo p^{prec}")
-
-
-def _left_from_bound_tail(conv: SeqSpec | Frame, lo: int) -> LeftTail:
-    """The left tail of a product from the left tail of a valuation bound
-    (a frame or a sequence) of it."""
-    t = conv.left
-    if isinstance(t, ConstTail):
-        if t.value == PLUS_INF:
-            return ZeroTail()
-        raise PrecisionExhausted("product coefficients do not decay leftwards")
-    if t.slope >= 0:
-        raise PrecisionExhausted("product coefficients do not decay leftwards")
-    # value_at(i) = slope*i + offset for i < lo, rewritten relative to lo
-    return LeftValBound(-t.slope, t.offset + t.slope * lo)
-
-
-def _right_from_bound_tail(conv: SeqSpec | Frame) -> RightTail:
-    t = conv.right
-    if isinstance(t, ConstTail):
-        if t.value == PLUS_INF:
-            return ZeroTail()
-        return RightValBound(t.value.n)
-    # inputs carry constant floors on the right, so the convolved bound does too
-    raise PrecisionExhausted("product bound has a non-constant right tail")
 
 
 # ---------------------------------------------------------------------------
@@ -898,74 +1046,56 @@ def _right_from_bound_tail(conv: SeqSpec | Frame) -> RightTail:
 
 
 def partial_sum(x: Series, n: int) -> Series:
-    """The truncated sum of all terms of degree at most ``n``."""
+    """The truncated sum of all terms of degree at most ``n``: for a mixed
+    series, ``g`` cut at ``n``, so the right-tail positions up to ``n`` keep
+    their bound."""
     if isinstance(x, EqualCharSeries):
         kept = {i: c for i, c in x.coeffs if i <= n}
         trunc = x.trunc if ExtInt(n) >= x.trunc else PLUS_INF
         return EqualCharSeries.from_coeffs(x.prime, kept, order=x.order, trunc=trunc)
-    if n >= x.lo:
-        # positions above the stored window but at most n come from the right
-        # tail and materialise as zero-within-precision coefficients
-        kept = {i: c for i, c in x.coeffs if i <= n}
-        if isinstance(x.right, RightValBound):
-            for i in range(x.hi + 1, n + 1):
-                kept[i] = x.coeff(i)
-        return MixedSeries.from_coeffs(
-            x.prime, kept, left=x.left, right=ZeroTail(), lo=x.lo, hi=max(n, x.lo)
-        )
-    # the cut lands inside the left tail; keep its guarantee, rebased
-    if isinstance(x.left, ZeroTail):
+    g = x.g
+    if n < g.window_lo and isinstance(g.left, ConstTail):  # a zero left tail
         return MixedSeries.zero(x.prime)
-    bound = x.left.bound_at(x.lo, n)
-    return MixedSeries.from_coeffs(
-        x.prime,
-        {n: PAdic.zero_mod(x.prime, bound)},
-        left=x.left.rebased(x.lo, n),
-        right=ZeroTail(),
-        lo=n,
-        hi=n,
-    )
+    kept = tuple((i, c) for i, c in x.stored if i <= n)
+    cut = SeqSpec.from_points(min(g.window_lo, n), n, (), g, g.left, PLUS_TAIL)
+    return MixedSeries._make(x.prime, kept, cut)
 
 
 def tail_remainder(x: Series, n: int) -> Series:
     """The difference ``x - partial_sum(x, n)`` in exact form.
 
-    Generic subtraction cannot see that the materialised tail coefficients
-    of the partial sum alias those of ``x``; this builds the complement
-    directly, so positions at or below ``n`` are exactly zero.
+    Generic subtraction cannot see that the tail bounds of the partial sum
+    alias those of ``x``; this builds the complement directly, so positions
+    at or below ``n`` are exactly zero: for a mixed series, ``g`` cut at
+    ``n``, with the left-tail positions above ``n`` keeping their bound.
     """
     if isinstance(x, EqualCharSeries):
         kept = {i: c for i, c in x.coeffs if i > n}
         return EqualCharSeries.from_coeffs(
             x.prime, kept, order=max(x.order, n + 1), trunc=x.trunc
         )
-    kept = {i: c for i, c in x.coeffs if i > n}
-    lo = n + 1
-    if isinstance(x.left, LeftValBound):
-        for i in range(lo, x.lo):  # former left-tail positions above the cut
-            kept[i] = x.coeff(i)
-    return MixedSeries.from_coeffs(
-        x.prime, kept, left=ZeroTail(), right=x.right, lo=lo, hi=max(x.hi, lo)
-    )
+    g = x.g
+    kept = tuple((i, c) for i, c in x.stored if i > n)
+    # a cut at or past hi leaves the window [n + 1, n + 1] with nothing in it
+    fill = g if n < g.window_hi else PLUS_INF
+    cut = SeqSpec.from_points(n + 1, max(g.window_hi, n + 1), (), fill, PLUS_TAIL, g.right)
+    return MixedSeries._make(x.prime, kept, cut)
 
 
 def vF_exponent(x: MixedSeries) -> ValuationResult:
     """The discrete valuation ``inf_i v(x_i)`` of the mixed field.
 
-    Exact when witnessed by an exactly known coefficient strictly below
-    every valuation bound; otherwise a flagged lower bound.
+    Exact when witnessed by a stored coefficient strictly below every
+    valuation bound; otherwise a flagged lower bound.  Beyond the window the
+    bounds grow leftwards and stay constant rightwards, so ``g`` counts from
+    ``lo - 1`` to ``hi + 1``.
     """
-    exact_min = PLUS_INF
-    bound_min = PLUS_INF
-    for _, c in x.coeffs:
-        if c.valuation_exact:
-            exact_min = min(exact_min, c.val)
-        else:
-            bound_min = min(bound_min, c.val)
-    if isinstance(x.left, LeftValBound):
-        bound_min = min(bound_min, ExtInt(x.left.base + x.left.slope))
-    if isinstance(x.right, RightValBound):
-        bound_min = min(bound_min, ExtInt(x.right.floor))
+    exact_min = min((c.val for _, c in x.stored), default=PLUS_INF)
+    g = x.g
+    # an affine run is least at one of its ends
+    ends = [s * e + o for a, b, s, o in _finite(g.spans(g.window_lo - 1, g.window_hi + 1))
+            for e in (a, b)]
+    bound_min = ExtInt(min(ends)) if ends else PLUS_INF
     if exact_min < bound_min:
         return ValuationResult(exact_min, True)
     if bound_min == PLUS_INF:
@@ -984,29 +1114,28 @@ def rank2_mixed(x: MixedSeries) -> tuple[ExtInt, ExtInt]:
         raise ZeroElement("rank-two valuation of zero is undefined")
     if not v1res.exact:
         raise PrecisionExhausted("first component is only a lower bound")
-    v1 = v1res.value
-    if isinstance(x.left, LeftValBound):
-        if ExtInt(x.left.base + x.left.slope) <= v1:
-            raise PrecisionExhausted("left tail could hide the leading index")
-    for i, c in x.coeffs:
-        if c.valuation_exact:
-            if c.val == v1:
-                return v1, ExtInt(i)
-        elif c.val <= v1:
-            raise PrecisionExhausted(
-                f"coefficient {i} is only known modulo p^{c.val}"
-            )
-    raise PrecisionExhausted("no certified witness for the second component")
+    v1, g = v1res.value, x.g
+    if g.value_at(g.window_lo - 1) <= v1:
+        raise PrecisionExhausted("left tail could hide the leading index")
+    witness = next((i for i, c in x.stored if c.val == v1), None)
+    hidden = g.first_at_most(v1.n, g.window_lo, g.window_hi if witness is None else witness)
+    if hidden is not None:
+        raise PrecisionExhausted(
+            f"coefficient {hidden} is only known modulo p^{g.value_at(hidden)}"
+        )
+    if witness is None:
+        raise PrecisionExhausted("no certified witness for the second component")
+    return v1, ExtInt(witness)
 
 
 def rank2_equal(x: EqualCharSeries) -> tuple[ExtInt, ExtInt]:
     """The rank-two valuation of the Laurent field for the uniformizer t:
     order of the first nonzero coefficient, then its p-adic valuation."""
-    for i, c in x.coeffs:
-        if not c.valuation_exact:
-            raise PrecisionExhausted(
-                f"leading coefficient {i} is zero within precision"
-            )
+    bounds = _window_runs(x.g)
+    if bounds and (not x.stored or bounds[0][0] < x.stored[0][0]):
+        raise PrecisionExhausted(f"leading coefficient {bounds[0][0]} is zero within precision")
+    if x.stored:
+        i, c = x.stored[0]
         return ExtInt(i), c.val
     if x.trunc == PLUS_INF:
         raise ZeroElement("rank-two valuation of zero is undefined")

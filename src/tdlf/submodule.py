@@ -197,12 +197,9 @@ def membership(m: SubmoduleSpec, x: Series) -> str:
     """
     if (m.field_kind == EQUAL) != isinstance(x, EqualCharSeries):
         raise KindMismatch("module and element kinds differ")
-    if forall_ge(x.bound_seq(), m.seq):
-        return Membership.IN
-    for i, c in x.coeffs:
-        if c.valuation_exact and c.val < m.seq.value_at(i):
-            return Membership.OUT
-    return Membership.UNKNOWN
+    if any(c.val < m.seq.value_at(i) for i, c in x.stored):
+        return Membership.OUT
+    return Membership.IN if forall_ge(x.g, m.seq) else Membership.UNKNOWN
 
 
 # ---------------------------------------------------------------------------

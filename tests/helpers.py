@@ -237,7 +237,8 @@ def translate_seq(s: SeqSpec, d: int) -> SeqSpec:
 
 def reference_tail_pairs_bound(x: MixedSeries, y: MixedSeries, k: int) -> ExtInt:
     """Lower bound on the valuation of all products ``x_i * y_{k-i}`` in
-    which at least one factor comes from a tail region."""
+    which at least one factor is not stored: it comes from a tail region
+    or is zero within precision."""
     bx, by = x.bound_seq(), y.bound_seq()
     fy, fx = y.valuation_floor(), x.valuation_floor()
     best = PLUS_INF
@@ -285,6 +286,13 @@ def reference_tail_pairs_bound(x: MixedSeries, y: MixedSeries, k: int) -> ExtInt
     for j in range(y.lo, y.hi + 1):
         if not x.lo <= k - j <= x.hi:
             best = min(best, bx.value_at(k - j) + by.value_at(j))
+    # zero-within-precision window coefficients against the other window
+    for i, c in x.coeffs:
+        if not c.valuation_exact and y.lo <= k - i <= y.hi:
+            best = min(best, bx.value_at(i) + by.value_at(k - i))
+    for j, c in y.coeffs:
+        if not c.valuation_exact and x.lo <= k - j <= x.hi:
+            best = min(best, bx.value_at(k - j) + by.value_at(j))
     return best
 
 
@@ -298,7 +306,6 @@ def _reference_target(k: int, c: PAdic, target) -> None:
 def reference_mul(x, y, target=None):
     """``mul`` computed one ``PAdic`` product and sum at a time."""
     from tdlf import minplus_convolve
-    from tdlf.series import _left_from_bound_tail, _right_from_bound_tail
 
     p = x.prime
     if isinstance(x, EqualCharSeries):
@@ -330,9 +337,30 @@ def reference_mul(x, y, target=None):
         _reference_target(k, acc, target)
         if not acc.is_exact_zero:
             total[k] = acc
-    left = _left_from_bound_tail(conv, lo)
-    right = _right_from_bound_tail(conv)
-    return MixedSeries.from_coeffs(p, total, left=left, right=right, lo=lo, hi=hi)
+    return MixedSeries.from_coeffs(
+        p, total, left=_reference_left_tail(conv, lo), right=_reference_right_tail(conv), lo=lo, hi=hi
+    )
+
+
+def _reference_left_tail(conv: SeqSpec, lo: int):
+    """The left tail of a product from the left tail of its bound."""
+    from tdlf import PrecisionExhausted
+
+    t = conv.left
+    if isinstance(t, ConstTail) and t.value == PLUS_INF:
+        return ZeroTail()
+    if isinstance(t, ConstTail) or t.slope >= 0:
+        raise PrecisionExhausted("product coefficients do not decay leftwards")
+    return LeftValBound(-t.slope, t.offset + t.slope * lo)
+
+
+def _reference_right_tail(conv: SeqSpec):
+    from tdlf import PrecisionExhausted
+
+    t = conv.right
+    if not isinstance(t, ConstTail):
+        raise PrecisionExhausted("product bound has a non-constant right tail")
+    return ZeroTail() if t.value == PLUS_INF else RightValBound(t.value.n)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +460,18 @@ def _reference_ext_diff(x: ExtInt, y: ExtInt) -> ExtInt:
     return ExtInt(x.n - y.n)
 
 
-def reference_sup_diff(a: SeqSpec, b: SeqSpec) -> ExtInt:
-    from tdlf.seqspec import _ray_sup_diff
+def _ray_sup_diff(a: SeqSpec, b: SeqSpec, leftward: bool, start: int) -> ExtInt:
+    """sup of a(i) - b(i) over the half line beyond ``start`` (exclusive)."""
+    import math
 
+    from tdlf.seqspec import _ext, _form, _sup_on
+
+    if leftward:
+        return _ext(_sup_on(*_form(a.left), *_form(b.left), -math.inf, start - 1))
+    return _ext(_sup_on(*_form(a.right), *_form(b.right), start + 1, math.inf))
+
+
+def reference_sup_diff(a: SeqSpec, b: SeqSpec) -> ExtInt:
     lo = min(a.window_lo, b.window_lo)
     hi = max(a.window_hi, b.window_hi)
     best = MINUS_INF
@@ -553,20 +590,22 @@ def reference_minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
 
 def reference_bound_seq(x) -> SeqSpec:
     if isinstance(x, EqualCharSeries):
+        lo = x.order
         if x.trunc == PLUS_INF:
             hi = max((i for i, _ in x.coeffs), default=x.order)
             right = ConstTail(PLUS_INF)
         else:
-            hi = max(x.order, x.trunc.n - 1)
+            # nothing is known from the truncation on, even below the order
+            lo, hi = min(x.order, x.trunc.n), max(x.order, x.trunc.n - 1)
             right = ConstTail(MINUS_INF)
         cmap = dict(x.coeffs)
         vals = []
-        for i in range(x.order, hi + 1):
+        for i in range(lo, hi + 1):
             if ExtInt(i) >= x.trunc:
                 vals.append(MINUS_INF)
             else:
                 vals.append(cmap[i].val if i in cmap else PLUS_INF)
-        return _dense(x.order, vals, ConstTail(PLUS_INF), right)
+        return _dense(lo, vals, ConstTail(PLUS_INF), right)
     cmap = dict(x.coeffs)
     vals = [cmap[i].val if i in cmap else PLUS_INF for i in range(x.lo, x.hi + 1)]
     if isinstance(x.left, ZeroTail):
@@ -577,9 +616,28 @@ def reference_bound_seq(x) -> SeqSpec:
     return _dense(x.lo, vals, left, right)
 
 
-def reference_add(x, y):
-    from tdlf.series import _combine_left, _combine_right
+def _reference_rebased(t: LeftValBound, old_lo: int, new_lo: int) -> LeftValBound:
+    return LeftValBound(t.slope, t.base + t.slope * (old_lo - new_lo))
 
+
+def _combine_left(a, a_lo: int, b, b_lo: int, lo: int):
+    """The left tail of a sum: the least slope and base, rebased to ``lo``."""
+    if isinstance(a, ZeroTail) and isinstance(b, ZeroTail):
+        return ZeroTail()
+    if isinstance(a, ZeroTail):
+        return _reference_rebased(b, b_lo, lo)
+    if isinstance(b, ZeroTail):
+        return _reference_rebased(a, a_lo, lo)
+    ra, rb = _reference_rebased(a, a_lo, lo), _reference_rebased(b, b_lo, lo)
+    return LeftValBound(min(ra.slope, rb.slope), min(ra.base, rb.base))
+
+
+def _combine_right(a, b):
+    floors = [t.floor for t in (a, b) if isinstance(t, RightValBound)]
+    return RightValBound(min(floors)) if floors else ZeroTail()
+
+
+def reference_add(x, y):
     if isinstance(x, EqualCharSeries):
         trunc = min(x.trunc, y.trunc)
         total = {}
@@ -616,12 +674,28 @@ def reference_partial_sum(x, n: int):
         return MixedSeries.zero(x.prime)
     return MixedSeries.from_coeffs(
         x.prime,
-        {n: PAdic.zero_mod(x.prime, x.left.bound_at(x.lo, n))},
-        left=x.left.rebased(x.lo, n),
+        {n: PAdic.zero_mod(x.prime, x.left.base + x.left.slope * (x.lo - n))},
+        left=_reference_rebased(x.left, x.lo, n),
         right=ZeroTail(),
         lo=n,
         hi=n,
     )
+
+
+def reference_tail_remainder(x, n: int):
+    """``x - partial_sum(x, n)``, one coefficient of ``x`` at a time."""
+    if isinstance(x, EqualCharSeries):
+        kept = {i: c for i, c in x.coeffs if i > n}
+        return EqualCharSeries.from_coeffs(
+            x.prime, kept, order=max(x.order, n + 1), trunc=x.trunc
+        )
+    lo, hi = n + 1, max(x.hi, n + 1)
+    kept = {}
+    for i in range(lo, x.hi + 1):
+        c = x.coeff(i)
+        if not c.is_exact_zero:
+            kept[i] = c
+    return MixedSeries.from_coeffs(x.prime, kept, left=ZeroTail(), right=x.right, lo=lo, hi=hi)
 
 
 def reference_sup_diff_on(a: SeqSpec, b: SeqSpec, lo: int, hi: int) -> ExtInt:
@@ -835,7 +909,9 @@ class _RefParser:
         tok = self.next()  # 'O' or 'tail'
         self.expect("lparen", "'('")
         if tok.text == "O":
-            self.expect("ident", "t")
+            if self.peek().text != "t":
+                raise self.fail("expected t")
+            self.next()
             self.expect("caret", "'^'")
             n = self.signed_int()
             self.expect("rparen", "')'")

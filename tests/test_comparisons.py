@@ -48,8 +48,8 @@ def test_series_operators(kind):
         x, y = make(r), make(r)
         neg = -x
         assert type(neg) is kind and [(i, -c) for i, c in x.coeffs] == list(neg.coeffs)
-        assert [getattr(neg, f) for f in kind._fields if f != "coeffs"] == [
-            getattr(x, f) for f in kind._fields if f != "coeffs"
+        assert [getattr(neg, f) for f in kind._fields if f != "stored"] == [
+            getattr(x, f) for f in kind._fields if f != "stored"
         ]
         assert x + y == add(x, y) and x - y == add(x, -y) and x * y == mul(x, y)
-        assert neg._map == dict(neg.coeffs)
+        assert neg._map == dict(neg.stored)

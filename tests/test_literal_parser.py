@@ -148,9 +148,19 @@ def test_random_strings_agree_with_the_reference():
     "t^+", "1 +", "O(3)", "1 + O(t 3)", "1 + O(x^3)", "1 + O(t^3", "1 + tail(w)",
     "1 + tail(v 1)", "1 + tail(v>=1", "1 + tail(v>=1, 3)", "1 + tail(v>=1, x: 1, 2)",
     "1 + tail(left 1, 2)", "1 + tail(left: 1 2)", "1 + tail(left: 1, 2) + 3", "1 +\n  O(t^)",
+    "1 + O(left^3)", "O(tail^0)", "1 + O(T^3)", "1 + O(tt^3)", "1 + O(p^3)",
 ])
 def test_grammar_errors_agree_with_the_reference(text):
     assert_agree(text, 5, 32)
+
+
+@pytest.mark.parametrize("text", ["1 + O(x^3)", "1 + O(left^3)", "O(tail^0)", "1 + O(T^3)"])
+def test_a_truncation_mark_names_t(text, capsys):
+    with pytest.raises(ParseError, match="^expected t"):
+        parse_series(text, 5)
+    assert main(["--prime", "5", "eval", "--series", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: expected t")
 
 
 _KINDS = {**_REF_PUNCT, ">=": "geq"}

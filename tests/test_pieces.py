@@ -180,18 +180,45 @@ class TestAgainstDenseReference:
             assert sup_diff_on(a, b, x, y) == reference_sup_diff_on(a, b, x, y)
 
     def test_from_points(self):
+        """The fill is one value or, every other time, a sequence read at
+        each index that no point holds."""
         r = rng(309)
-        for _ in range(80):
+        for k in range(160):
             lo = r.randint(-9, 3)
             hi = lo + r.randint(0, 14)
             points = [(i, rand_ext(r)) for i in range(lo, hi + 1) if r.below(3) == 0]
-            fill = rand_ext(r, pinf=40, minf=20)
+            fill = rand_ext(r, pinf=40, minf=20) if k % 2 else rand_runs(r)
             left, right = rand_tail(r), rand_tail(r)
-            dense = dict.fromkeys(range(lo, hi + 1), fill) | dict(points)
+            at = fill.value_at if isinstance(fill, SeqSpec) else lambda i: fill
+            dense = {i: at(i) for i in range(lo, hi + 1)} | dict(points)
             assert_same(
                 SeqSpec.from_points(lo, hi, points, fill, left, right),
                 SeqSpec(lo, [dense[i] for i in range(lo, hi + 1)], left, right),
             )
+
+    def test_from_terms(self):
+        r = rng(314)
+        for _ in range(120):
+            lo = r.randint(-9, 3)
+            hi = lo + r.randint(0, 20)
+            terms = []
+            for _ in range(r.randint(0, 6)):
+                k0 = r.randint(lo - 5, hi + 3)
+                terms.append((k0, k0 + r.randint(0, 12), r.randint(-3, 3), r.randint(-9, 9)))
+            left, right = rand_tail(r), rand_tail(r)
+            dense = [min((ExtInt(s * i + o) for k0, k1, s, o in terms if k0 <= i <= k1),
+                         default=PLUS_INF) for i in range(lo, hi + 1)]
+            assert_same(SeqSpec.from_terms(lo, hi, terms, left, right), SeqSpec(lo, dense, left, right))
+
+    def test_first_at_most(self):
+        r = rng(315)
+        for s in seeded_specs(315, 120):
+            lo, hi = span_of(s)
+            x = r.randint(lo, hi)
+            y = x + r.randint(-1, 30)
+            bound = r.randint(-25, 25)
+            want = next((i for i in range(x, y + 1) if s.value_at(i) <= bound), None)
+            assert s.first_at_most(bound, x, y) == want
 
     def test_json_and_views_are_dense(self):
         for s in seeded_specs(307):
