@@ -161,8 +161,7 @@ class PAdic(Frozen):
     @staticmethod
     def zero_mod(prime: int, precision: int) -> "PAdic":
         """Zero within precision: congruent to 0 modulo p^precision."""
-        n = ExtInt(precision)
-        return PAdic(prime, n, 0, n)
+        return PAdic(prime, ExtInt(precision), 0, ExtInt(precision))
 
     @staticmethod
     def make(prime: int, val: int, unit: int, precision: int) -> "PAdic":

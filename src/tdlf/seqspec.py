@@ -447,8 +447,6 @@ class SeqSpec(Frozen):
                 return _spans(fill, x, y)
         else:
             form = _point_form(ExtInt.of(fill))
-            if not points:  # one constant piece
-                return SeqSpec._make(lo, hi, ((lo, *form),), left, right)
 
             def gap(x: int, y: int) -> list[tuple]:
                 return [(x, y, *form)]
@@ -685,7 +683,7 @@ def _spans(s: SeqSpec, lo: int, hi: int) -> list[tuple]:
             break
         end = ps[j + 1][0] - 1 if j < last else s.window_hi
         if end >= lo:
-            out.append((start if start > lo else lo, end if end < hi else hi, slope, offset))
+            out.append((max(start, lo), min(end, hi), slope, offset))
     if hi > s.window_hi:
         out.append((max(lo, s.window_hi + 1), hi, *_form(s.right)))
     return out

@@ -170,8 +170,10 @@ def _split(prime: int, coeffs) -> tuple[tuple[tuple[int, PAdic], ...], list[tupl
     return tuple(stored), bounds
 
 
-def _nonzero(coeffs: Mapping[int, PAdic]) -> list[int]:
-    return [i for i, c in coeffs.items() if not c.is_exact_zero]
+def _held(split: tuple) -> list[int]:
+    """The least and the greatest index of a ``_split``, none if it is empty."""
+    ends = [i for part in split if part for i in (part[0][0], part[-1][0])]
+    return [min(ends), max(ends)] if ends else []
 
 
 class _Series(Frozen):
@@ -300,20 +302,14 @@ class EqualCharSeries(_Series):
     def __init__(
         self, prime: int, order: int, coeffs: tuple[tuple[int, PAdic], ...], trunc: ExtInt
     ):
-        stored, bounds = _split(prime, coeffs)
-        trunc = ExtInt.of(trunc)
+        self._init(prime, order, _split(prime, coeffs), ExtInt.of(trunc))
+
+    def _init(self, prime: int, order: int, split: tuple, trunc: ExtInt) -> None:
+        stored, bounds = split
         for i, _ in (*stored, *bounds):
             if i < order or trunc <= i:
                 raise ValueError(f"coefficient index {i} outside [order, trunc)")
-        if trunc <= order:
-            lo, left = (order, MINUS_TAIL) if trunc == MINUS_INF else (trunc.n, PLUS_TAIL)
-            self._set(prime, (), SeqSpec.from_points(lo, order, (), MINUS_INF, left, MINUS_TAIL))
-            return
-        if trunc.is_finite:
-            hi, right = trunc.n - 1, MINUS_TAIL
-        else:
-            hi, right = max([order] + [c[-1][0] for c in (stored, bounds) if c]), PLUS_TAIL
-        self._set(prime, stored, SeqSpec.from_points(order, hi, bounds, PLUS_INF, PLUS_TAIL, right))
+        self._set(prime, stored, _equal_g(order, trunc, stored, bounds, PLUS_INF, order))
 
     @property
     def _unknown_from_start(self) -> bool:
@@ -345,9 +341,12 @@ class EqualCharSeries(_Series):
         order: int | None = None,
         trunc: Union[ExtInt, int] = PLUS_INF,
     ) -> "EqualCharSeries":
+        split = _split(prime, coeffs.items())
         if order is None:
-            order = min(_nonzero(coeffs), default=0)
-        return EqualCharSeries(prime, order, coeffs.items(), trunc)
+            order = (_held(split) or [0])[0]
+        out = object.__new__(EqualCharSeries)
+        out._init(prime, order, split, ExtInt.of(trunc))
+        return out
 
     @staticmethod
     def monomial(prime: int, index: int, coeff: PAdic) -> "EqualCharSeries":
@@ -393,7 +392,10 @@ class MixedSeries(_Series):
     ):
         if lo > hi:
             raise ValueError("window must satisfy lo <= hi")
-        stored, bounds = _split(prime, coeffs)
+        self._init(prime, lo, hi, _split(prime, coeffs), left, right)
+
+    def _init(self, prime: int, lo: int, hi: int, split: tuple, left: LeftTail, right: RightTail):
+        stored, bounds = split
         for i, _ in (*stored, *bounds):
             if not lo <= i <= hi:
                 raise ValueError(f"coefficient index {i} outside window")
@@ -437,15 +439,17 @@ class MixedSeries(_Series):
         lo: int | None = None,
         hi: int | None = None,
     ) -> "MixedSeries":
-        nonzero = _nonzero(coeffs)
-        if nonzero:
-            ilo, ihi = min(nonzero), max(nonzero)
-            lo = ilo if lo is None else min(lo, ilo)
-            hi = ihi if hi is None else max(hi, ihi)
+        split = _split(prime, coeffs.items())
+        held = _held(split)
+        if held:
+            lo = held[0] if lo is None else min(lo, held[0])
+            hi = held[1] if hi is None else max(hi, held[1])
         else:
             lo = 0 if lo is None else lo
             hi = lo if hi is None else max(hi, lo)
-        return MixedSeries(prime, lo, hi, coeffs.items(), left, right)
+        out = object.__new__(MixedSeries)
+        out._init(prime, lo, hi, split, left, right)
+        return out
 
     @staticmethod
     def monomial(prime: int, index: int, coeff: PAdic) -> "MixedSeries":
@@ -510,9 +514,27 @@ def _finite(spans: list[tuple]) -> list[tuple]:
 
 def _window_runs(g: SeqSpec) -> list[tuple]:
     """The runs of the window of ``g`` with a finite value."""
-    if all(slope is None for _, slope, _ in g.pieces):
-        return []
     return _finite(g.spans(g.window_lo, g.window_hi))
+
+
+def _equal_g(order: int, trunc: ExtInt, stored: tuple, points: list, fill, hi: int) -> SeqSpec:
+    """The guarantee of the Laurent series of ``order`` and ``trunc`` that
+    stores ``stored``: ``+inf`` below the order and ``-inf`` from the
+    truncation on, and in between the ``points`` ``(index, value)`` and
+    ``fill`` (a value, or a sequence read up to ``hi``) elsewhere.  Without
+    a truncation the window ends at the last index holding anything."""
+    if trunc <= order:
+        lo, left = (order, MINUS_TAIL) if trunc == MINUS_INF else (trunc.n, PLUS_TAIL)
+        return SeqSpec.from_points(lo, order, (), MINUS_INF, left, MINUS_TAIL)
+    if trunc.is_finite:
+        return SeqSpec.from_points(order, trunc.n - 1, points, fill, PLUS_TAIL, MINUS_TAIL)
+    ends = [order, *(i for i, _ in stored[-1:]), *(i for i, v in points if v != PLUS_INF)]
+    if isinstance(fill, SeqSpec):
+        ends += [y for _, y, _, _ in _finite(fill.spans(order, hi))[-1:]]
+    end = max(ends)
+    if end > hi:  # nothing held past hi: end is the order
+        fill = PLUS_INF
+    return SeqSpec.from_points(order, end, [q for q in points if q[0] <= end], fill, PLUS_TAIL, PLUS_TAIL)
 
 
 # ---------------------------------------------------------------------------
@@ -520,37 +542,32 @@ def _window_runs(g: SeqSpec) -> list[tuple]:
 
 
 def add(x: Series, y: Series) -> Series:
-    """The sum.  For mixed series, each stored coefficient is known only
-    modulo the other summand's bound there; off the stored indices the
-    guarantee is the least of the two, and beyond the window the left bound
-    takes the least slope and the least base at the new ``lo``."""
+    """The sum.  Each stored coefficient is known only modulo the other
+    summand's bound there (and not at all past a truncation); off the stored
+    indices the guarantee is the least of the two.  Beyond the window of a
+    mixed sum the left bound takes the least slope and the least base at
+    the new ``lo``."""
     _check_pair(x, y)
-    p = x.prime
-    if isinstance(x, EqualCharSeries):
-        trunc = min(x.trunc, y.trunc)
-        total: dict[int, PAdic] = {}
-        for i, c in x.coeffs + y.coeffs:
-            if ExtInt(i) < trunc:
-                total[i] = total[i] + c if i in total else c
-        return EqualCharSeries.from_coeffs(p, total, order=min(x.order, y.order), trunc=trunc)
-
-    gx, gy = x.g, y.g
+    p, gx, gy = x.prime, x.g, y.g
     lo, hi = min(gx.window_lo, gy.window_lo), max(gx.window_hi, gy.window_hi)
     total = {}
     for a, b in ((x, y), (y, x)):
         for i, c in a.stored:
-            if i not in total:
+            if i not in total and b.g.value_at(i) != MINUS_INF:
                 total[i] = c + b.coeff(i)
     items = sorted(total.items())
     stored = tuple((i, c) for i, c in items if c.unit)
     points = [(i, PLUS_INF if c.unit else c.val) for i, c in items]
-    left = _least_left(gx.left, gy.left, lo)
-    right = ConstTail(min(gx.right.value, gy.right.value))
     rx, ry = _finite(gx.spans(lo, hi)), _finite(gy.spans(lo, hi))
     if rx and ry:
         least = SeqSpec.from_terms(lo, hi, rx + ry, PLUS_TAIL, PLUS_TAIL)
     else:  # the other summand's guarantee is +inf on all of [lo, hi]
         least = gx if rx else gy
+    if isinstance(x, EqualCharSeries):
+        order, trunc = min(x.order, y.order), min(x.trunc, y.trunc)
+        return EqualCharSeries._make(p, stored, _equal_g(order, trunc, stored, points, least, hi))
+    left = _least_left(gx.left, gy.left, lo)
+    right = ConstTail(min(gx.right.value, gy.right.value))
     return MixedSeries._make(p, stored, SeqSpec.from_points(lo, hi, points, least, left, right))
 
 
@@ -624,10 +641,12 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
         first = rem.first_at_most(target_precision - 1, lo, hi)
         cut = cut if first is None else first + 1
     pairs = _precisions(xs, ys, cut)
-    ks = sorted(pairs)
-    precs = {k: min(pairs[k], r) for k, r in zip(ks, _values_at(rem, ks))}
+    precs = {}
+    for k in sorted(pairs):
+        r = rem.value_at(k)
+        precs[k] = r.n if r < pairs[k] else pairs[k]
     if target_precision is not None:
-        bad = [k for k in ks if precs[k] < target_precision]
+        bad = [k for k, q in precs.items() if q < target_precision]
         if bad or cut != math.inf:
             k = min(bad, default=cut - 1)
             _check_target(k, precs[k] if k in precs else rem.value_at(k).n, target_precision)
@@ -635,20 +654,6 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     points = [(k, PLUS_INF if c.unit else c.val) for k, c in total.items()]
     stored = tuple((k, c) for k, c in total.items() if c.unit)
     return MixedSeries._make(p, stored, SeqSpec.from_points(lo, hi, points, rem, left, right))
-
-
-def _values_at(seq: SeqSpec, ks: list[int]) -> list:
-    """The values of ``seq`` at the increasing indices ``ks``, as ints, and
-    ``math.inf`` for ``+inf``: one walk over its runs."""
-    out: list = []
-    if not ks:
-        return out
-    n = 0
-    for _, y, slope, offset in seq.spans(ks[0], ks[-1]):
-        while n < len(ks) and ks[n] <= y:
-            out.append(math.inf if slope is None else slope * ks[n] + offset)
-            n += 1
-    return out
 
 
 def product_coeff(x: Series, y: Series, k: int) -> PAdic:
@@ -681,7 +686,7 @@ def product_coeff(x: Series, y: Series, k: int) -> PAdic:
 
 def _equal_frame(x: EqualCharSeries, y: EqualCharSeries) -> tuple[int, ExtInt]:
     """Order and truncation of a Laurent product; an exact zero absorbs."""
-    if any(s.trunc == PLUS_INF and not s.coeffs for s in (x, y)):
+    if any(s.trunc == PLUS_INF and not s.stored and not _window_runs(s.g) for s in (x, y)):
         return 0, PLUS_INF
     return x.order + y.order, min(x.order + y.trunc, y.order + x.trunc)
 
@@ -1046,17 +1051,18 @@ def _check_target(k: int, prec: int | float, target: int | None) -> None:
 
 
 def partial_sum(x: Series, n: int) -> Series:
-    """The truncated sum of all terms of degree at most ``n``: for a mixed
-    series, ``g`` cut at ``n``, so the right-tail positions up to ``n`` keep
-    their bound."""
-    if isinstance(x, EqualCharSeries):
-        kept = {i: c for i, c in x.coeffs if i <= n}
-        trunc = x.trunc if ExtInt(n) >= x.trunc else PLUS_INF
-        return EqualCharSeries.from_coeffs(x.prime, kept, order=x.order, trunc=trunc)
+    """The truncated sum of all terms of degree at most ``n``: ``g`` cut at
+    ``n``, so the right-tail positions of a mixed series up to ``n`` keep
+    their bound.  A Laurent series truncated at or below ``n`` is its own
+    partial sum."""
     g = x.g
+    kept = tuple((i, c) for i, c in x.stored if i <= n)
+    if isinstance(x, EqualCharSeries):
+        if ExtInt(n) >= x.trunc:
+            return x
+        return EqualCharSeries._make(x.prime, kept, _equal_g(x.order, PLUS_INF, kept, (), g, n))
     if n < g.window_lo and isinstance(g.left, ConstTail):  # a zero left tail
         return MixedSeries.zero(x.prime)
-    kept = tuple((i, c) for i, c in x.stored if i <= n)
     cut = SeqSpec.from_points(min(g.window_lo, n), n, (), g, g.left, PLUS_TAIL)
     return MixedSeries._make(x.prime, kept, cut)
 
@@ -1066,16 +1072,14 @@ def tail_remainder(x: Series, n: int) -> Series:
 
     Generic subtraction cannot see that the tail bounds of the partial sum
     alias those of ``x``; this builds the complement directly, so positions
-    at or below ``n`` are exactly zero: for a mixed series, ``g`` cut at
-    ``n``, with the left-tail positions above ``n`` keeping their bound.
+    at or below ``n`` are exactly zero: ``g`` cut at ``n``, with the
+    left-tail positions of a mixed series above ``n`` keeping their bound.
     """
-    if isinstance(x, EqualCharSeries):
-        kept = {i: c for i, c in x.coeffs if i > n}
-        return EqualCharSeries.from_coeffs(
-            x.prime, kept, order=max(x.order, n + 1), trunc=x.trunc
-        )
     g = x.g
     kept = tuple((i, c) for i, c in x.stored if i > n)
+    if isinstance(x, EqualCharSeries):
+        order = max(x.order, n + 1)
+        return EqualCharSeries._make(x.prime, kept, _equal_g(order, x.trunc, kept, (), g, g.window_hi))
     # a cut at or past hi leaves the window [n + 1, n + 1] with nothing in it
     fill = g if n < g.window_hi else PLUS_INF
     cut = SeqSpec.from_points(n + 1, max(g.window_hi, n + 1), (), fill, PLUS_TAIL, g.right)
@@ -1096,9 +1100,7 @@ def vF_exponent(x: MixedSeries) -> ValuationResult:
     ends = [s * e + o for a, b, s, o in _finite(g.spans(g.window_lo - 1, g.window_hi + 1))
             for e in (a, b)]
     bound_min = ExtInt(min(ends)) if ends else PLUS_INF
-    if exact_min < bound_min:
-        return ValuationResult(exact_min, True)
-    if bound_min == PLUS_INF:
+    if exact_min < bound_min or bound_min == PLUS_INF:
         return ValuationResult(exact_min, True)
     return ValuationResult(min(exact_min, bound_min), False)
 

@@ -133,6 +133,46 @@ def test_products_of_long_bound_runs_match_the_reference():
         assert outcome(mul, z, s) == outcome(reference_mul, z, s)
 
 
+def rough_laurent(r) -> EqualCharSeries:
+    """A Laurent series holding zeros within precision, truncated anywhere:
+    above its coefficients, at or below its order, at ``-inf`` or not at
+    all."""
+    lo = r.randint(-6, 2)
+    hi = lo + r.randint(0, 8)
+    coeffs = {
+        i: rand_coeff(r) if r.below(3) else PAdic.zero_mod(PRIME, r.randint(-3, 5))
+        for i in range(lo, hi + 1)
+        if r.below(2)
+    }
+    order = lo - r.below(3)
+    roll = r.below(5)
+    if roll == 0:
+        return EqualCharSeries.from_coeffs(PRIME, {}, order=order, trunc=order - r.below(3))
+    if roll == 1:
+        return EqualCharSeries.from_coeffs(PRIME, {}, order=order, trunc=MINUS_INF)
+    trunc = PLUS_INF if roll == 2 else hi + 1 + r.below(3)
+    return EqualCharSeries.from_coeffs(PRIME, coeffs, order=order, trunc=trunc)
+
+
+def test_laurent_operations_match_the_references_and_stay_canonical():
+    """Laurent sums, partial sums and remainders are built from ``stored``
+    and ``g``: each equals, with its hash, what the constructor builds from
+    the listed coefficients, so its window is the canonical one."""
+    r = rng(1303)
+    for _ in range(300):
+        x, y = rough_laurent(r), rough_laurent(r)
+        n = r.randint(-9, 12)
+        for got, want in (
+            (add(x, y), reference_add(x, y)),
+            (add(x, -x), reference_add(x, -x)),
+            (partial_sum(x, n), reference_partial_sum(x, n)),
+            (tail_remainder(x, n), reference_tail_remainder(x, n)),
+        ):
+            assert got == want and hash(got) == hash(want)
+            assert got.to_json() == want.to_json()
+        assert outcome(mul, x, y) == outcome(reference_mul, x, y)
+
+
 @pytest.mark.parametrize(
     "series",
     [

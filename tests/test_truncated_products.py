@@ -181,7 +181,9 @@ def test_slot_width_follows_the_certified_digits(monkeypatch):
     """On a tailed product that keeps at most 8 digits, a packed slot of
     the two-point product holds ``2 * 8 * log2(p) + bitlen(n) + 16`` bits at
     most, however wide the units: full-width packing fails this.  A product
-    whose stored pairs keep no digit packs nothing."""
+    packs exactly when its stored pairs keep a digit: when the highest
+    precision certified at a stored-pair index exceeds ``v_x + v_y``, the
+    least valuations of the stored coefficients."""
     widths = []
     packed = 0
 
@@ -203,6 +205,11 @@ def test_slot_width_follows_the_certified_digits(monkeypatch):
             bound = 2 * 8 * math.log2(p) + n.bit_length() + 16
             # one unit alone is wider than the bound
             assert max(c.unit.bit_length() for _, c in x.coeffs) > bound
+            ref = reference_mul(x, y)
+            pair_ks = {i + j for i, _ in x.stored for j, _ in y.stored}
+            v_stored = min(c.val.n for _, c in x.stored) + min(c.val.n for _, c in y.stored)
+            keeps_digits = max(ref.coeff(k).precision.n for k in pair_ks) - v_stored > 0
+            assert bool(widths) == keeps_digits
             assert not widths or 16 * max(widths) <= bound
             packed += bool(widths)
-    assert packed >= 5
+    assert packed == 8
