@@ -592,17 +592,17 @@ def default_mul_target(x: MixedSeries, y: MixedSeries) -> ExtInt:
 
 
 def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
-    """Product of two series of the same kind.
+    """Product of two series of the same kind, by one path for both kinds.
 
-    For mixed series each output coefficient is the exact sum over the
-    pairs of stored coefficients plus a zero-within-precision remainder
-    whose bound covers every pair with a factor that is not stored
-    (``_TailBound``); the coefficient precision reports exactly what is
-    certified.  Only indices with a stored pair get a coefficient: every
-    other index of the product window takes the remainder into ``g``, so
-    the product costs its stored pairs and the pieces of the remainder.
-    When ``target_precision`` is given, the first index certified below it
-    raises :class:`PrecisionExhausted`; the precisions are known before any
+    Each output coefficient is the exact sum over the pairs of stored
+    coefficients plus a zero-within-precision remainder whose bound covers
+    every pair with a factor that is not stored (``_TailBound``); the
+    coefficient precision reports exactly what is certified.  Only indices
+    with a stored pair get a coefficient: every other index of the product
+    window takes the remainder into ``g``, so the product costs its stored
+    pairs and the pieces of the remainder.  When ``target_precision`` is
+    given, the first index certified below it raises
+    :class:`PrecisionExhausted`; the precisions are known before any
     coefficient is multiplied, so a failing target costs no big-int work,
     and the stored pairs are walked only up to the first index where the
     remainder fails the target.
@@ -611,60 +611,56 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     multiplied, then multiplied by four-point Kronecker substitution
     (``_diagonal_sums``).
 
-    Of the min-plus convolution of the factors' valuation bounds a mixed
-    product reads only the window bounds and the tails, so it takes them
-    from ``convolution_frame``, which works from the tail rays and the ends
-    of the windows.
+    The kinds differ only in the frame.  A Laurent product takes its order
+    and truncation from ``_equal_frame``.  Of the min-plus convolution of
+    the factors' valuation bounds a mixed product reads only the window
+    ends and the tails, so it takes them from ``convolution_frame``.
     """
     _check_pair(x, y)
     p, xs, ys = x.prime, _units(x), _units(y)
+    gx, gy = x.g, y.g
     if isinstance(x, EqualCharSeries):
         order, trunc = _equal_frame(x, y)
-        # trunc is -inf only when a factor stores nothing, so no pair is lost
-        precs = _precisions(xs, ys, trunc.n if trunc.is_finite else math.inf)
-        for k, q in precs.items():
-            _check_target(k, q, target_precision)
-        total = _products(p, xs, ys, precs)
-        return EqualCharSeries.from_coeffs(p, total, order=order, trunc=trunc)
-    frame = convolution_frame(x.bound_seq(), y.bound_seq())
-    lo = min(x.lo + y.lo, frame.window_lo)
-    hi = max(x.hi + y.hi, frame.window_hi)
-    left, right = frame.left, frame.right
-    if left != PLUS_TAIL and not (isinstance(left, AffineTail) and left.slope < 0):
-        raise PrecisionExhausted("product coefficients do not decay leftwards")
-    if not isinstance(right, ConstTail):
-        # inputs carry constant floors on the right, so the convolved bound does too
-        raise PrecisionExhausted("product bound has a non-constant right tail")
+        cut = trunc.n if trunc.is_finite else math.inf  # nothing is known from trunc on
+        lo, hi = order, max(order, min(cut - 1, gx.window_hi + gy.window_hi))
+    else:
+        cut = math.inf
+        frame = convolution_frame(x.bound_seq(), y.bound_seq())
+        lo = min(gx.window_lo + gy.window_lo, frame.window_lo)
+        hi = max(gx.window_hi + gy.window_hi, frame.window_hi)
     rem = _TailBound(x, y).over(lo, hi)
-    cut = math.inf
+    first = None
     if target_precision is not None:
         first = rem.first_at_most(target_precision - 1, lo, hi)
-        cut = cut if first is None else first + 1
-    pairs = _precisions(xs, ys, cut)
+    pairs = _precisions(xs, ys, cut if first is None else first + 1)
     precs = {}
     for k in sorted(pairs):
         r = rem.value_at(k)
         precs[k] = r.n if r < pairs[k] else pairs[k]
     if target_precision is not None:
         bad = [k for k, q in precs.items() if q < target_precision]
-        if bad or cut != math.inf:
-            k = min(bad, default=cut - 1)
-            _check_target(k, precs[k] if k in precs else rem.value_at(k).n, target_precision)
+        if bad or first is not None:
+            k = min(bad, default=first)
+            q = precs[k] if k in precs else rem.value_at(k).n
+            raise PrecisionExhausted(f"coefficient {k} certified only modulo p^{q}")
     total = _products(p, xs, ys, precs)
     points = [(k, PLUS_INF if c.unit else c.val) for k, c in total.items()]
     stored = tuple((k, c) for k, c in total.items() if c.unit)
-    return MixedSeries._make(p, stored, SeqSpec.from_points(lo, hi, points, rem, left, right))
+    if isinstance(x, EqualCharSeries):
+        return EqualCharSeries._make(p, stored, _equal_g(order, trunc, stored, points, rem, hi))
+    g = SeqSpec.from_points(lo, hi, points, rem, frame.left, frame.right)
+    return MixedSeries._make(p, stored, g)
 
 
 def product_coeff(x: Series, y: Series, k: int) -> PAdic:
-    """``mul(x, y).coeff(k)`` from the stored pairs on ``i + j = k`` and,
-    for mixed series, the remainder at ``k``; the product is never built,
-    and no frame or convolution is computed.
+    """``mul(x, y).coeff(k)`` from the stored pairs on ``i + j = k`` and the
+    remainder at ``k``, for both kinds; the product is never built, and no
+    frame or convolution is computed.
 
     Raises what ``mul(x, y).coeff(k)`` raises, except that below the order
     of a Laurent product the coefficient is zero whatever its truncation.
-    The tail checks of a mixed ``mul`` cannot fire: left bounds have slope
-    at least 1 and right bounds are constant, so every ray of the product's
+    A mixed product needs no check of its frame: left bounds have slope at
+    least 1 and right bounds are constant, so every ray of the product's
     left tail has slope at most -1 (it decays) and every ray of its right
     tail is constant.  Like ``mul``, it computes only the digits its
     certified precision keeps.
@@ -677,9 +673,7 @@ def product_coeff(x: Series, y: Series, k: int) -> PAdic:
             return PAdic.zero(p)
         if ExtInt(k) >= trunc:
             raise PrecisionExhausted(f"coefficient {k} is beyond the truncation")
-        rem = PLUS_INF
-    else:
-        rem = _TailBound(x, y).value_at(k)
+    rem = _TailBound(x, y).value_at(k)
     xs, ys = _units(x), _units(y)
     return _coefficient(p, ((a, ys[k - i]) for i, a in xs.items() if k - i in ys), rem)
 
@@ -692,11 +686,12 @@ def _equal_frame(x: EqualCharSeries, y: EqualCharSeries) -> tuple[int, ExtInt]:
 
 
 class _TailBound(NamedTuple):
-    """The remainder of the product of two mixed series: at each index
-    ``k``, the least ``g_A(i) + w_B(j)``, ``i + j = k``, over the pairs in
-    which a factor ``A`` is not stored at ``i`` (it lies in a bound tail or
-    is zero within precision), ``w_B`` being the valuation bounds
-    (``bound_seq``) of the other factor ``B``.
+    """The remainder of any product: at each index ``k``, the least ``g_A(i)
+    + w_B(j)``, ``i + j = k``, over the pairs in which a factor ``A`` is not
+    stored at ``i`` (it lies in a bound tail or is zero within precision),
+    ``w_B`` being the valuation bounds (``bound_seq``) of the other factor
+    ``B``.  Only finite values of ``g_A`` count: the ``-inf`` of a Laurent
+    truncation is left to ``_equal_frame``.
 
     For each ordered pair of factors ``(A, B)``, read ``w_B`` as its runs
     from ``B.lo - 1`` to ``B.hi + 1``: its window and each bound tail at
@@ -716,8 +711,8 @@ class _TailBound(NamedTuple):
     two affine terms.  The remainder is the least of all these terms.
     """
 
-    x: MixedSeries
-    y: MixedSeries
+    x: Series
+    y: Series
 
     def value_at(self, k: int) -> ExtInt:
         v = min((s * k + o for k0, k1, s, o in self.terms(k, k) if k0 <= k <= k1), default=None)
@@ -730,12 +725,17 @@ class _TailBound(NamedTuple):
 
     def terms(self, lo: int, hi: int) -> list[tuple]:
         """Affine terms ``(k0, k1, slope, offset)`` whose least value at
-        each index of ``lo .. hi`` is the remainder there: O(runs) of them."""
+        each index of ``lo .. hi`` is the remainder there: O(runs) of them,
+        none for a factor ``A`` with no finite value in ``g``."""
         terms: list[tuple] = []
         for a, b in (self, self[::-1]):
-            ga, runs = a.g, b._runs
-            if ga.right.value != PLUS_INF:
-                f, d = ga.right.value.n, ga.window_hi + 1
+            ga = a.g
+            window, floor = _window_runs(ga), ga.right.value
+            if not (window or floor.is_finite or isinstance(ga.left, AffineTail)):
+                continue
+            runs = b._runs
+            if floor.is_finite:
+                f, d = floor.n, ga.window_hi + 1
                 for start, end, s, o in _running_min(runs, hi - d):
                     terms.append((start + d, end + d, s, o - s * d + f))
             if isinstance(ga.left, AffineTail):
@@ -745,7 +745,7 @@ class _TailBound(NamedTuple):
                 for start, end, s, o in _running_min(mirrored, e - lo):
                     terms.append((e - end, e - start, sa - s, ca + s * e + o))
             inner = [r for r in runs if b.g.window_lo <= r[0] and r[1] <= b.g.window_hi]
-            for run in _window_runs(ga):
+            for run in window:
                 for other in inner:
                     terms += _run_pair(run, other)
         return terms
@@ -798,19 +798,17 @@ def _run_pair(a: tuple, b: tuple) -> list[tuple]:
 
 def _units(x: Series) -> dict[int, tuple[int, int, int]]:
     """The coefficients a product multiplies pairwise, as ``i -> (val,
-    unit, precision)`` integers in increasing ``i``: every coefficient of a
-    Laurent series, the stored ones of a mixed series (``_TailBound``
-    covers the rest)."""
-    pairs = x.coeffs if isinstance(x, EqualCharSeries) else x.stored
-    return {i: (c.val.n, c.unit, c.precision.n) for i, c in pairs}
+    unit, precision)`` integers in increasing ``i``: the stored ones, of
+    either kind (``_TailBound`` covers the rest)."""
+    return {i: (c.val.n, c.unit, c.precision.n) for i, c in x.stored}
 
 
-def _precisions(xs: dict, ys: dict, cut: float = math.inf) -> dict[int, int]:
+def _precisions(xs: dict, ys: dict, cut: float) -> dict[int, int]:
     """Per product index ``k = i + j < cut`` of the stored pairs, the least
     precision ``min(p_i + v_j, p_j + v_i)`` one of its pair products
     certifies, in order of first appearance: one walk over the stored
-    pairs with small integers only, which stops each row at ``cut`` as the
-    stored indices increase."""
+    pairs of either kind with small integers only, which stops each row at
+    ``cut`` as the stored indices increase."""
     out: dict[int, int] = {}
     yl = [(j, vj, pj) for j, (vj, _, pj) in ys.items()]
     for i, (vi, _, pi) in xs.items():
@@ -1009,7 +1007,7 @@ def _reflected(run: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(-i, a) for i, a in reversed(run)]
 
 
-def _coefficient(p: int, pairs, rem: ExtInt = PLUS_INF) -> PAdic:
+def _coefficient(p: int, pairs, rem: ExtInt) -> PAdic:
     """The sum of the products ``x_i * y_j`` in ``pairs`` plus ``O(p^rem)``,
     computed only to the digits it keeps.
 
@@ -1038,12 +1036,6 @@ def _coefficient(p: int, pairs, rem: ExtInt = PLUS_INF) -> PAdic:
         if ui and uj and d < r:
             s += (ui % mod) * (uj % mod) * prime_power(p, d)
     return PAdic.make(p, v, s, prec)
-
-
-
-def _check_target(k: int, prec: int | float, target: int | None) -> None:
-    if target is not None and prec < target:
-        raise PrecisionExhausted(f"coefficient {k} certified only modulo p^{prec}")
 
 
 # ---------------------------------------------------------------------------
@@ -1080,9 +1072,8 @@ def tail_remainder(x: Series, n: int) -> Series:
     if isinstance(x, EqualCharSeries):
         order = max(x.order, n + 1)
         return EqualCharSeries._make(x.prime, kept, _equal_g(order, x.trunc, kept, (), g, g.window_hi))
-    # a cut at or past hi leaves the window [n + 1, n + 1] with nothing in it
-    fill = g if n < g.window_hi else PLUS_INF
-    cut = SeqSpec.from_points(n + 1, max(g.window_hi, n + 1), (), fill, PLUS_TAIL, g.right)
+    # a cut at or past hi reads the right floor at n + 1
+    cut = SeqSpec.from_points(n + 1, max(g.window_hi, n + 1), (), g, PLUS_TAIL, g.right)
     return MixedSeries._make(x.prime, kept, cut)
 
 

@@ -318,7 +318,7 @@ def reference_mul(x, y, target=None):
                 if ExtInt(i + j) < trunc:
                     prod = ci * cj
                     total[i + j] = total[i + j] + prod if i + j in total else prod
-        for k, c in total.items():
+        for k, c in sorted(total.items()):
             _reference_target(k, c, target)
         return EqualCharSeries.from_coeffs(p, total, order=x.order + y.order, trunc=trunc)
     conv = minplus_convolve(x.bound_seq(), y.bound_seq())
@@ -691,7 +691,7 @@ def reference_tail_remainder(x, n: int):
         )
     lo, hi = n + 1, max(x.hi, n + 1)
     kept = {}
-    for i in range(lo, x.hi + 1):
+    for i in range(lo, hi + 1):
         c = x.coeff(i)
         if not c.is_exact_zero:
             kept[i] = c

@@ -65,3 +65,12 @@ def test_a_flag_value_of_two_dashes_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap", [" + O(t^20)", ""])
+def test_a_failing_target_names_the_first_index_of_either_kind(capsys, cap):
+    """A Laurent product and its mixed twin name the same first index below
+    the target: coefficient 1, not the later coefficient 10."""
+    argv = ["eval", "--series", f"1 + p^-5*t{cap}", "--times", f"1 + p^-5*t^10{cap}",
+            "--target", "30"]
+    assert run(capsys, argv) == (3, "", "error: coefficient 1 certified only modulo p^27\n")

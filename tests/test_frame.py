@@ -13,6 +13,7 @@ import math
 
 from tdlf import (
     MINUS_INF,
+    PLUS_INF,
     AffineTail,
     ConstTail,
     ExtInt,
@@ -32,6 +33,7 @@ from helpers import (
     reference_tail_pairs_bound,
     rng,
 )
+from test_differential import rand_pair
 from test_pieces import seeded_pairs
 
 
@@ -118,6 +120,22 @@ def test_tail_guard_is_shared(monkeypatch):
         assert frame_of(got) == frame_of(outcome(minplus_convolve, a, b))
         raised += not hasattr(got, "window_lo")
     assert raised > 20
+
+
+def test_mixed_product_frames_need_no_check():
+    """The frame of a product of tailed mixed series decays leftwards (a
+    zero tail, or slope at most -1) and is constant rightwards, so ``mul``
+    checks neither."""
+    r = rng(714)
+    affine = 0
+    for _ in range(300):
+        x, y = rand_pair(r, "mixed")
+        frame = convolution_frame(x.bound_seq(), y.bound_seq())
+        left = frame.left
+        assert left == ConstTail(PLUS_INF) or (isinstance(left, AffineTail) and left.slope <= -1)
+        assert isinstance(frame.right, ConstTail)
+        affine += isinstance(left, AffineTail)
+    assert affine > 50
 
 
 def tailed_pairs(seed, n):

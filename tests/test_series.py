@@ -214,6 +214,15 @@ class TestPartialSum:
         for a, b in zip(exps, exps[1:]):
             assert b < a
 
+    def test_tail_remainder_past_the_window_keeps_the_right_floor(self):
+        # x_2 of 1 + tail(v>=0) is bounded only by the floor: not an exact zero
+        from tdlf import tail_remainder
+        from tdlf.parser import parse_series
+
+        y = parse_series("1 + tail(v>=0)", P)
+        c = tail_remainder(y, 1).coeff(2)
+        assert str(c) == "O(5^0)" and c == PAdic.zero_mod(P, 0)
+
     def test_tail_remainder_matches_subtraction_on_exact_series(self):
         r = rng(39)
         for _ in range(20):
