@@ -84,8 +84,6 @@ def functional_from_values(
     right = ZeroTail() if right is None else right
     if not isinstance(left, (ZeroTail, LeftValBound)):
         raise NonConvergentValues("left tail must certify decay")
-    if isinstance(left, LeftValBound) and left.slope < 1:
-        raise NonConvergentValues("values do not tend to zero towards -inf")
     if not isinstance(right, (ZeroTail, RightValBound)):
         raise NonConvergentValues("right tail must certify a floor")
     try:

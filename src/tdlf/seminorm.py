@@ -19,8 +19,6 @@ from .padic import ExponentResult
 from .seqspec import (
     MINUS_INF,
     PLUS_INF,
-    AffineTail,
-    ConstTail,
     ExtInt,
     Frozen,
     SeqSpec,
@@ -81,22 +79,16 @@ def _admissibility_failure(seq: SeqSpec, kind: str) -> str | None:
         if v == PLUS_INF:
             return f"value +inf at index {i}"
     for side, tail in (("left", seq.left), ("right", seq.right)):
-        if isinstance(tail, ConstTail) and tail.value == PLUS_INF:
+        if tail.at(0) == PLUS_INF:
             return f"{side} tail is +inf"
     if kind == EQUAL:
-        right = seq.right
-        if not (isinstance(right, ConstTail) and right.value == MINUS_INF):
+        if seq.right.at(0) != MINUS_INF:
             return "no index k with n_i = -inf for all i > k"
         return None
     if kind == MIXED:
-        left = seq.left
-        if isinstance(left, AffineTail) and left.slope < 0:
+        if seq.left.limit(True) == PLUS_INF:
             return "values unbounded above towards -inf"
-        right = seq.right
-        if isinstance(right, AffineTail):
-            if right.slope >= 0:
-                return "values do not tend to -inf towards +inf"
-        elif right.value != MINUS_INF:
+        if seq.right.limit(False) != MINUS_INF:
             return "values do not tend to -inf towards +inf"
         return None
     raise ValueError(f"unknown field kind {kind!r}")
@@ -138,10 +130,8 @@ def _eval(seq: SeqSpec, x: Union[EqualCharSeries, MixedSeries]) -> ExponentResul
     if isinstance(x, EqualCharSeries):
         # the largest index carrying a finite weight
         last = max((end for _, end, v in seq.runs() if v != MINUS_INF), default=None)
-        if last is None:
-            left = seq.left
-            if not (isinstance(left, ConstTail) and left.value == MINUS_INF):
-                last = seq.window_lo - 1
+        if last is None and seq.left.at(0) != MINUS_INF:
+            last = seq.window_lo - 1
         if last is not None and ExtInt(last) >= x.trunc:
             raise PrecisionExhausted(
                 f"series truncated at t^{x.trunc} but weights reach index {last}"

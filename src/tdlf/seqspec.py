@@ -239,6 +239,10 @@ class ConstTail(Frozen):
     def at(self, i: int) -> ExtInt:
         return self.value
 
+    def limit(self, leftward: bool) -> ExtInt:
+        """The limit of the values towards ``-inf`` (``leftward``) or ``+inf``."""
+        return self.value
+
     def to_json(self) -> dict:
         return {"kind": "const", "value": self.value.to_json()}
 
@@ -254,6 +258,12 @@ class AffineTail(Frozen):
 
     def at(self, i: int) -> ExtInt:
         return ExtInt(self.slope * i + self.offset)
+
+    def limit(self, leftward: bool) -> ExtInt:
+        """The limit of the values towards ``-inf`` (``leftward``) or ``+inf``."""
+        if self.slope == 0:
+            return ExtInt(self.offset)
+        return PLUS_INF if (self.slope > 0) != leftward else MINUS_INF
 
     def to_json(self) -> dict:
         return {"kind": "affine", "slope": self.slope, "offset": self.offset}
@@ -288,6 +298,15 @@ def _form(t: Tail) -> tuple[int | None, int]:
     return _point_form(t.value)
 
 
+def _tail(slope: int | None, offset: int) -> Tail:
+    """The normal tail of a form: the inverse of ``_form``."""
+    if slope is None:
+        return ConstTail(PLUS_INF if offset > 0 else MINUS_INF)
+    if slope == 0:
+        return ConstTail(ExtInt(offset))
+    return AffineTail(slope, offset)
+
+
 # --------------------------------------------------------------------------
 # affine pieces
 #
@@ -302,6 +321,10 @@ def _form(t: Tail) -> tuple[int | None, int]:
 # Operations build *fragments* ``(x, y, slope, offset)``: contiguous runs
 # on ``[x, y]`` in the same encoding, not yet maximal; ``_normalize`` turns
 # them into pieces.
+#
+# Tails are transformed through the same form: an operation maps
+# ``_form(tail)`` as it maps a piece's ``(slope, offset)``, and ``_tail``
+# undoes ``_form``, so a slope-zero affine tail comes back as a constant.
 
 
 def _at(slope: int | None, offset: int, i: int) -> ExtInt:
@@ -542,42 +565,10 @@ class SeqSpec(Frozen):
         """
         left = _normalize_tail(self.left)
         right = _normalize_tail(self.right)
-        fl, fr = _form(left), _form(right)
-        spans = _spans(self, self.window_lo, self.window_hi)
-
-        def first_diff_left() -> int | None:
-            for x, y, s, o in spans:
-                if (s, o) != fl:
-                    # distinct lines agree at one index at most
-                    if not _same_at(s, o, *fl, x):
-                        return x
-                    if x < y:
-                        return x + 1
-            # window matches the left extension; first difference, if any,
-            # lies where the right tail departs from the left form
-            if fl == fr:
-                return None
-            for i in (self.window_hi + 1, self.window_hi + 2):
-                if not _same_at(*fl, *fr, i):
-                    return i
-            return None  # affine forms agreeing twice agree everywhere
-
-        def last_diff_right() -> int | None:
-            for x, y, s, o in reversed(spans):
-                if (s, o) != fr:
-                    if not _same_at(s, o, *fr, y):
-                        return y
-                    if x < y:
-                        return y - 1
-            if fl == fr:
-                return None
-            for i in (self.window_lo - 1, self.window_lo - 2):
-                if not _same_at(*fr, *fl, i):
-                    return i
-            return None
-
-        lo_star = first_diff_left()
-        hi_star = last_diff_right()
+        # two indices of each tail: where the other tail leaves this one's form
+        spans = _spans(self, self.window_lo - 2, self.window_hi + 2)
+        lo_star = _departure(spans, _form(left), 1)
+        hi_star = _departure(reversed(spans), _form(right), -1)
         if lo_star is None or hi_star is None:
             # the map is a single tail form everywhere
             return SeqSpec._make(0, 0, ((0, *_point_form(left.at(0))),), left, left)
@@ -669,6 +660,20 @@ def _same_at(s: int | None, o: int, t: int | None, p: int, i: int) -> bool:
     return s * i + o == t * i + p
 
 
+def _departure(frags: Iterable[tuple], form: tuple, step: int) -> int | None:
+    """The first index, walking ``frags`` in order (rightwards for ``step``
+    1, leftwards for -1), whose value leaves ``form``; None if none does."""
+    for x, y, s, o in frags:
+        if (s, o) != form:
+            i = x if step > 0 else y
+            # distinct lines agree at one index at most
+            if not _same_at(s, o, *form, i):
+                return i
+            if x < y:
+                return i + step
+    return None
+
+
 def _spans(s: SeqSpec, lo: int, hi: int) -> list[tuple]:
     """Fragments of ``s`` on ``[lo, hi]``, tails included."""
     out = []
@@ -720,31 +725,6 @@ def _crossing_floor(a: Tail, b: Tail) -> int | None:
     return num // den
 
 
-def _dominant_tail(a: Tail, b: Tail, want_min: bool, leftward: bool) -> Tail:
-    """The tail form equal to min/max(a, b) far out on the given side."""
-    sa, oa = _form(a)
-    sb, ob = _form(b)
-    if sa is None and sb is None:
-        if (oa < ob) == want_min:
-            return _normalize_tail(a)
-        return _normalize_tail(b)
-    if sa is None:
-        wins = (oa < 0) == want_min  # -inf wins a min, +inf wins a max
-        return _normalize_tail(a) if wins else _normalize_tail(b)
-    if sb is None:
-        wins = (ob < 0) == want_min
-        return _normalize_tail(b) if wins else _normalize_tail(a)
-    if sa == sb:
-        if (oa < ob) == want_min:
-            return _normalize_tail(a)
-        return _normalize_tail(b)
-    # far to the left the larger slope is smaller; to the right the smaller is
-    a_small_far = (sa > sb) if leftward else (sa < sb)
-    if a_small_far == want_min:
-        return _normalize_tail(a)
-    return _normalize_tail(b)
-
-
 def _below(sa: int | None, oa: int, sb: int | None, ob: int) -> bool:
     """Whether form ``a`` is at most form ``b`` everywhere, for forms that
     do not cross: an infinite one or a shared slope."""
@@ -781,9 +761,10 @@ def _pointwise(a: SeqSpec, b: SeqSpec, want_min: bool) -> SeqSpec:
             frags.append((x, min(c, y), *first))
         if c < y:
             frags.append((max(x, c + 1), y, *second))
-    left = _dominant_tail(a.left, b.left, want_min, leftward=True)
-    right = _dominant_tail(a.right, b.right, want_min, leftward=False)
-    return SeqSpec._make(lo, hi, _normalize(frags), left, right)
+    # past the crossings the tails no longer swap, so one index tells
+    left = a.left if (a.left.at(lo - 1) < b.left.at(lo - 1)) == want_min else b.left
+    right = a.right if (a.right.at(hi + 1) < b.right.at(hi + 1)) == want_min else b.right
+    return SeqSpec._make(lo, hi, _normalize(frags), _normalize_tail(left), _normalize_tail(right))
 
 
 def pointwise_min(a: SeqSpec, b: SeqSpec) -> SeqSpec:
@@ -800,54 +781,31 @@ def pointwise_max(a: SeqSpec, b: SeqSpec) -> SeqSpec:
 # reflection and shift
 
 
-def _reflect_value(a: int, v: ExtInt) -> ExtInt:
-    # a - (+inf) = -inf and a - (-inf) = +inf by saturation
-    if v == PLUS_INF:
-        return MINUS_INF
-    if v == MINUS_INF:
-        return PLUS_INF
-    return ExtInt(a - v.n)
-
-
-def _reflect_tail(a: int, t: Tail) -> Tail:
-    t = _normalize_tail(t)
-    if isinstance(t, ConstTail):
-        return ConstTail(_reflect_value(a, t.value))
-    # value at i becomes a - (slope*(-i) + offset) = slope*i + (a - offset)
-    return AffineTail(t.slope, a - t.offset)
-
-
 def reflect_affine(s: SeqSpec, a: int) -> SeqSpec:
     """The sequence ``i -> a - s(-i)``; sides and tails swap accordingly."""
     frags = [
         (-y, -x, slope, -offset if slope is None else a - offset)
         for x, y, slope, offset in reversed(_spans(s, s.window_lo, s.window_hi))
     ]
-    return SeqSpec._make(
-        -s.window_hi,
-        -s.window_lo,
-        _normalize(frags),
-        _reflect_tail(a, s.right),
-        _reflect_tail(a, s.left),
-    )
+    left, right = [
+        _tail(slope, -offset if slope is None else a - offset)
+        for slope, offset in (_form(s.right), _form(s.left))
+    ]
+    return SeqSpec._make(-s.window_hi, -s.window_lo, _normalize(frags), left, right)
 
 
 def shift_add(s: SeqSpec, c: int) -> SeqSpec:
     """Add ``c`` to every value (saturating at infinities)."""
-
-    def bump_tail(t: Tail) -> Tail:
-        t = _normalize_tail(t)
-        if isinstance(t, ConstTail):
-            v = t.value
-            return ConstTail(v if not v.is_finite else ExtInt(v.n + c))
-        return AffineTail(t.slope, t.offset + c)
-
     # adding a constant keeps every line, so the pieces stay greedy
     pieces = tuple(
         (start, slope, offset if slope is None else offset + c)
         for start, slope, offset in s.pieces
     )
-    return SeqSpec._make(s.window_lo, s.window_hi, pieces, bump_tail(s.left), bump_tail(s.right))
+    left, right = [
+        _tail(slope, offset if slope is None else offset + c)
+        for slope, offset in (_form(s.left), _form(s.right))
+    ]
+    return SeqSpec._make(s.window_lo, s.window_hi, pieces, left, right)
 
 
 # --------------------------------------------------------------------------
@@ -1002,10 +960,7 @@ def _asymptote_winner(
         if r is win or r.slope == win.slope:
             continue
         crossings.append((r.offset - win.offset) // (win.slope - r.slope))
-    tail: Tail = (
-        ConstTail(ExtInt(win.offset)) if win.slope == 0 else AffineTail(win.slope, win.offset)
-    )
-    return tail, crossings
+    return _tail(win.slope, win.offset), crossings
 
 
 class Frame(NamedTuple):

@@ -120,35 +120,11 @@ class Membership:
 
 def _minus_inf_index(seq: SeqSpec) -> int | None:
     """An index where the exponent is ``-inf``, or None if there is none."""
-    for i, _, v in seq.runs():
-        if v == MINUS_INF:
+    # one index of each tail stands for the whole tail
+    for i, _, slope, offset in seq.spans(seq.window_lo - 1, seq.window_hi + 1):
+        if slope is None and offset < 0:
             return i
-    if isinstance(seq.left, ConstTail) and seq.left.value == MINUS_INF:
-        return seq.window_lo - 1
-    if isinstance(seq.right, ConstTail) and seq.right.value == MINUS_INF:
-        return seq.window_hi + 1
     return None
-
-
-def _left_bounded_below(seq: SeqSpec) -> bool:
-    t = seq.left
-    if isinstance(t, AffineTail):
-        return t.slope <= 0
-    return t.value != MINUS_INF
-
-
-def _right_bounded_below(seq: SeqSpec) -> bool:
-    t = seq.right
-    if isinstance(t, AffineTail):
-        return t.slope >= 0
-    return t.value != MINUS_INF
-
-
-def _left_tends_to_plus_inf(seq: SeqSpec) -> bool:
-    t = seq.left
-    if isinstance(t, AffineTail):
-        return t.slope <= -1
-    return t.value == PLUS_INF
 
 
 def is_open_lattice(m: SubmoduleSpec) -> bool:
@@ -166,9 +142,8 @@ def is_bounded(m: SubmoduleSpec) -> bool:
     if _minus_inf_index(seq) is not None:
         return False
     if m.field_kind == EQUAL:
-        left = seq.left
-        return isinstance(left, ConstTail) and left.value == PLUS_INF
-    return _left_bounded_below(seq) and _right_bounded_below(seq)
+        return seq.left.at(0) == PLUS_INF
+    return seq.left.limit(True) != MINUS_INF and seq.right.limit(False) != MINUS_INF
 
 
 def is_compactoid(m: SubmoduleSpec) -> bool:
@@ -177,7 +152,7 @@ def is_compactoid(m: SubmoduleSpec) -> bool:
     if m.field_kind == EQUAL:
         # bounded and compactoid submodules coincide in a nuclear space
         return True
-    return _left_tends_to_plus_inf(m.seq)
+    return m.seq.left.limit(True) == PLUS_INF
 
 
 def classify(m: SubmoduleSpec) -> Classification:
@@ -345,8 +320,7 @@ def unbounded_witness(
         ]
         return spec, elems
 
-    left = seq.left
-    if isinstance(left, AffineTail) and left.slope >= 1:
+    if seq.left.limit(True) == MINUS_INF:
         # exponents drop without bound towards -inf: the 0/-inf step weighs
         # all indices at or below zero, where the boundary monomials blow up
         spec = SeminormSpec(

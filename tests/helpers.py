@@ -372,8 +372,15 @@ def _dense(lo: int, vals, left, right) -> SeqSpec:
     return SeqSpec(lo, tuple(vals), left, right)
 
 
+def _reference_normal_tail(t):
+    """A slope-zero affine tail as the constant it is."""
+    if isinstance(t, AffineTail) and t.slope == 0:
+        return ConstTail(ExtInt(t.offset))
+    return t
+
+
 def reference_pointwise(a: SeqSpec, b: SeqSpec, want_min: bool) -> SeqSpec:
-    from tdlf.seqspec import _crossing_floor, _dominant_tail
+    from tdlf.seqspec import _crossing_floor
 
     lo = min(a.window_lo, b.window_lo)
     hi = max(a.window_hi, b.window_hi)
@@ -385,17 +392,29 @@ def reference_pointwise(a: SeqSpec, b: SeqSpec, want_min: bool) -> SeqSpec:
         hi = max(hi, cr + 1)
     pick = min if want_min else max
     vals = [pick(a.value_at(i), b.value_at(i)) for i in range(lo, hi + 1)]
-    left = _dominant_tail(a.left, b.left, want_min, leftward=True)
-    right = _dominant_tail(a.right, b.right, want_min, leftward=False)
-    return _dense(lo, vals, left, right)
+    far = 1000 + abs(lo) + abs(hi)
+
+    def far_tail(ta, tb, sign: int):
+        # the tail that is the min/max of the two at three indices far out
+        ks = [sign * (far + j) for j in (1, 2, 3)]
+        for t in (ta, tb):
+            if all(t.at(k) == pick(ta.at(k), tb.at(k)) for k in ks):
+                return _reference_normal_tail(t)
+        raise AssertionError("neither tail is the min/max far out")
+
+    return _dense(lo, vals, far_tail(a.left, b.left, -1), far_tail(a.right, b.right, 1))
 
 
 def reference_reflect_affine(s: SeqSpec, a: int) -> SeqSpec:
-    from tdlf.seqspec import _reflect_tail, _reflect_value
+    def reflect_tail(t):
+        # a - (slope*(-i) + offset) = slope*i + (a - offset)
+        if isinstance(t, AffineTail) and t.slope != 0:
+            return AffineTail(t.slope, a - t.offset)
+        return ConstTail(a - t.at(0))  # ExtInt saturates at the infinities
 
     lo, hi = -s.window_hi, -s.window_lo
-    vals = [_reflect_value(a, s.value_at(-i)) for i in range(lo, hi + 1)]
-    return _dense(lo, vals, _reflect_tail(a, s.right), _reflect_tail(a, s.left))
+    vals = [a - s.value_at(-i) for i in range(lo, hi + 1)]
+    return _dense(lo, vals, reflect_tail(s.right), reflect_tail(s.left))
 
 
 def reference_shift_add(s: SeqSpec, c: int) -> SeqSpec:

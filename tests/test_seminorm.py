@@ -5,6 +5,7 @@ from tdlf import (
     EqualCharSeries,
     ExtInt,
     MINUS_INF,
+    PLUS_INF,
     MixedSeries,
     NonAdmissibleSequence,
     PAdic,
@@ -55,8 +56,6 @@ class TestValidate:
             validate(SeminormSpec(seq, "equal"))
 
     def test_plus_inf_rejected_everywhere(self):
-        from tdlf import PLUS_INF
-
         seq = SeqSpec.from_window({0: PLUS_INF}, ConstTail(MINUS_INF), ConstTail(MINUS_INF))
         with pytest.raises(NonAdmissibleSequence, match=r"\+inf"):
             validate(SeminormSpec(seq, "mixed"))
@@ -65,6 +64,33 @@ class TestValidate:
         seq = SeqSpec.from_window({0: 0}, AffineTail(-1, 0), ConstTail(MINUS_INF))
         with pytest.raises(NonAdmissibleSequence, match="unbounded above"):
             validate(SeminormSpec(seq, "mixed"))
+
+    @pytest.mark.parametrize(
+        "kind, value, left, right, reason",
+        [
+            ("mixed", PLUS_INF, ConstTail(MINUS_INF), ConstTail(MINUS_INF), "value +inf at index 0"),
+            ("mixed", 0, ConstTail(PLUS_INF), ConstTail(MINUS_INF), "left tail is +inf"),
+            ("equal", 0, ConstTail(MINUS_INF), ConstTail(PLUS_INF), "right tail is +inf"),
+            ("equal", 0, ConstTail(MINUS_INF), AffineTail(-1, 0),
+             "no index k with n_i = -inf for all i > k"),
+            ("mixed", 0, AffineTail(-1, 0), ConstTail(MINUS_INF),
+             "values unbounded above towards -inf"),
+            ("mixed", 0, ConstTail(ExtInt(0)), AffineTail(0, 2),
+             "values do not tend to -inf towards +inf"),
+            ("mixed", 0, ConstTail(ExtInt(0)), AffineTail(1, 0),
+             "values do not tend to -inf towards +inf"),
+            ("mixed", 0, AffineTail(0, 3), ConstTail(MINUS_INF), None),
+            ("mixed", 0, AffineTail(2, 0), AffineTail(-1, 0), None),
+        ],
+    )
+    def test_every_reason_in_full(self, kind, value, left, right, reason):
+        spec = SeminormSpec(SeqSpec.from_window({0: value}, left, right), kind)
+        if reason is None:
+            validate(spec)
+            return
+        with pytest.raises(NonAdmissibleSequence) as exc:
+            validate(spec)
+        assert str(exc.value) == f"{kind}: {reason}"
 
 
 class TestEvalExponent:
