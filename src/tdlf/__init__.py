@@ -43,7 +43,6 @@ from .series import (
     ValuationResult,
     ZeroTail,
     add,
-    default_mul_target,
     mul,
     partial_sum,
     rank2_equal,

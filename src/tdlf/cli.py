@@ -44,6 +44,18 @@ EXIT_PRECISION = 3
 EXIT_ADMISSIBILITY = 4
 EXIT_UNKNOWN_NAME = 5
 
+# the exit code of each error class, the first that matches; any other
+# TdlfError exits 1.  A bad input or --window, or a request that needs
+# different input, is a parse error.
+_EXIT_CODES = {
+    **dict.fromkeys((ParseError, KindMismatch, IncompatiblePrimes, ValueError,
+                     WindowInsufficient, ZeroElement), EXIT_PARSE),
+    PrecisionExhausted: EXIT_PRECISION,
+    **dict.fromkeys((NonAdmissibleSequence, NotCompactoid, NotBounded, NonConvergentValues),
+                    EXIT_ADMISSIBILITY),
+    UnknownName: EXIT_UNKNOWN_NAME,
+}
+
 # limits of the oracle flags; the library functions take any window and count
 MAX_WINDOW_WIDTH = 101
 MAX_SAMPLE_COUNT = 12
@@ -191,12 +203,10 @@ def _cmd_oracle(args) -> dict:
         b = _load_module(args.b)
         value = oracle.brute_minplus(a.seq, b.seq, check_index(args.k, "--k"), args.window)
         return {"k": args.k, "value": value.to_json()}
-    if args.oracle_cmd == "seminorm":
-        spec = _load_seminorm(args.spec)
-        args.field = spec.field_kind
-        x = _load_series(args.series, args)
-        return {"exponent": oracle.brute_seminorm(spec, x, args.window).to_json()}
-    raise ParseError(f"unknown oracle subcommand {args.oracle_cmd!r}")
+    spec = _load_seminorm(args.spec)  # the seminorm subcommand
+    args.field = spec.field_kind
+    x = _load_series(args.series, args)
+    return {"exponent": oracle.brute_seminorm(spec, x, args.window).to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -352,40 +362,23 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: argument --{dest.replace('_', '-')}: expected one argument",
                       file=sys.stderr)
                 return EXIT_PARSE
-    if args.precision is None:
-        env = os.environ.get("TDLF_PRECISION", "32")
-        try:
-            args.precision = int(env)
-        except ValueError:
-            print(f"error: TDLF_PRECISION must be an integer, got {env!r}", file=sys.stderr)
-            return EXIT_PARSE
-    if args.prime >= PRIME_LIMIT:
-        print(f"error: --prime must be below {PRIME_LIMIT}", file=sys.stderr)
-        return EXIT_PARSE
-    if not _is_prime(args.prime):
-        print(f"error: --prime {args.prime} is not prime", file=sys.stderr)
-        return EXIT_PARSE
     try:
+        if args.precision is None:
+            env = os.environ.get("TDLF_PRECISION", "32")
+            try:
+                args.precision = int(env)
+            except ValueError:
+                raise ParseError(f"TDLF_PRECISION must be an integer, got {env!r}") from None
+        if args.prime >= PRIME_LIMIT:
+            raise ParseError(f"--prime must be below {PRIME_LIMIT}")
+        if not _is_prime(args.prime):
+            raise ParseError(f"--prime {args.prime} is not prime")
         check_precision(args.precision)
         args.window = _parse_window(args.window)
         result = args.func(args)
-    # a bad input or --window, or a request that needs different input
-    except (ParseError, KindMismatch, IncompatiblePrimes, ValueError, WindowInsufficient,
-            ZeroElement) as exc:
+    except (TdlfError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PrecisionExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except (NonAdmissibleSequence, NotCompactoid, NotBounded, NonConvergentValues) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    except UnknownName as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_NAME
-    except TdlfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)), 1)
     print(_dump(result))
     return 0
 

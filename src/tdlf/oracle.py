@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import ParseError, PrecisionExhausted, WindowInsufficient
 from .padic import PAdic
-from .seminorm import EQUAL, SeminormSpec
+from .seminorm import SeminormSpec
 from .seqspec import (
     MINUS_INF,
     PLUS_INF,
@@ -20,7 +20,7 @@ from .seqspec import (
     SeqSpec,
     minplus_term,
 )
-from .series import EqualCharSeries, MixedSeries, Series
+from .series import SERIES_KINDS, Series
 from .submodule import Membership, SubmoduleSpec, membership
 
 __all__ = [
@@ -181,18 +181,13 @@ def sample_elements(
     rng = SplitMix64(cfg.seed)
     lo, hi = cfg.window
     seq = m.seq
-    equal = m.field_kind == EQUAL
-
-    def build(coeffs: dict[int, PAdic]) -> Series:
-        if equal:
-            return EqualCharSeries.from_coeffs(prime, coeffs)
-        return MixedSeries.from_coeffs(prime, coeffs)
+    build = SERIES_KINDS[m.field_kind].from_coeffs
 
     out: list[Series] = []
     for i in range(lo, hi + 1):
         k_i = seq.value_at(i)
         if k_i.is_finite:
-            out.append(build({i: PAdic.pi_power(prime, k_i.n, cfg.precision)}))
+            out.append(build(prime, {i: PAdic.pi_power(prime, k_i.n, cfg.precision)}))
         if len(out) >= cfg.count:
             break
 
@@ -207,7 +202,7 @@ def sample_elements(
             floor = k_i.n if k_i.is_finite else -8 - rng.below(8)
             val = floor + rng.below(4)
             coeffs[i] = _random_coeff(rng, prime, val, cfg.precision)
-        out.append(build(coeffs))
+        out.append(build(prime, coeffs))
 
     if any(membership(m, el) != Membership.IN for el in out):
         raise PrecisionExhausted("a sample is not certified as a member")

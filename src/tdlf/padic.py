@@ -174,11 +174,9 @@ class PAdic(Frozen):
         u = unit % prime_power(prime, rel) if unit < 0 or unit.bit_length() > rel else unit
         if u == 0:
             return PAdic.zero_mod(prime, precision)
-        shift = _vp(u, prime)
+        shift = _vp(u, prime)  # below rel, as 0 < u < p^rel: val + shift < precision
         if shift:
             val += shift
-            if val >= precision:
-                return PAdic.zero_mod(prime, precision)
             u //= prime_power(prime, shift)  # below p^(rel - shift), reduced already
         return PAdic(prime, ExtInt(val), u, ExtInt(precision))
 

@@ -28,7 +28,6 @@ from .seqspec import (
 from .series import EqualCharSeries, MixedSeries
 
 __all__ = [
-    "FieldKind",
     "SeminormSpec",
     "ExponentResult",
     "validate",
@@ -48,10 +47,14 @@ class BallResult(Enum):
     UNKNOWN = "unknown"
 
 
-class SeminormSpec(Frozen):
+class FieldSeq(Frozen):
+    """The base of the specs that pair a sequence with a field kind."""
+
     __slots__ = _fields = ("seq", "field_kind")
 
     def __init__(self, seq: SeqSpec, field_kind: str):
+        if field_kind not in (EQUAL, MIXED):
+            raise ParseError(f"field {field_kind!r} is not 'equal' or 'mixed'")
         object.__setattr__(self, "seq", seq)
         object.__setattr__(self, "field_kind", field_kind)
 
@@ -60,9 +63,13 @@ class SeminormSpec(Frozen):
         out["field"] = self.field_kind
         return out
 
-    @staticmethod
-    def from_json(obj: Mapping) -> "SeminormSpec":
-        return SeminormSpec(SeqSpec.from_json(obj), field_from_json(obj))
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "FieldSeq":
+        return cls(SeqSpec.from_json(obj), field_from_json(obj))
+
+
+class SeminormSpec(FieldSeq):
+    __slots__ = ()
 
 
 def field_from_json(obj: Mapping) -> str:

@@ -493,8 +493,7 @@ class SeqSpec(Frozen):
 
     @staticmethod
     def constant(value: Union[ExtInt, int]) -> "SeqSpec":
-        v = ExtInt.of(value)
-        return SeqSpec.from_points(0, 0, ((0, v),), v, ConstTail(v), ConstTail(v))
+        return SeqSpec.delta(0, value, value)
 
     @staticmethod
     def delta(
@@ -1159,6 +1158,8 @@ def _sup_on(sa: int | None, oa: int, sb: int | None, ob: int, x, y) -> int | flo
         return math.inf
     # a linear difference peaks at an end of its run
     d = sa - sb
+    if (d > 0 and y == math.inf) or (d < 0 and x == -math.inf):
+        return math.inf  # decided before any sum: ``oa`` need not fit a float
     return (d * y if d > 0 else d * x if d < 0 else 0) + oa - ob
 
 

@@ -64,7 +64,6 @@ __all__ = [
     "vF_exponent",
     "rank2_mixed",
     "rank2_equal",
-    "default_mul_target",
 ]
 
 
@@ -128,21 +127,13 @@ class ValuationResult(Frozen):
         return {"value": self.value.to_json(), "exact": self.exact}
 
 
-def _left_tail_from_json(obj: Mapping) -> LeftTail:
+def _tail_from_json(obj: Mapping, bound: type) -> Union[LeftTail, RightTail]:
+    """A ``zero`` tail, or a ``valbound`` one read into ``bound``'s fields."""
     kind = obj["kind"]
     if kind == "zero":
         return ZeroTail()
     if kind == "valbound":
-        return LeftValBound(json_int(obj["slope"]), json_int(obj["base"]))
-    raise ValueError(f"unknown tail kind {kind!r}")
-
-
-def _right_tail_from_json(obj: Mapping) -> RightTail:
-    kind = obj["kind"]
-    if kind == "zero":
-        return ZeroTail()
-    if kind == "valbound":
-        return RightValBound(json_int(obj["floor"]))
+        return bound(*(json_int(obj[f]) for f in bound._fields))
     raise ValueError(f"unknown tail kind {kind!r}")
 
 
@@ -472,6 +463,7 @@ class MixedSeries(_Series):
 
 
 Series = Union[EqualCharSeries, MixedSeries]
+SERIES_KINDS = {cls.kind: cls for cls in (EqualCharSeries, MixedSeries)}
 
 
 def series_from_json(obj: Mapping) -> Series:
@@ -491,8 +483,8 @@ def series_from_json(obj: Mapping) -> Series:
         return MixedSeries.from_coeffs(
             prime,
             coeffs,
-            left=json_parse(obj, "left", _left_tail_from_json),
-            right=json_parse(obj, "right", _right_tail_from_json),
+            left=json_parse(obj, "left", lambda t: _tail_from_json(t, LeftValBound)),
+            right=json_parse(obj, "right", lambda t: _tail_from_json(t, RightValBound)),
             lo=_index_field(obj, "lo"),
             hi=_index_field(obj, "hi"),
         )
@@ -584,11 +576,6 @@ def _least_left(a, b, lo: int):
 
 # ---------------------------------------------------------------------------
 # multiplication
-
-
-def default_mul_target(x: MixedSeries, y: MixedSeries) -> ExtInt:
-    """Default certification target: sum of the input floors plus 16."""
-    return x.valuation_floor() + y.valuation_floor() + 16
 
 
 def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
@@ -755,7 +742,9 @@ def _running_min(runs, last: int) -> list[tuple[int, int, int, int]]:
     """``K -> min{w_j : j <= K}`` for the finite runs ``(x, y, slope,
     offset)`` of ``w`` in index order, as ``(start, end, slope, offset)``
     pieces up to ``K = last``; none before the first run."""
-    marks: list[list[int]] = []  # [start, slope, offset], each up to the next
+    # (start, slope, offset), each up to the next; one that the next starts
+    # with spans nothing, and drops at the end
+    marks: list[tuple[int, int, int]] = []
     m = math.inf
     for x, y, s, o in runs:
         if x > last:
@@ -763,22 +752,15 @@ def _running_min(runs, last: int) -> list[tuple[int, int, int, int]]:
         if s >= 0:
             if s * x + o < m:
                 m = s * x + o
-                _mark(marks, x, 0, m)
+                marks.append((x, 0, m))
             continue
         c = x if m == math.inf else max(x, (m - o) // s + 1)  # s*j + o < m from c on
         if c <= y:
-            _mark(marks, c, s, o)
+            marks.append((c, s, o))
             m = s * y + o
-            _mark(marks, y + 1, 0, m)
+            marks.append((y + 1, 0, m))
     ends = [start - 1 for start, _, _ in marks[1:]] + [last]
     return [(start, end, s, o) for (start, s, o), end in zip(marks, ends) if start <= end]
-
-
-def _mark(marks: list, start: int, slope: int, offset: int) -> None:
-    if marks and marks[-1][0] == start:
-        marks[-1][1:] = slope, offset
-    else:
-        marks.append([start, slope, offset])
 
 
 def _run_pair(a: tuple, b: tuple) -> list[tuple]:
@@ -837,16 +819,12 @@ def _products(p: int, xs: dict, ys: dict, precs: dict[int, int]) -> dict[int, PA
     if _val_span(xs) + _val_span(ys) > widest:
         # scaled to one valuation, the units would be wider than any
         # coefficient needs (a pair certifies at most its widest relative
-        # precision): multiply the pairs of each coefficient alone.  Only
-        # pairs of nonzero units add digits; ``precs`` holds the precision
-        # of the others.
+        # precision): multiply the pairs of each coefficient alone
         pairs: dict[int, list] = {k: [] for k in precs}
-        ny = [(j, b) for j, b in ys.items() if b[1]]
         for i, a in xs.items():
-            if a[1]:
-                for j, b in ny:
-                    if (g := pairs.get(i + j)) is not None:
-                        g.append((a, b))
+            for j, b in ys.items():
+                if (g := pairs.get(i + j)) is not None:
+                    g.append((a, b))
         return {k: _coefficient(p, g, ExtInt(precs[k])) for k, g in pairs.items()}
     v, sums = _diagonal_sums(p, xs, ys, max(precs.values()))
     return {k: PAdic.make(p, v, sums.get(k, 0), q) for k, q in precs.items()}

@@ -11,11 +11,10 @@ and the named modules used throughout with their literature-sourced flags.
 from __future__ import annotations
 
 from functools import cache
-from typing import Mapping
 
 from .errors import KindMismatch, PrecisionExhausted, UnknownName
 from .padic import PAdic
-from .seminorm import EQUAL, MIXED, SeminormSpec, field_from_json, is_admissible_seq
+from .seminorm import EQUAL, MIXED, FieldSeq, SeminormSpec, is_admissible_seq
 from .seqspec import (
     MINUS_INF,
     PLUS_INF,
@@ -31,7 +30,7 @@ from .seqspec import (
     shift_add,
     sup_diff,
 )
-from .series import EqualCharSeries, MixedSeries, Series
+from .series import SERIES_KINDS, Series
 
 __all__ = [
     "SubmoduleSpec",
@@ -54,22 +53,13 @@ __all__ = [
 ]
 
 
-class SubmoduleSpec(Frozen):
-    __slots__ = _fields = ("seq", "field_kind")
-
-    def __init__(self, seq: SeqSpec, field_kind: str):
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "field_kind", field_kind)
+class SubmoduleSpec(FieldSeq):
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        out = self.seq.to_json()
-        out["field"] = self.field_kind
+        out = super().to_json()
         out["role"] = "submodule"
         return out
-
-    @staticmethod
-    def from_json(obj: Mapping) -> "SubmoduleSpec":
-        return SubmoduleSpec(SeqSpec.from_json(obj), field_from_json(obj))
 
     def canonical(self) -> "SubmoduleSpec":
         return SubmoduleSpec(self.seq.canonical(), self.field_kind)
@@ -146,17 +136,18 @@ def is_bounded(m: SubmoduleSpec) -> bool:
     return seq.left.limit(True) != MINUS_INF and seq.right.limit(False) != MINUS_INF
 
 
+def _compactoid_if_bounded(m: SubmoduleSpec) -> bool:
+    # bounded and compactoid submodules coincide in a nuclear space
+    return m.field_kind == EQUAL or m.seq.left.limit(True) == PLUS_INF
+
+
 def is_compactoid(m: SubmoduleSpec) -> bool:
-    if not is_bounded(m):
-        return False
-    if m.field_kind == EQUAL:
-        # bounded and compactoid submodules coincide in a nuclear space
-        return True
-    return m.seq.left.limit(True) == PLUS_INF
+    return is_bounded(m) and _compactoid_if_bounded(m)
 
 
 def classify(m: SubmoduleSpec) -> Classification:
-    return Classification(is_open_lattice(m), is_bounded(m), is_compactoid(m))
+    bounded = is_bounded(m)
+    return Classification(is_open_lattice(m), bounded, bounded and _compactoid_if_bounded(m))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +161,7 @@ def membership(m: SubmoduleSpec, x: Series) -> str:
     ``OUT`` needs one exactly known coefficient in violation; anything
     resting on zero-within-precision data stays ``UNKNOWN``.
     """
-    if (m.field_kind == EQUAL) != isinstance(x, EqualCharSeries):
+    if m.field_kind != x.kind:
         raise KindMismatch("module and element kinds differ")
     if any(c.val < m.seq.value_at(i) for i, c in x.stored):
         return Membership.OUT
@@ -277,10 +268,7 @@ def literature_classification(name: str) -> Classification:
 
 
 def _monomial(m: SubmoduleSpec, index: int, val: int, prime: int) -> Series:
-    c = PAdic.pi_power(prime, val)
-    if m.field_kind == EQUAL:
-        return EqualCharSeries.monomial(prime, index, c)
-    return MixedSeries.monomial(prime, index, c)
+    return SERIES_KINDS[m.field_kind].monomial(prime, index, PAdic.pi_power(prime, val))
 
 
 def unbounded_witness(
@@ -342,20 +330,19 @@ def unbounded_witness(
     right = seq.right
     assert isinstance(right, AffineTail) and right.slope <= -1
     start = max(seq.window_hi + 1, 0)
-    window: dict[int, int] = {}
+    points: list[tuple[int, int]] = []
     elems = []
     i = start
     while True:
         k_i = seq.value_at(i).n
         n_i = k_i // 2
-        window[i] = n_i
+        points.append((i, n_i))
         elems.append(_monomial(m, i, k_i, prime))
         if n_i - k_i >= target:
             break
         i += 1
-    for j in range(0, start):
-        window[j] = window[start]
-    spec_seq = SeqSpec.from_window(
-        window, ninf, AffineTail(right.slope, window[i] - right.slope * i)
+    # the window [0, i] holds n_start below start, at a cost per point
+    spec_seq = SeqSpec.from_points(
+        0, i, points, points[0][1], ninf, AffineTail(right.slope, n_i - right.slope * i)
     )
     return SeminormSpec(spec_seq, MIXED), elems

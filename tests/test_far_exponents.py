@@ -1,0 +1,65 @@
+"""Exponents too large for a float and witnesses far from index 0.
+
+``sup_diff``, ``forall_ge`` and ``membership`` decide an open tail end
+before they add offsets, so an offset past the float range gives an answer,
+not ``OverflowError``.  ``unbounded_witness`` builds its staircase at a cost
+per point, not per index up to the staircase.
+"""
+
+import tracemalloc
+
+from tdlf import (
+    ExtInt,
+    Membership,
+    MixedSeries,
+    PAdic,
+    PLUS_INF,
+    RightValBound,
+    SeminormSpec,
+    SeqSpec,
+    SubmoduleSpec,
+    forall_ge,
+    membership,
+    sup_diff,
+    unbounded_witness,
+)
+from tdlf.seqspec import MINUS_INF, AffineTail, ConstTail
+
+HUGE = 10**400  # past the largest float
+
+
+def test_an_offset_past_the_float_range_gives_an_answer():
+    seq = SeqSpec.from_window({0: 0}, ConstTail(PLUS_INF), AffineTail(1, HUGE))
+    x = MixedSeries.from_coeffs(5, {0: PAdic.one(5)}, right=RightValBound(0))
+    # x's right floor 0 never clears exponents that grow without bound
+    assert membership(SubmoduleSpec(seq, "mixed"), x) == Membership.UNKNOWN
+    assert forall_ge(x.g, seq) is False
+    assert sup_diff(seq, x.g) == PLUS_INF
+    assert sup_diff(SeqSpec.from_window({0: 0}, AffineTail(-1, -HUGE), ConstTail(ExtInt(0))),
+                    SeqSpec.delta(0, 0, 0)) == PLUS_INF
+
+
+def _right_falling(d: int) -> SubmoduleSpec:
+    """A mixed module whose exponents fall without bound right of ``d``."""
+    return SubmoduleSpec(
+        SeqSpec.from_window({d: 0}, ConstTail(ExtInt(0)), AffineTail(-1, d)), "mixed"
+    )
+
+
+def test_a_far_right_witness_costs_its_points_not_its_distance():
+    tracemalloc.start()
+    try:
+        spec, elems = unbounded_witness(_right_falling(10**5), 5, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(spec.seq.pieces) == 5 and len(elems) == 10
+    # the staircase, written index by index up to it at a short distance
+    d = 1000
+    spec, _ = unbounded_witness(_right_falling(d), 5, 5)
+    window = {i: (d - i) // 2 for i in range(d + 1, d + 11)}
+    window.update(dict.fromkeys(range(d + 1), window[d + 1]))
+    assert spec == SeminormSpec(
+        SeqSpec.from_window(window, ConstTail(MINUS_INF), AffineTail(-1, d + 5)), "mixed"
+    )
