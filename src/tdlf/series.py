@@ -23,6 +23,7 @@ pieces of ``g``, not the distances between indices.  ``order``, ``trunc``,
 from __future__ import annotations
 
 import math
+import struct
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Union
 
@@ -590,9 +591,11 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     pairs and the pieces of the remainder.  When ``target_precision`` is
     given, the first index certified below it raises
     :class:`PrecisionExhausted`; the precisions are known before any
-    coefficient is multiplied, so a failing target costs no big-int work,
-    and the stored pairs are walked only up to the first index where the
-    remainder fails the target.
+    coefficient is multiplied, so a failing target costs no big-int work.
+    The precisions of the indices with a stored pair (``_pair_precisions``)
+    come from one packed min-plus product per convolution, or from the pair
+    walk when the stored counts and spans make that cheaper, and only up
+    to the first index where the remainder fails the target.
     The product computes only the digits its certified precision keeps:
     the units are reduced to the highest output precision before they are
     multiplied, then multiplied by four-point Kronecker substitution
@@ -616,18 +619,11 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
         lo = min(gx.window_lo + gy.window_lo, frame.window_lo)
         hi = max(gx.window_hi + gy.window_hi, frame.window_hi)
     rem = _TailBound(x, y).over(lo, hi)
-    first = None
+    first = None if target_precision is None else rem.first_at_most(target_precision - 1, lo, hi)
+    precs = _pair_precisions(xs, ys, rem, cut if first is None else first + 1)
     if target_precision is not None:
-        first = rem.first_at_most(target_precision - 1, lo, hi)
-    pairs = _precisions(xs, ys, cut if first is None else first + 1)
-    precs = {}
-    for k in sorted(pairs):
-        r = rem.value_at(k)
-        precs[k] = r.n if r < pairs[k] else pairs[k]
-    if target_precision is not None:
-        bad = [k for k, q in precs.items() if q < target_precision]
-        if bad or first is not None:
-            k = min(bad, default=first)
+        k = next((k for k, q in precs.items() if q < target_precision), first)
+        if k is not None:
             q = precs[k] if k in precs else rem.value_at(k).n
             raise PrecisionExhausted(f"coefficient {k} certified only modulo p^{q}")
     total = _products(p, xs, ys, precs)
@@ -785,12 +781,80 @@ def _units(x: Series) -> dict[int, tuple[int, int, int]]:
     return {i: (c.val.n, c.unit, c.precision.n) for i, c in x.stored}
 
 
-def _precisions(xs: dict, ys: dict, cut: float) -> dict[int, int]:
+def _pair_precisions(xs: dict, ys: dict, rem: SeqSpec, cut: float) -> dict[int, int]:
+    """Per product index ``k = i + j < cut`` of the stored pairs, in index
+    order, the least of ``rem`` at ``k`` and of ``min(p_i + v_j, v_i +
+    p_j)`` over its pairs, the min-plus convolutions ``P_x (+) V_y`` and
+    ``V_x (+) P_y``: from ``_packed`` when the stored counts and index
+    spans make it cheaper than the ``n*m`` steps of ``_walk`` and its levels
+    fit, else from ``_walk``.  They meet ``rem`` in one pass over its runs.
+    """
+    if not (xs and ys):
+        return {}
+    i0, i1, j0, j1 = next(iter(xs)), next(reversed(xs)), next(iter(ys)), next(reversed(ys))
+    klo, khi = i0 + j0, min(i1 + j1, cut - 1)
+    if khi < klo:
+        return {}
+    runs, sx, sy, nm = rem.spans(klo, khi), i1 - i0 + 1, j1 - j0 + 1, len(xs) * len(ys)
+    cheap = nm >= 4 * (sx + sy) and sx * sy <= 16 * nm  # sizes only
+    pairs = cheap and _packed(xs, ys, sx, sy, khi - klo + 1, runs) or sorted(_walk(xs, ys, cut).items())
+    out, left, y = {}, iter(runs), klo - 1
+    for k, q in pairs:
+        while y < k:
+            _, y, s, o = next(left)
+        out[k] = s * k + o if s is not None and s * k + o < q else q
+    return out
+
+
+def _packed(xs: dict, ys: dict, sx: int, sy: int, count: int, runs: list) -> list | None:
+    """``(k, q)`` for the first ``count`` indices ``k`` from ``min xs + min
+    ys`` that have a stored pair, ``sx`` and ``sy`` being the index spans:
+    ``q`` is the pair minimum where it is below ``cap``, the largest value
+    of the remainder ``runs``, and at least ``cap`` elsewhere; None when a
+    product's levels do not fit one 64-bit slot.
+
+    A convolution is one big-int product (Yuval 1976).  A value ``a`` of a
+    factor whose values start at ``a0`` is one bit at level ``r - min(a -
+    a0, r)`` of its index's slot, ``w = bitlen(min(n, m))`` bits a level so
+    that the at most ``min(n, m)`` pairs of an index never carry, and the
+    highest level set in a product slot is its least sum.  No sum at or
+    above ``cap`` beats the remainder, so ``r`` stops at ``cap - a0 - b0``:
+    a convolution whose least sum reaches ``cap`` is dropped, and if both
+    are, one single-level product marks the indices with a pair.
+    """
+    cap = max(math.inf if s is None else max(s * x, s * y) + o for x, y, s, o in runs)
+    w = min(len(xs), len(ys)).bit_length()
+    k0 = next(iter(xs)) + next(iter(ys))
+    (vx, _, px), (vy, _, py) = zip(*xs.values()), zip(*ys.values())
+    sums = []
+    for a, b in ((px, vy), (vx, py)):
+        a0, b0 = min(a), min(b)
+        clip = max(cap - a0 - b0, 0)
+        ra, rb = min(max(a) - a0, clip), min(max(b) - b0, clip)
+        if (ra + rb + 1) * w > 64:
+            return None
+        sums.append((clip, a0 + b0 + ra + rb, (xs, a, a0 + ra, w, sx), (ys, b, b0 + rb, w, sy)))
+    tables = []
+    for _, top, fa, fb in [t for t in sums if t[0]] or sums[:1]:
+        prod = (_levels(*fa) * _levels(*fb)).to_bytes(8 * (sx + sy - 1), "little")
+        bits = map(int.bit_length, struct.unpack_from(f"<{count}Q", prod))
+        tables.append([top - (n - 1) // w if n else None for n in bits])
+    return [(k0 + t, min(q)) for t, q in enumerate(zip(*tables)) if q[0] is not None]
+
+
+def _levels(stored: dict, values: tuple, top: int, w: int, size: int) -> int:
+    """One bit per value ``a`` at level ``max(top - a, 0)`` of its index's slot."""
+    buf, i0 = bytearray(8 * size), next(iter(stored))
+    for i, a in zip(stored, values):
+        bit = w * (top - a) if a < top else 0
+        buf[8 * (i - i0) + (bit >> 3)] = 1 << (bit & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _walk(xs: dict, ys: dict, cut: float) -> dict[int, int]:
     """Per product index ``k = i + j < cut`` of the stored pairs, the least
-    precision ``min(p_i + v_j, p_j + v_i)`` one of its pair products
-    certifies, in order of first appearance: one walk over the stored
-    pairs of either kind with small integers only, which stops each row at
-    ``cut`` as the stored indices increase."""
+    ``min(p_i + v_j, p_j + v_i)`` of its pairs, by one walk over the pairs
+    that stops each row at ``cut``."""
     out: dict[int, int] = {}
     yl = [(j, vj, pj) for j, (vj, _, pj) in ys.items()]
     for i, (vi, _, pi) in xs.items():

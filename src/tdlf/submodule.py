@@ -314,15 +314,11 @@ def unbounded_witness(
         spec = SeminormSpec(
             SeqSpec.from_window({0: 0}, ConstTail(ExtInt(0)), ninf), MIXED
         )
-        elems = []
-        i = min(seq.window_lo - 1, 0)
-        while True:
-            v = seq.value_at(i)
-            if v.is_finite:
-                elems.append(_monomial(m, i, v.n, prime))
-                if -v.n >= target:
-                    return spec, elems
-            i -= 1
+        # the first index from min(lo - 1, 0) down whose exponent is at
+        # most -target, in closed form: the left tail is affine there
+        left = seq.left
+        i = min(seq.window_lo - 1, 0, (-target - left.offset) // left.slope)
+        return spec, [_monomial(m, i, left.at(i).n, prime)]
 
     # exponents drop without bound towards +inf: the halved-exponent
     # staircase n_i = floor(k_i / 2) is bounded above, still tends to -inf,

@@ -6,6 +6,7 @@ not ``OverflowError``.  ``unbounded_witness`` builds its staircase at a cost
 per point, not per index up to the staircase.
 """
 
+import time
 import tracemalloc
 
 from tdlf import (
@@ -63,3 +64,28 @@ def test_a_far_right_witness_costs_its_points_not_its_distance():
     assert spec == SeminormSpec(
         SeqSpec.from_window(window, ConstTail(MINUS_INF), AffineTail(-1, d + 5)), "mixed"
     )
+
+
+def test_a_far_left_witness_is_one_monomial():
+    """Exponents falling leftwards from an offset of 10^6: one monomial at
+    the first index whose exponent reaches the target, in closed form."""
+    d = 10**6
+    m = SubmoduleSpec(SeqSpec.from_window({0: 0}, AffineTail(1, d), ConstTail(ExtInt(0))), "mixed")
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        spec, elems = unbounded_witness(m, 5, 5)
+        took = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert took < 0.1 and peak < 2**20
+    assert [x.stored[0][0] for x in elems] == [-d - 5]
+    assert [x.stored[0][1].val for x in elems] == [ExtInt(-5)]
+    assert membership(m, elems[0]) == Membership.IN
+    # the walk it replaces: the first index from min(lo - 1, 0) down at or below -target
+    for d, target in ((-3, 5), (0, 1), (7, 3), (-20, 2)):
+        seq = SeqSpec.from_window({2: 0}, AffineTail(2, d), ConstTail(ExtInt(0)))
+        _, (x,) = unbounded_witness(SubmoduleSpec(seq, "mixed"), target, 5)
+        walk = next(i for i in range(0, -10**3, -1) if -seq.value_at(i).n >= target)
+        assert x.stored[0][0] == walk

@@ -176,13 +176,13 @@ def test_pair_walk_stops_at_the_first_failing_remainder(monkeypatch):
     """With a target, the stored pairs are walked up to the first index
     where the tail remainder falls below it, and no further."""
     cuts = []
-    precisions = series_module._precisions
+    precisions = series_module._pair_precisions
 
-    def record(xs, ys, cut=math.inf):
+    def record(xs, ys, rem, cut):
         cuts.append(cut)
-        return precisions(xs, ys, cut)
+        return precisions(xs, ys, rem, cut)
 
-    monkeypatch.setattr(series_module, "_precisions", record)
+    monkeypatch.setattr(series_module, "_pair_precisions", record)
     cut_short = 0
     for x, y in tailed_pairs(703, 150):
         product = outcome(reference_mul, x, y)
