@@ -24,13 +24,19 @@ from helpers import rand_coeff, reference_mul, rng
 PLUS_TAIL = ConstTail(PLUS_INF)
 
 
-def reference(xs, ys, rem, cut):
-    """The pair minima by the plain double loop, met with ``rem``."""
+def raw_minima(xs, ys, cut=math.inf):
+    """The pair minima below ``cut`` by the plain double loop."""
     out = {}
     for i, (vi, _, pi) in xs.items():
         for j, (vj, _, pj) in ys.items():
             if i + j < cut:
                 out[i + j] = min(out.get(i + j, math.inf), pi + vj, vi + pj)
+    return out
+
+
+def reference(xs, ys, rem, cut):
+    """The pair minima met with ``rem``."""
+    out = raw_minima(xs, ys, cut)
     rems = {k: rem.value_at(k) for k in out}
     return {k: q if rems[k] == PLUS_INF or q <= rems[k] else rems[k].n
             for k, q in sorted(out.items())}
@@ -38,14 +44,6 @@ def reference(xs, ys, rem, cut):
 
 def pick(r, options):
     return options[r.below(len(options))]
-
-
-def raw_minima(xs, ys):
-    out = {}
-    for i, (vi, _, pi) in xs.items():
-        for j, (vj, _, pj) in ys.items():
-            out[i + j] = min(out.get(i + j, math.inf), pi + vj, vi + pj)
-    return out
 
 
 def stored(r, shape, n, vrange, rel):
