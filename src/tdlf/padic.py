@@ -142,6 +142,40 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def fraction_sum(terms: list, p: int, rel: int) -> PAdic | None:
+    """The sum of the fractions ``num/den * p^e`` given as ``(num, den, e)``
+    triples, ``p`` dividing no ``den``, at relative precision ``rel >= 1``;
+    None when it is exactly 0.
+
+    Terms are added in increasing valuation order, the running sum kept as
+    ``(unit, den, val)`` with ``p`` dividing neither.  Once a term's
+    valuation reaches ``val + rel``, neither it nor any later term changes
+    the sum modulo ``p^(val + rel)``, so they are never added.
+    """
+    units = []
+    for num, den, e in terms:
+        if num:
+            s = _vp(num, p)
+            units.append((e + s, num // prime_power(p, s), den))
+    units.sort(key=lambda t: t[0])
+    unit, den, val = 0, 1, 0  # unit 0: the sum so far is exactly 0
+    for v, u, d in units:
+        if not unit:
+            unit, den, val = u, d, v
+            continue
+        if v >= val + rel:
+            break
+        m = min(v, val)
+        unit = unit * d * prime_power(p, val - m) + u * den * prime_power(p, v - m)
+        s = _vp(unit, p) if unit else 0
+        unit, den, val = unit // prime_power(p, s), den * d, m + s
+    if not unit:
+        return None
+    if den != 1:
+        unit *= pow(den, -1, prime_power(p, rel))
+    return PAdic.make(p, val, unit, val + rel)
+
+
 class PAdic(Frozen):
     __slots__ = _fields = ("prime", "val", "unit", "precision")
 
@@ -197,15 +231,9 @@ class PAdic(Frozen):
         _check_prime(prime)
         if q == 0:
             return PAdic.zero(prime)
-        num, den = q.numerator, q.denominator
-        vn = _vp(num, prime)
-        vd = _vp(den, prime)
-        v = vn - vd
-        unum = num // prime**vn
-        uden = den // prime**vd
-        rel = rel_precision
-        inv = pow(uden, -1, prime**rel)
-        return PAdic.make(prime, v, (unum * inv) % prime**rel, v + rel)
+        vd = _vp(q.denominator, prime)
+        den = q.denominator // prime_power(prime, vd)
+        return fraction_sum([(q.numerator, den, -vd)], prime, rel_precision)
 
     @staticmethod
     def pi_power(

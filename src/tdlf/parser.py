@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from .errors import ParseError
-from .padic import DEFAULT_RELATIVE_PRECISION, PAdic, _vp, check_precision, check_prime, prime_power
+from .padic import DEFAULT_RELATIVE_PRECISION, PAdic, check_precision, check_prime, fraction_sum
 from .seqspec import check_index
 from .series import (
     EqualCharSeries,
@@ -236,39 +236,6 @@ class _Parser:
         return terms, mark
 
 
-def _coefficient(terms: list, p: int, rel: int) -> PAdic | None:
-    """The sum of ``(num, den, e)`` triples at relative precision ``rel >= 1``;
-    None when it is exactly 0.
-
-    Terms are added in increasing valuation order, the running sum kept as
-    ``(unit, den, val)`` with ``p`` dividing neither.  Once a term's
-    valuation reaches ``val + rel``, neither it nor any later term changes
-    the sum modulo ``p^(val + rel)``, so they are never added.
-    """
-    units = []
-    for num, den, e in terms:
-        if num:
-            s = _vp(num, p)
-            units.append((e + s, num // prime_power(p, s), den))
-    units.sort(key=lambda t: t[0])
-    unit, den, val = 0, 1, 0  # unit 0: the sum so far is exactly 0
-    for v, u, d in units:
-        if not unit:
-            unit, den, val = u, d, v
-            continue
-        if v >= val + rel:
-            break
-        m = min(v, val)
-        unit = unit * d * prime_power(p, val - m) + u * den * prime_power(p, v - m)
-        s = _vp(unit, p) if unit else 0
-        unit, den, val = unit // prime_power(p, s), den * d, m + s
-    if not unit:
-        return None
-    if den != 1:
-        unit *= pow(den, -1, prime_power(p, rel))
-    return PAdic.make(p, val, unit, val + rel)
-
-
 def parse_series(
     text: str,
     prime: int,
@@ -295,7 +262,7 @@ def parse_series(
         raise ParseError(f"field {field!r} is not 'equal' or 'mixed'")
     terms, mark = _Parser(text, prime).series()
     coeffs = {i: c for i, ts in terms.items()
-              if (c := _coefficient(ts, prime, rel_precision)) is not None}
+              if (c := fraction_sum(ts, prime, rel_precision)) is not None}
     if mark is not None and mark[0] == "trunc":
         if field == "mixed":
             raise ParseError("O(t^N) marks a Laurent series, not a mixed one")

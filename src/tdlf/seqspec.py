@@ -828,13 +828,13 @@ def shift_add(s: SeqSpec, c: int) -> SeqSpec:
 #
 # The point + ray rays come in families, one per ray of the other factor:
 # a family shares that ray's direction and slope, and its members differ
-# only in bound and offset.  A member is beaten everywhere by one that
-# reaches further with no larger offset, so each family keeps only its
-# running-minimum staircase (``_family``).  The window bounds, the tails and
-# the tail guard depend on the rays and on the least and greatest point
-# sums only, which ``_frame`` computes without the point + point loop or
-# the sweep; a family's least and greatest bound stand for its pruned
-# members among the window marks.
+# only in bound and offset.  ``_frame`` reads each family as one summary
+# ray with the least offset (``_family``), as the eventual tail reads only
+# the least offset per slope and the tail guard holds past every bound,
+# where all members apply; the family's first and last bound stand for its
+# members among the window marks.  So the frame costs no point + point
+# loop and no sweep.  ``minplus_convolve`` hands every member to
+# ``_envelope``, whose per-slope heaps keep the least offset that applies.
 
 _SHORT = 4
 
@@ -964,8 +964,8 @@ def _asymptote_winner(
 
 class Frame(NamedTuple):
     """The window bounds and tails of a min-plus convolution, and the rays
-    of its terms that reach past the window.  ``rays`` is None when the
-    convolution is the constant ``left`` everywhere."""
+    of its ray-pair terms; the point + ray terms are not listed.  ``rays``
+    is None when the convolution is the constant ``left`` everywhere."""
 
     rays: list | None
     window_lo: int
@@ -974,23 +974,15 @@ class Frame(NamedTuple):
     right: Tail
 
 
-def _family(pts: list, r: _Ray) -> tuple[list[_Ray], int, int]:
-    """The rays of the points ``(i, value)`` in index order against ray
-    ``r``, pruned to those no other member beats, with the least and the
-    greatest bound of the whole family.  Going out along ``r``, a member
-    is kept when it reaches further than every kept one and its offset is
-    smaller; a ``-inf`` member beats everything behind it."""
-    out = []
-    least = math.inf
-    for i, v in reversed(pts) if r.leftward else pts:
-        # the offset of _pair_point_ray(i, v, r), built only when kept
-        if v is None or r.minf or r.offset + v - r.slope * i < least:
-            ray = _pair_point_ray(i, v, r)
-            out.append(ray)
-            if ray.minf:
-                break
-            least = ray.offset
-    return out, r.bound + pts[0][0], r.bound + pts[-1][0]
+def _family(pts: list, r: _Ray) -> _Ray:
+    """The summary of the rays of the points ``(i, value)`` in index order
+    against ray ``r``: the ray's direction and slope with the least offset
+    of its members, ``-inf`` if any member is, bounded at the family's
+    first mark."""
+    bound = r.bound + pts[0][0]
+    if r.minf or any(v is None for _, v in pts):
+        return _Ray(r.leftward, bound, 0, 0, minf=True)
+    return _Ray(r.leftward, bound, r.slope, r.offset + min(v - r.slope * i for i, v in pts))
 
 
 def _frame(pts_a: list, rays_a: list, pts_b: list, rays_b: list) -> Frame:
@@ -998,24 +990,25 @@ def _frame(pts_a: list, rays_a: list, pts_b: list, rays_b: list) -> Frame:
     (see ``_conv_parts``) and tail rays.
 
     The window runs from one below the least mark to one above the greatest:
-    the marks are the least and greatest point sums, the least and greatest
+    the marks are the least and greatest point sums, the first and last
     bound of each ray family, the bounds of the ray pairs and the crossings
     of the eventual tail with the other rays.  Past the window only rays
-    apply, so the tails are checked against them at two indices on each
+    apply, every member of each family among them, so the tails are checked
+    against the ray pairs and the family summaries at two indices on each
     side; a mismatch raises ``NonRepresentableTail``.  As every crossing
     with the eventual tail is a mark, the check holds for every input; it
     guards that invariant for ``minplus_convolve`` and ``mul`` alike.
     """
     rays: list[_Ray] = []
+    summaries: list[_Ray] = []
     marks: list[int] = []
     if pts_a and pts_b:
         marks += [pts_a[0][0] + pts_b[0][0], pts_a[-1][0] + pts_b[-1][0]]
     for pts, others in ((pts_a, rays_b), (pts_b, rays_a)):
         if pts:
             for r in others:
-                kept, first, last = _family(pts, r)
-                rays += kept
-                marks += [first, last]
+                summaries.append(_family(pts, r))
+                marks += [r.bound + pts[0][0], r.bound + pts[-1][0]]
     for ra in rays_a:
         for rb in rays_b:
             new, diverges = _pair_ray_ray(ra, rb)
@@ -1027,12 +1020,13 @@ def _frame(pts_a: list, rays_a: list, pts_b: list, rays_b: list) -> Frame:
     if not marks:
         pinf = ConstTail(PLUS_INF)
         return Frame(None, 0, 0, pinf, pinf)
-    left, lcross = _asymptote_winner(rays, leftward=True)
-    right, rcross = _asymptote_winner(rays, leftward=False)
+    reach = rays + summaries
+    left, lcross = _asymptote_winner(reach, leftward=True)
+    right, rcross = _asymptote_winner(reach, leftward=False)
     lo = min(marks + lcross) - 1
     hi = max(marks + rcross) + 1
     for tail, leftward, ks in ((left, True, (lo - 1, lo - 2)), (right, False, (hi + 1, hi + 2))):
-        side = [r for r in rays if r.leftward == leftward]
+        side = [r for r in reach if r.leftward == leftward]
         minf = any(r.minf for r in side)
         for k in ks:
             if minf:
@@ -1048,8 +1042,8 @@ def _frame(pts_a: list, rays_a: list, pts_b: list, rays_b: list) -> Frame:
 
 def convolution_frame(a: SeqSpec, b: SeqSpec) -> Frame:
     """The frame of ``minplus_convolve(a, b)``: its window bounds, tails and
-    tail rays, and the same ``NonRepresentableTail``, at the cost of the
-    pieces and tails of ``a`` and ``b`` rather than of their pairs."""
+    ray-pair rays, and the same ``NonRepresentableTail``, at the cost of
+    the pieces and tails of ``a`` and ``b`` rather than of their pairs."""
     return _frame(_conv_parts(a)[0], _tail_rays(a), _conv_parts(b)[0], _tail_rays(b))
 
 
@@ -1130,7 +1124,9 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
                 best[i + j] = None
 
     terms = [(k, k, None, -1) if v is None else (k, k, 0, v) for k, v in best.items()]
-    for r in rays:
+    members = [_pair_point_ray(i, v, r) for pts, others in ((pts_a, rays_b), (pts_b, rays_a))
+               for i, v in pts for r in others]
+    for r in rays + members:
         k0, k1 = (lo, r.bound) if r.leftward else (r.bound, hi)
         terms.append((k0, k1, None, -1) if r.minf else (k0, k1, r.slope, r.offset))
     for segs, ends in ((segs_a, pts_b + [r.point() for r in rays_b]),

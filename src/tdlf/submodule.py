@@ -23,6 +23,7 @@ from .seqspec import (
     ExtInt,
     Frozen,
     SeqSpec,
+    check_index,
     forall_ge,
     minplus_convolve,
     pointwise_max,
@@ -282,7 +283,8 @@ def unbounded_witness(
     ``-i + k_i`` along a decreasing support in the Laurent case, the
     0/-inf step against coefficients blowing up on the left, and the
     halved-exponent staircase against coefficients blowing up on the
-    right of the doubly infinite field.
+    right of the doubly infinite field.  A staircase of more than
+    ``MAX_INDEX`` points raises :class:`ParseError`.
     """
     if is_bounded(m):
         raise ValueError("module is bounded; no witness exists")
@@ -326,19 +328,15 @@ def unbounded_witness(
     right = seq.right
     assert isinstance(right, AffineTail) and right.slope <= -1
     start = max(seq.window_hi + 1, 0)
-    points: list[tuple[int, int]] = []
-    elems = []
-    i = start
-    while True:
-        k_i = seq.value_at(i).n
-        n_i = k_i // 2
-        points.append((i, n_i))
-        elems.append(_monomial(m, i, k_i, prime))
-        if n_i - k_i >= target:
-            break
-        i += 1
+    # the first index from start whose exponent k_i is at most -2*target,
+    # where -ceil(k_i / 2) reaches target, in closed form: the right tail is
+    # affine there
+    i = max(start, -((2 * target + right.offset) // right.slope))
+    check_index(i - start + 1, "witness length")
+    points = [(j, right.at(j).n // 2) for j in range(start, i + 1)]
+    elems = [_monomial(m, j, right.at(j).n, prime) for j in range(start, i + 1)]
     # the window [0, i] holds n_start below start, at a cost per point
     spec_seq = SeqSpec.from_points(
-        0, i, points, points[0][1], ninf, AffineTail(right.slope, n_i - right.slope * i)
+        0, i, points, points[0][1], ninf, AffineTail(right.slope, points[-1][1] - right.slope * i)
     )
     return SeminormSpec(spec_seq, MIXED), elems

@@ -3,16 +3,20 @@
 ``sup_diff``, ``forall_ge`` and ``membership`` decide an open tail end
 before they add offsets, so an offset past the float range gives an answer,
 not ``OverflowError``.  ``unbounded_witness`` builds its staircase at a cost
-per point, not per index up to the staircase.
+per point, not per index up to the staircase, and finds its last point in
+closed form, so a staircase longer than ``MAX_INDEX`` is refused at once.
 """
 
 import time
 import tracemalloc
 
+import pytest
+
 from tdlf import (
     ExtInt,
     Membership,
     MixedSeries,
+    ParseError,
     PAdic,
     PLUS_INF,
     RightValBound,
@@ -25,6 +29,7 @@ from tdlf import (
     unbounded_witness,
 )
 from tdlf.seqspec import MINUS_INF, AffineTail, ConstTail
+from tdlf.submodule import _monomial
 
 HUGE = 10**400  # past the largest float
 
@@ -89,3 +94,52 @@ def test_a_far_left_witness_is_one_monomial():
         _, (x,) = unbounded_witness(SubmoduleSpec(seq, "mixed"), target, 5)
         walk = next(i for i in range(0, -10**3, -1) if -seq.value_at(i).n >= target)
         assert x.stored[0][0] == walk
+
+
+def _loop_staircase(m: SubmoduleSpec, target: int, prime: int):
+    """The right staircase, one index at a time until ``n_i - k_i`` reaches
+    the target: the loop the closed form replaced."""
+    seq, points, elems = m.seq, [], []
+    i = max(seq.window_hi + 1, 0)
+    while True:
+        k_i = seq.value_at(i).n
+        points.append((i, k_i // 2))
+        elems.append(_monomial(m, i, k_i, prime))
+        if k_i // 2 - k_i >= target:
+            break
+        i += 1
+    right = AffineTail(seq.right.slope, points[-1][1] - seq.right.slope * i)
+    spec = SeqSpec.from_points(0, i, points, points[0][1], ConstTail(MINUS_INF), right)
+    return SeminormSpec(spec, "mixed"), elems
+
+
+def test_a_far_right_staircase_is_refused_at_once():
+    """Exponents falling rightwards from an offset written in the tail: the
+    staircase's last index is found in closed form, and one longer than
+    ``MAX_INDEX`` is refused before any point is built."""
+    def module(window, slope, offset):
+        seq = SeqSpec.from_window(window, ConstTail(ExtInt(0)), AffineTail(slope, offset))
+        return SubmoduleSpec(seq, "mixed")
+
+    far = module({0: 0}, -1, 10**6)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="witness length"):
+            unbounded_witness(far, 5, 5)
+        took = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert took < 0.1 and peak < 2**20
+    assert unbounded_witness(module({0: 0}, -1, 1000), 5, 5) == _loop_staircase(
+        module({0: 0}, -1, 1000), 5, 5)
+    checked = 0
+    for window in ({0: 0}, {-7: 2}, {3: 1, 4: 0}):
+        for slope in (-1, -2, -3):
+            for offset in (-20, -5, 0, 3, 8, 41):
+                for target in (-3, 0, 1, 2, 5, 9):
+                    m = module(window, slope, offset)
+                    assert unbounded_witness(m, target, 5) == _loop_staircase(m, target, 5)
+                    checked += 1
+    assert checked == 324

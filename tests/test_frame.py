@@ -25,9 +25,12 @@ from tdlf import (
 from tdlf import seqspec as seqspec_module
 from tdlf import series as series_module
 from tdlf.errors import NonRepresentableTail
-from tdlf.seqspec import convolution_frame
+from tdlf.seqspec import _pair_ray_ray, _tail_rays, convolution_frame
 from helpers import (
+    rand_ext,
     rand_mixed_series,
+    rand_seqspec,
+    rand_tail,
     reference_minplus_convolve,
     reference_mul,
     reference_tail_pairs_bound,
@@ -89,14 +92,64 @@ def test_series_bound_pairs():
     assert with_rays > 100
 
 
-def test_rays_are_pruned_to_staircases():
-    """A family keeps only rays that no other member beats: against flat
-    tails a flat window keeps one member per family, however long it is."""
+def test_frame_rays_are_the_ray_pairs():
+    """A family of point + ray terms enters the frame only through its
+    marks and its summary ray: ``rays`` holds the ray pairs alone, however
+    long the window is."""
     flat = SeqSpec(-40, [ExtInt(3)] * 81, ConstTail(ExtInt(0)), ConstTail(ExtInt(0)))
     point = SeqSpec.from_window({0: 1}, ConstTail(ExtInt(5)), ConstTail(ExtInt(4)))
     frame = assert_frame(flat, point)
-    assert len(frame.rays) <= 4 + 8  # a member per family, and the ray pairs
+    pairs = [ray for ra in _tail_rays(flat) for rb in _tail_rays(point)
+             for ray in _pair_ray_ray(ra, rb)[0]]
+    assert frame.rays == pairs
     assert frame.window_lo <= -40 and frame.window_hi >= 40
+
+
+def assert_convolution(a, b):
+    """The frame and the whole of ``minplus_convolve(a, b)`` are those of
+    the dense reference, errors included; returns the frame."""
+    frame = assert_frame(a, b)
+    assert outcome(minplus_convolve, a, b) == outcome(reference_minplus_convolve, a, b)
+    return frame
+
+
+def test_a_minus_inf_point_inside_a_family():
+    """A ``-inf`` point past the first point of a window makes its family's
+    summary ``-inf``; the window ends must still come from the family's
+    first and last marks.  Windows lie right of 0, left of it and across it,
+    so the ray's own bound falls outside the marks on either side."""
+    r = rng(715)
+    minf_tails = 0
+    for _ in range(400):
+        lo, size = r.randint(-10, 8), r.randint(2, 12)
+        window = {lo: ExtInt(r.randint(-9, 9))}
+        window.update({lo + j: rand_ext(r, minf=0) for j in range(1, size)})
+        window[lo + r.randint(1, size - 1)] = MINUS_INF
+        a = SeqSpec.from_window(window, rand_tail(r), rand_tail(r))
+        b = rand_seqspec(r, minf=0)
+        for x, y in ((a, b), (b, a)):
+            frame = assert_convolution(x, y)
+            if hasattr(frame, "rays") and frame.rays is not None:
+                minf_tails += MINUS_INF in (frame.left.limit(True), frame.right.limit(False))
+    assert minf_tails > 200
+
+
+def test_a_long_window_against_a_steep_left_tail():
+    """Against a left tail steeper than every step of the window, a member
+    from a lower index reaches less far along the ray but has a smaller
+    offset, so no member is beaten by another: the summary and the
+    envelope of ``minplus_convolve`` must take all of them."""
+    r = rng(716)
+    for n in (40, 120, 300):
+        for _ in range(3):
+            lo = r.randint(-6, 6)
+            window = {lo + j: ExtInt(r.randint(0, 49)) for j in range(n)}
+            a = SeqSpec.from_window(window, ConstTail(ExtInt(0)), AffineTail(-1, r.randint(-9, 9)))
+            steep = AffineTail(-r.randint(50, 60), r.randint(-9, 9))
+            b = SeqSpec.from_window({0: ExtInt(r.randint(0, 9))}, steep, ConstTail(ExtInt(2)))
+            offsets = [v.n - steep.slope * i for i, v in a.window_items()]
+            assert all(x < y for x, y in zip(offsets, offsets[1:]))
+            assert isinstance(assert_convolution(a, b), seqspec_module.Frame)
 
 
 def test_tail_guard_is_shared(monkeypatch):

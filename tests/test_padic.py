@@ -77,6 +77,43 @@ class TestConstruction:
         assert PAdic.from_json(PAdic.zero_mod(P, 5).to_json()) == PAdic.zero_mod(P, 5)
 
 
+def test_one_fraction_kernel():
+    """``fraction_sum`` serves both the literal parser and ``from_fraction``:
+    on random fractions with powers of ``p`` in numerator and denominator
+    it equals the closed form ``p^(vn - vd) * unum / uden`` at relative
+    precision ``rel``, read whole through ``from_fraction`` and as the sum
+    of two triples."""
+    from tdlf.padic import _vp, fraction_sum
+
+    def reference(q, p, rel):
+        vn, vd = _vp(q.numerator, p), _vp(q.denominator, p)
+        unum, uden = q.numerator // p**vn, q.denominator // p**vd
+        return PAdic.make(p, vn - vd, unum * pow(uden, -1, p**rel) % p**rel, vn - vd + rel)
+
+    def part(r, p):
+        num = r.randint(1, 10**r.randint(1, 12)) * p**r.below(6) * (-1) ** r.below(2)
+        den = r.randint(1, 10**r.randint(1, 9)) * p**r.below(6)
+        return Fraction(num, den)
+
+    r = rng(25)
+    cases = 0
+    for p in (2, 3, 5, 7, 101):
+        for rel in (1, 2, 8, 32, 300):
+            for _ in range(300):
+                q, extra = part(r, p), part(r, p)
+                want = reference(q, p, rel)
+                assert PAdic.from_fraction(q, p, rel) == want
+                # q as the sum of two triples (num, den prime to p, e)
+                triples = []
+                for f in (q - extra, extra):
+                    if f:
+                        vd = _vp(f.denominator, p)
+                        triples.append((f.numerator, f.denominator // p**vd, -vd))
+                assert fraction_sum(triples, p, rel) == want
+                cases += 1
+    assert cases == 7500
+
+
 class TestAdd:
     def test_carry_example(self):
         s = PAdic.from_int(2, P) + PAdic.from_int(3, P)
