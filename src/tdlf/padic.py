@@ -219,6 +219,7 @@ class PAdic(Frozen):
         n: int, prime: int, rel_precision: int = DEFAULT_RELATIVE_PRECISION
     ) -> "PAdic":
         _check_prime(prime)  # before _vp, which never returns for prime 1
+        check_precision(rel_precision)
         if n == 0:
             return PAdic.zero(prime)
         v = _vp(n, prime)
@@ -229,6 +230,7 @@ class PAdic(Frozen):
         q: Fraction, prime: int, rel_precision: int = DEFAULT_RELATIVE_PRECISION
     ) -> "PAdic":
         _check_prime(prime)
+        check_precision(rel_precision)
         if q == 0:
             return PAdic.zero(prime)
         vd = _vp(q.denominator, prime)
@@ -240,6 +242,7 @@ class PAdic(Frozen):
         prime: int, k: int, rel_precision: int = DEFAULT_RELATIVE_PRECISION
     ) -> "PAdic":
         """The uniformizer power ``p^k``."""
+        check_precision(rel_precision)
         return PAdic.make(prime, k, 1, k + rel_precision)
 
     @staticmethod

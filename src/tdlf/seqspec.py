@@ -810,33 +810,50 @@ def shift_add(s: SeqSpec, c: int) -> SeqSpec:
 # --------------------------------------------------------------------------
 # min-plus convolution
 #
-# The infimum of a(i) + b(k - i) over a pair of affine pieces is linear in
-# i, so it sits on an edge of the rectangle the pair spans: an endpoint of
-# one piece against the whole other piece.  The convolution is therefore
-# the pointwise minimum of *terms*: point + point, point + ray (a tail),
-# endpoint + segment (a window piece of more than _SHORT indices), and the
-# pairs of tails of ``_pair_ray_ray``, which may also diverge to a global
-# -inf.  The window is the lower envelope of the terms, swept from one term
-# boundary to the next.  Pieces of at most _SHORT indices count as points:
-# a point pair is one integer sum, while a segment term costs a heap entry
-# in the sweep, so short runs are cheaper expanded.  Series products read
-# only the frame, so the split now matters to ``product_bound``: making
-# every piece of two or more indices a segment (_SHORT = 1) cost far_sparse
-# 5.6% of ops_per_s (10 alternating pairs of 10 s runs, 2-core Xeon,
-# Python 3.11; won 2 of 10) and 12-20% per ``product_bound`` call on its
-# module pairs, while dense_products moved by 0.1%.
+# The infimum of a(i) + b(k - i) over a pair of affine runs is linear in
+# i, so it sits at the end of the feasible i that the slopes favour:
+# ``run_pair`` gives it exactly as at most two affine terms in k.  The
+# convolution is therefore the pointwise minimum of the terms of every pair
+# of window runs (``+inf`` runs left out), of every window run against
+# every tail ray of the other factor, and of the pairs of tails of
+# ``_pair_ray_ray``, which may also diverge to a global -inf.  A tail ray
+# paired with a window is read as a run clipped to the indices that can
+# reach the output window: with ``i`` in the window, ``k >= lo`` needs
+# ``j >= lo - window_hi`` and ``k <= hi`` needs ``j <= hi - window_lo``, so
+# the clipping never binds on the output window.  The window is the lower
+# envelope of the terms, swept from one term boundary to the next, so its
+# cost follows the runs, not the indices.
 #
-# The point + ray rays come in families, one per ray of the other factor:
+# The run + ray terms come in families, one per ray of the other factor:
 # a family shares that ray's direction and slope, and its members differ
 # only in bound and offset.  ``_frame`` reads each family as one summary
 # ray with the least offset (``_family``), as the eventual tail reads only
 # the least offset per slope and the tail guard holds past every bound,
-# where all members apply; the family's first and last bound stand for its
-# members among the window marks.  So the frame costs no point + point
-# loop and no sweep.  ``minplus_convolve`` hands every member to
-# ``_envelope``, whose per-slope heaps keep the least offset that applies.
+# where all members apply.  The least ``v - slope*i`` along a linear run
+# sits at one of its ends, and the family's first and last bound stand for
+# its members among the window marks, so the frame reads the two ends of
+# each run and costs no run pair and no sweep.  ``minplus_convolve`` hands
+# every term to ``_envelope``, whose per-slope heaps keep the least offset
+# that applies.
 
-_SHORT = 4
+
+def run_pair(a: tuple, b: tuple) -> list[tuple]:
+    """The least ``a(i) + b(k - i)`` of two affine runs ``(x, y, slope,
+    offset)``, as affine terms ``(k0, k1, slope, offset)`` in ``k``: linear
+    in ``i``, it sits at the end of the feasible ``i`` that the slopes
+    favour.  A ``-inf`` run (slope None) gives one ``-inf`` term over every
+    ``k`` of the pair; neither run may be ``+inf``."""
+    x1, y1, s1, o1 = a
+    x2, y2, s2, o2 = b
+    if s1 is None or s2 is None:
+        return [(x1 + x2, y1 + y2, None, -1)]
+    if s1 >= s2:  # least i = max(x1, k - y2)
+        out = [(x1 + x2, x1 + y2, s2, (s1 - s2) * x1 + o1 + o2),
+               (x1 + y2 + 1, y1 + y2, s1, o1 + o2 - (s1 - s2) * y2)]
+    else:  # greatest i = min(y1, k - x2)
+        out = [(x1 + x2, y1 + x2 - 1, s1, o1 + o2 - (s1 - s2) * x2),
+               (y1 + x2, y1 + y2, s2, (s1 - s2) * y1 + o1 + o2)]
+    return [t for t in out if t[0] <= t[1]]
 
 
 class _Ray(NamedTuple):
@@ -846,10 +863,6 @@ class _Ray(NamedTuple):
     slope: int
     offset: int
     minf: bool = False
-
-    def point(self) -> tuple[int, int | None]:
-        """The bound index and the value there; None encodes -inf."""
-        return self.bound, None if self.minf else self.slope * self.bound + self.offset
 
 
 def _tail_rays(s: SeqSpec) -> list[_Ray]:
@@ -867,28 +880,15 @@ def _tail_rays(s: SeqSpec) -> list[_Ray]:
     return rays
 
 
-def _conv_parts(s: SeqSpec) -> tuple[list, list]:
-    """The points ``(i, value)`` (None for -inf) and the long segments
-    ``(x, y, slope, offset)`` of the window, ``+inf`` left out.  Long
-    segments contribute their endpoints to the points."""
-    points: list[tuple[int, int | None]] = []
-    segs = []
-    for x, y, slope, offset in _spans(s, s.window_lo, s.window_hi):
-        if slope is None and offset > 0:
-            continue
-        short = y - x < _SHORT
-        if not short:
-            segs.append((x, y, slope, offset))
-        for i in range(x, y + 1) if short else (x, y):
-            points.append((i, None if slope is None else slope * i + offset))
-    return points, segs
+def _window_runs(s: SeqSpec) -> list[tuple]:
+    """The runs ``(x, y, slope, offset)`` of the window, ``+inf`` left out."""
+    return [r for r in _spans(s, s.window_lo, s.window_hi) if r[2] is not None or r[3] < 0]
 
 
-def _pair_point_ray(i: int, v: int | None, r: _Ray) -> _Ray:
-    # shift the ray domain by i and its values by v
-    if v is None or r.minf:
-        return _Ray(r.leftward, r.bound + i, 0, 0, minf=True)
-    return _Ray(r.leftward, r.bound + i, r.slope, r.offset + v - r.slope * i)
+def _ray_runs(rays: list[_Ray], lo: int, hi: int) -> list[tuple]:
+    """The rays as runs ``(x, y, slope, offset)`` cut to ``[lo, hi]``."""
+    return [((lo, r.bound) if r.leftward else (r.bound, hi))
+            + ((None, -1) if r.minf else (r.slope, r.offset)) for r in rays]
 
 
 def _pair_ray_ray(ra: _Ray, rb: _Ray) -> tuple[list[_Ray], bool]:
@@ -964,8 +964,8 @@ def _asymptote_winner(
 
 class Frame(NamedTuple):
     """The window bounds and tails of a min-plus convolution, and the rays
-    of its ray-pair terms; the point + ray terms are not listed.  ``rays``
-    is None when the convolution is the constant ``left`` everywhere."""
+    of its ray-pair terms; the run + ray terms are not listed.  ``rays`` is
+    None when the convolution is the constant ``left`` everywhere."""
 
     rays: list | None
     window_lo: int
@@ -974,41 +974,43 @@ class Frame(NamedTuple):
     right: Tail
 
 
-def _family(pts: list, r: _Ray) -> _Ray:
-    """The summary of the rays of the points ``(i, value)`` in index order
+def _family(runs: list, r: _Ray) -> _Ray:
+    """The summary of the rays of the window ``runs`` (in index order)
     against ray ``r``: the ray's direction and slope with the least offset
-    of its members, ``-inf`` if any member is, bounded at the family's
-    first mark."""
-    bound = r.bound + pts[0][0]
-    if r.minf or any(v is None for _, v in pts):
+    of its members, read at the ends of each run, ``-inf`` if any member
+    is, bounded at the family's first mark."""
+    bound = r.bound + runs[0][0]
+    if r.minf or any(s is None for _, _, s, _ in runs):
         return _Ray(r.leftward, bound, 0, 0, minf=True)
-    return _Ray(r.leftward, bound, r.slope, r.offset + min(v - r.slope * i for i, v in pts))
+    least = min((s - r.slope) * i + o for x, y, s, o in runs for i in (x, y))
+    return _Ray(r.leftward, bound, r.slope, r.offset + least)
 
 
-def _frame(pts_a: list, rays_a: list, pts_b: list, rays_b: list) -> Frame:
-    """The frame of the convolution of two sequences given by their points
-    (see ``_conv_parts``) and tail rays.
+def _frame(runs_a: list, rays_a: list, runs_b: list, rays_b: list) -> Frame:
+    """The frame of the convolution of two sequences given by their window
+    runs (see ``_window_runs``) and tail rays.
 
     The window runs from one below the least mark to one above the greatest:
-    the marks are the least and greatest point sums, the first and last
-    bound of each ray family, the bounds of the ray pairs and the crossings
-    of the eventual tail with the other rays.  Past the window only rays
-    apply, every member of each family among them, so the tails are checked
-    against the ray pairs and the family summaries at two indices on each
-    side; a mismatch raises ``NonRepresentableTail``.  As every crossing
-    with the eventual tail is a mark, the check holds for every input; it
-    guards that invariant for ``minplus_convolve`` and ``mul`` alike.
+    the marks are the sums of the first and of the last window indices, the
+    first and last bound of each ray family, the bounds of the ray pairs and
+    the crossings of the eventual tail with the other rays.  Past the window
+    only rays apply, every member of each family among them, so the tails
+    are checked against the ray pairs and the family summaries at two
+    indices on each side; a mismatch raises ``NonRepresentableTail``.  As
+    every crossing with the eventual tail is a mark, the check holds for
+    every input; it guards that invariant for ``minplus_convolve`` and
+    ``mul`` alike.
     """
     rays: list[_Ray] = []
     summaries: list[_Ray] = []
     marks: list[int] = []
-    if pts_a and pts_b:
-        marks += [pts_a[0][0] + pts_b[0][0], pts_a[-1][0] + pts_b[-1][0]]
-    for pts, others in ((pts_a, rays_b), (pts_b, rays_a)):
-        if pts:
+    if runs_a and runs_b:
+        marks += [runs_a[0][0] + runs_b[0][0], runs_a[-1][1] + runs_b[-1][1]]
+    for runs, others in ((runs_a, rays_b), (runs_b, rays_a)):
+        if runs:
             for r in others:
-                summaries.append(_family(pts, r))
-                marks += [r.bound + pts[0][0], r.bound + pts[-1][0]]
+                summaries.append(_family(runs, r))
+                marks += [r.bound + runs[0][0], r.bound + runs[-1][1]]
     for ra in rays_a:
         for rb in rays_b:
             new, diverges = _pair_ray_ray(ra, rb)
@@ -1043,8 +1045,8 @@ def _frame(pts_a: list, rays_a: list, pts_b: list, rays_b: list) -> Frame:
 def convolution_frame(a: SeqSpec, b: SeqSpec) -> Frame:
     """The frame of ``minplus_convolve(a, b)``: its window bounds, tails and
     ray-pair rays, and the same ``NonRepresentableTail``, at the cost of
-    the pieces and tails of ``a`` and ``b`` rather than of their pairs."""
-    return _frame(_conv_parts(a)[0], _tail_rays(a), _conv_parts(b)[0], _tail_rays(b))
+    the runs and tails of ``a`` and ``b`` rather than of their pairs."""
+    return _frame(_window_runs(a), _tail_rays(a), _window_runs(b), _tail_rays(b))
 
 
 def _lines_min(lines: list[tuple], x: int, y: int, out: list) -> None:
@@ -1105,38 +1107,18 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
     Pairs containing a ``+inf`` summand are absorbed (they never lower the
     infimum); a genuinely divergent side yields a ``-inf`` tail.
     """
-    pts_a, segs_a = _conv_parts(a)
-    pts_b, segs_b = _conv_parts(b)
+    runs_a, runs_b = _window_runs(a), _window_runs(b)
     rays_a, rays_b = _tail_rays(a), _tail_rays(b)
-    rays, lo, hi, left, right = _frame(pts_a, rays_a, pts_b, rays_b)
+    rays, lo, hi, left, right = _frame(runs_a, rays_a, runs_b, rays_b)
     if rays is None:
         return SeqSpec.constant(left.value)
-
-    best: dict[int, int | None] = {}  # point terms; None is -inf
-    for i, v in pts_a:
-        if v is not None:
-            for j, w in pts_b:
-                if w is not None and v + w < best.get(i + j, math.inf):
-                    best[i + j] = v + w
-    for i, v in pts_a:
-        for j, w in pts_b:
-            if v is None or w is None:
-                best[i + j] = None
-
-    terms = [(k, k, None, -1) if v is None else (k, k, 0, v) for k, v in best.items()]
-    members = [_pair_point_ray(i, v, r) for pts, others in ((pts_a, rays_b), (pts_b, rays_a))
-               for i, v in pts for r in others]
-    for r in rays + members:
-        k0, k1 = (lo, r.bound) if r.leftward else (r.bound, hi)
-        terms.append((k0, k1, None, -1) if r.minf else (k0, k1, r.slope, r.offset))
-    for segs, ends in ((segs_a, pts_b + [r.point() for r in rays_b]),
-                       (segs_b, pts_a + [r.point() for r in rays_a])):
-        for x, y, slope, offset in segs:
-            for j, w in ends:
-                if slope is None or w is None:
-                    terms.append((x + j, y + j, None, -1))
-                else:
-                    terms.append((x + j, y + j, slope, offset - slope * j + w))
+    terms = _ray_runs(rays, lo, hi)
+    # a tail ray against a window, cut to the indices that reach [lo, hi]
+    for runs, others in ((runs_a, runs_b + _ray_runs(rays_b, lo - a.window_hi, hi - a.window_lo)),
+                         (_ray_runs(rays_a, lo - b.window_hi, hi - b.window_lo), runs_b)):
+        for run in runs:
+            for other in others:
+                terms += run_pair(run, other)
     return SeqSpec.from_terms(lo, hi, terms, left, right)
 
 

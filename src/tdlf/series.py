@@ -49,6 +49,7 @@ from .seqspec import (
     json_int,
     json_key,
     json_parse,
+    run_pair,
 )
 
 __all__ = [
@@ -730,7 +731,7 @@ class _TailBound(NamedTuple):
             inner = [r for r in runs if b.g.window_lo <= r[0] and r[1] <= b.g.window_hi]
             for run in window:
                 for other in inner:
-                    terms += _run_pair(run, other)
+                    terms += run_pair(run, other)
         return terms
 
 
@@ -757,21 +758,6 @@ def _running_min(runs, last: int) -> list[tuple[int, int, int, int]]:
             marks.append((y + 1, 0, m))
     ends = [start - 1 for start, _, _ in marks[1:]] + [last]
     return [(start, end, s, o) for (start, s, o), end in zip(marks, ends) if start <= end]
-
-
-def _run_pair(a: tuple, b: tuple) -> list[tuple]:
-    """The least ``a(i) + b(k - i)`` of two finite affine runs ``(x, y,
-    slope, offset)``, as affine terms in ``k``: linear in ``i``, it sits at
-    the end of the feasible ``i`` that the slopes favour."""
-    x1, y1, s1, o1 = a
-    x2, y2, s2, o2 = b
-    if s1 >= s2:  # least i = max(x1, k - y2)
-        out = [(x1 + x2, x1 + y2, s2, (s1 - s2) * x1 + o1 + o2),
-               (x1 + y2 + 1, y1 + y2, s1, o1 + o2 - (s1 - s2) * y2)]
-    else:  # greatest i = min(y1, k - x2)
-        out = [(x1 + x2, y1 + x2 - 1, s1, o1 + o2 - (s1 - s2) * x2),
-               (y1 + x2, y1 + y2, s2, (s1 - s2) * y1 + o1 + o2)]
-    return [t for t in out if t[0] <= t[1]]
 
 
 def _units(x: Series) -> dict[int, tuple[int, int, int]]:

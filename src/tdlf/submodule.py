@@ -283,8 +283,8 @@ def unbounded_witness(
     ``-i + k_i`` along a decreasing support in the Laurent case, the
     0/-inf step against coefficients blowing up on the left, and the
     halved-exponent staircase against coefficients blowing up on the
-    right of the doubly infinite field.  A staircase of more than
-    ``MAX_INDEX`` points raises :class:`ParseError`.
+    right of the doubly infinite field.  A Laurent weight window or a
+    staircase of more than ``MAX_INDEX`` points raises :class:`ParseError`.
     """
     if is_bounded(m):
         raise ValueError("module is bounded; no witness exists")
@@ -293,16 +293,17 @@ def unbounded_witness(
 
     i0 = _minus_inf_index(seq)
     if i0 is not None:
-        # a fully open coordinate: weight it once, scale the monomial up
+        # a fully open coordinate: weight it once, the monomial p^-target
+        # there scores target
         spec = SeminormSpec(SeqSpec.from_window({i0: 0}, ninf, ninf), m.field_kind)
-        elems = [_monomial(m, i0, -j, prime) for j in range(1, target + 1)]
-        return spec, elems
+        return spec, [_monomial(m, i0, -target, prime)]
 
     if m.field_kind == EQUAL:
         # finite exponents at arbitrarily negative indices: weigh index i by
         # -i + k_i so the boundary monomial at i scores -i
         top = min(seq.window_lo - 1, -1)
         lo_i = min(-target, top)
+        check_index(top - lo_i + 1, "witness length")
         window = {i: -i + seq.value_at(i).n for i in range(lo_i, top + 1)}
         spec = SeminormSpec(SeqSpec.from_window(window, ninf, ninf), EQUAL)
         elems = [

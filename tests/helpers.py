@@ -539,6 +539,17 @@ def _reference_ray_pieces(s: SeqSpec):
     return points, rays
 
 
+def _reference_point_ray(i: int, v, r):
+    """The ray ``r`` shifted by the point ``(i, v)``: domain by ``i``,
+    values by ``v`` (``-inf`` for ``v`` or ``r`` ``-inf`` makes every value
+    ``-inf``)."""
+    from tdlf.seqspec import _Ray
+
+    if v == MINUS_INF or r.minf:
+        return _Ray(r.leftward, r.bound + i, 0, 0, minf=True)
+    return _Ray(r.leftward, r.bound + i, r.slope, r.offset + v.n - r.slope * i)
+
+
 def _reference_ray_envelope(rays, lo: int, hi: int) -> list:
     """For each ``k`` in ``[lo, hi]``, the least value of the rays covering it."""
     out = [PLUS_INF] * (hi - lo + 1)
@@ -562,10 +573,7 @@ def reference_minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
     """Every window index is a point; the window is filled index by index
     from a per-slope sweep of the rays."""
     from tdlf import NonRepresentableTail
-    from tdlf.seqspec import _asymptote_winner, _pair_point_ray, _pair_ray_ray, minplus_term
-
-    def as_int(v):
-        return None if v == MINUS_INF else v.n
+    from tdlf.seqspec import _asymptote_winner, _pair_ray_ray, minplus_term
 
     pts_a, rays_a = _reference_ray_pieces(a)
     pts_b, rays_b = _reference_ray_pieces(b)
@@ -577,9 +585,9 @@ def reference_minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
                 best_points[i + j] = s
     rays = []
     for i, v in pts_a:
-        rays.extend(_pair_point_ray(i, as_int(v), r) for r in rays_b)
+        rays.extend(_reference_point_ray(i, v, r) for r in rays_b)
     for j, w in pts_b:
-        rays.extend(_pair_point_ray(j, as_int(w), r) for r in rays_a)
+        rays.extend(_reference_point_ray(j, w, r) for r in rays_a)
     for ra in rays_a:
         for rb in rays_b:
             new, diverges = _pair_ray_ray(ra, rb)

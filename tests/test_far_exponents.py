@@ -5,6 +5,8 @@ before they add offsets, so an offset past the float range gives an answer,
 not ``OverflowError``.  ``unbounded_witness`` builds its staircase at a cost
 per point, not per index up to the staircase, and finds its last point in
 closed form, so a staircase longer than ``MAX_INDEX`` is refused at once.
+Against a fully open coordinate it gives one monomial whatever the target,
+and a Laurent weight window longer than ``MAX_INDEX`` is refused at once.
 """
 
 import time
@@ -13,6 +15,7 @@ import tracemalloc
 import pytest
 
 from tdlf import (
+    EqualCharSeries,
     ExtInt,
     Membership,
     MixedSeries,
@@ -23,13 +26,14 @@ from tdlf import (
     SeminormSpec,
     SeqSpec,
     SubmoduleSpec,
+    eval_exponent,
     forall_ge,
     membership,
     sup_diff,
     unbounded_witness,
 )
 from tdlf.seqspec import MINUS_INF, AffineTail, ConstTail
-from tdlf.submodule import _monomial
+from tdlf.submodule import _monomial, named
 
 HUGE = 10**400  # past the largest float
 
@@ -143,3 +147,44 @@ def test_a_far_right_staircase_is_refused_at_once():
                     assert unbounded_witness(m, target, 5) == _loop_staircase(m, target, 5)
                     checked += 1
     assert checked == 324
+
+
+def _time_and_peak(call):
+    """``call()``, and the seconds and peak traced bytes it took."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        out = call()
+        took = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, took, peak
+
+
+def test_a_far_target_costs_nothing_against_an_open_coordinate():
+    """``K[[t]]`` is fully open at every index: one monomial ``p^-target``
+    scores the target, however far it is."""
+    target = 10**6
+    m = named("K[[t]]")
+    (spec, elems), took, peak = _time_and_peak(lambda: unbounded_witness(m, target, 5))
+    assert took < 0.1 and peak < 2**20
+    assert len(elems) == 1
+    assert membership(m, elems[0]) == Membership.IN
+    assert eval_exponent(spec, elems[0]).exponent == target
+
+
+def test_a_long_laurent_witness_is_refused_at_once():
+    """Finite exponents at every negative index of a Laurent module: the
+    weight window reaches index ``-target``, and one longer than
+    ``MAX_INDEX`` is refused before any point is built."""
+    zero = ConstTail(ExtInt(0))
+    m = SubmoduleSpec(SeqSpec.from_window({0: 0}, zero, zero), "equal")
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="witness length"):
+        unbounded_witness(m, 10**6, 5)
+    assert time.perf_counter() - start < 0.1
+    spec, elems = unbounded_witness(m, 50, 5)
+    assert len(elems) == 50  # indices -50 .. -1
+    assert all(isinstance(x, EqualCharSeries) for x in elems)
+    assert max(eval_exponent(spec, x).exponent for x in elems) >= 50

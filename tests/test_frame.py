@@ -93,7 +93,7 @@ def test_series_bound_pairs():
 
 
 def test_frame_rays_are_the_ray_pairs():
-    """A family of point + ray terms enters the frame only through its
+    """A family of run + ray terms enters the frame only through its
     marks and its summary ray: ``rays`` holds the ray pairs alone, however
     long the window is."""
     flat = SeqSpec(-40, [ExtInt(3)] * 81, ConstTail(ExtInt(0)), ConstTail(ExtInt(0)))

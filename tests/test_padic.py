@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from tdlf import (
     PLUS_INF,
     IncompatiblePrimes,
     PAdic,
+    ParseError,
 )
 from helpers import PRIME, rand_coeff, rng
 
@@ -48,6 +50,23 @@ class TestConstruction:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=30, env=env)
         assert (proc.stdout, proc.stderr) == ("prime must be at least 2\n", "")
+
+    @pytest.mark.parametrize("build", [
+        lambda rel: PAdic.from_int(3, P, rel),
+        lambda rel: PAdic.from_int(0, P, rel),
+        lambda rel: PAdic.from_fraction(Fraction(1, 3), P, rel),
+        lambda rel: PAdic.pi_power(P, 2, rel),
+    ])
+    def test_a_relative_precision_out_of_range_is_refused(self, build):
+        """The constructors take the relative precisions the parsers take;
+        10^6 is refused before ``p^(10^6)`` is built."""
+        for rel in (-1, 0, 10_001, True, 1.5, 10**6):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match="relative precision"):
+                build(rel)
+            assert time.perf_counter() - start < 0.1
+        for rel in (1, 10_000):
+            build(rel)
 
     def test_from_int_normalises(self):
         x = PAdic.from_int(50, P)  # 50 = 2 * 5^2
