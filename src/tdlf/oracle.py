@@ -9,7 +9,7 @@ output on any platform.
 from __future__ import annotations
 
 from .errors import ParseError, PrecisionExhausted, WindowInsufficient
-from .padic import PAdic
+from .padic import PAdic, check_precision
 from .seminorm import SeminormSpec
 from .seqspec import (
     MINUS_INF,
@@ -78,6 +78,7 @@ class SampleConfig(Frozen):
     ):
         if count < 0:
             raise ParseError(f"sample count {count} is negative")
+        check_precision(precision)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "window", window)

@@ -25,11 +25,48 @@ __all__ = ["PAdic", "ExponentResult", "DEFAULT_RELATIVE_PRECISION", "MAX_RELATIV
 
 DEFAULT_RELATIVE_PRECISION = 32
 # the largest relative precision read from input: output writes one digit
-# per unit of it, in time quadratic in it
+# per unit of it
 MAX_RELATIVE_PRECISION = 10_000
 
 # prime_power(p, e) == p**e, cached: a series round reuses a few dozen (p, e)
 prime_power = lru_cache(maxsize=64)(pow)
+
+# _reduce uses Barrett reduction only when p^e and the quotient both have
+# more bits than this, and % otherwise.  CPython multiplies by Karatsuba from
+# 70 digits of 30 bits, and only products past that make Barrett's two
+# multiplies cheaper than one division.  On a Xeon, Python 3.11, % against
+# Barrett for a quotient as wide as p^e: 6.1 against 7.0 us at 5^880 (2,044
+# bits), 8.0 against 7.5 us at 5^1024 (2,378 bits); at 5^2048, a quotient of
+# 2,100 bits: 13.2 against 13.8 us, of 3,000 bits: 18.7 against 17.2 us.
+_BARRETT_BITS = 2100
+# the reciprocal of a k-bit p^e serves every x of at most 2k + _HEADROOM_BITS
+# bits: a product of two units, and a diagonal sum of up to 2^64 of them
+_HEADROOM_BITS = 64
+
+
+@lru_cache(maxsize=64)
+def _barrett(p: int, e: int) -> tuple[int, int, int]:
+    """``(m, k, r)`` for ``m = p^e`` of ``k`` bits and its reciprocal
+    ``r = floor(2^(2k + _HEADROOM_BITS) / m)``."""
+    m = prime_power(p, e)
+    k = m.bit_length()
+    return m, k, (1 << 2 * k + _HEADROOM_BITS) // m
+
+
+def _reduce(x: int, p: int, e: int) -> int:
+    """``x % p**e``.  A nonnegative ``x`` within the headroom of the cached
+    reciprocal, with ``p^e`` and the quotient both wide, is reduced with two
+    multiplies (Barrett, 1986), whose quotient estimate is at most 2 below
+    the true one; any other ``x`` by ``%``."""
+    m = prime_power(p, e)
+    k, n = m.bit_length(), x.bit_length()
+    if x < 0 or min(k, n - k) <= _BARRETT_BITS or n > 2 * k + _HEADROOM_BITS:
+        return x % m
+    m, k, r = _barrett(p, e)
+    x -= ((x >> (k - 1)) * r >> (k + 1 + _HEADROOM_BITS)) * m
+    while x >= m:
+        x -= m
+    return x
 
 
 class ExponentResult(Frozen):
@@ -142,6 +179,29 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+# _base_digits writes a unit of at most this many digits one digit at a time;
+# splitting wins from about here (256 digits of 5: 17 against 22 us, as above)
+_SHORT_DIGITS = 64
+
+
+def _base_digits(u: int, p: int, n: int, powers: dict[int, int]) -> list[int]:
+    """The base-``p`` digits of ``0 <= u < p^n``, lowest first, padded to
+    ``n``.  A long unit is split at ``p^(n//2)`` and each half converted
+    alone, so ``n`` digits cost a few big divisions per halving rather than
+    ``n`` divisions of a long int; ``powers`` keeps the ``p^h`` built so far."""
+    if n <= _SHORT_DIGITS:
+        out = []
+        while u:
+            u, d = divmod(u, p)
+            out.append(d)
+        return out + [0] * (n - len(out))
+    h = n // 2
+    if h not in powers:
+        powers[h] = p**h
+    hi, lo = divmod(u, powers[h])
+    return _base_digits(lo, p, h, powers) + _base_digits(hi, p, n - h, powers)
+
+
 def fraction_sum(terms: list, p: int, rel: int) -> PAdic | None:
     """The sum of the fractions ``num/den * p^e`` given as ``(num, den, e)``
     triples, ``p`` dividing no ``den``, at relative precision ``rel >= 1``;
@@ -204,8 +264,12 @@ class PAdic(Frozen):
         rel = precision - val
         if rel <= 0:
             return PAdic.zero_mod(prime, precision)
-        # a unit below 2^rel is below p^rel, so p^rel need not be built
-        u = unit % prime_power(prime, rel) if unit < 0 or unit.bit_length() > rel else unit
+        # a unit below 2^rel is below p^rel, so p^rel need not be built; one
+        # with a quotient of at most _BARRETT_BITS bits is reduced here by %
+        u, n = unit, unit.bit_length()
+        if unit < 0 or n > rel:
+            m = prime_power(prime, rel)
+            u = unit % m if n - m.bit_length() <= _BARRETT_BITS else _reduce(unit, prime, rel)
         if u == 0:
             return PAdic.zero_mod(prime, precision)
         shift = _vp(u, prime)  # below rel, as 0 < u < p^rel: val + shift < precision
@@ -270,59 +334,56 @@ class PAdic(Frozen):
 
     def digits(self) -> list[int]:
         """Base-p digits of the unit, lowest first, padded to full length."""
-        if not self.val.is_finite or self.unit == 0:
+        if self.val._sign or self.unit == 0:
             return []
-        out = []
-        u, p = self.unit, self.prime
-        while u:
-            u, d = divmod(u, p)
-            out.append(d)
-        out += [0] * ((self.precision - self.val).n - len(out))
-        return out
+        return _base_digits(self.unit, self.prime, self.precision._n - self.val._n, {})
 
     # -- arithmetic ------------------------------------------------------------
-
-    def _check(self, other: "PAdic") -> None:
-        if self.prime != other.prime:
-            raise IncompatiblePrimes(f"{self.prime} vs {other.prime}")
+    # The operators read the slots of ``val`` and ``precision`` as plain ints:
+    # an infinite ``val`` marks the exact zero, the one state whose fields are
+    # not finite, and the ExtInt operators would cost more than the ints.
 
     def __add__(self, other: "PAdic") -> "PAdic":
-        self._check(other)
-        if self.is_exact_zero:
-            return other
-        if other.is_exact_zero:
-            return self
         p = self.prime
-        prec = min(self.precision, other.precision).n
-        v = min(self.val, other.val).n
+        if other.prime != p:
+            raise IncompatiblePrimes(f"{p} vs {other.prime}")
+        if self.val._sign:
+            return other
+        if other.val._sign:
+            return self
+        a, b = self.val._n, other.val._n
+        prec = min(self.precision._n, other.precision._n)
+        v = min(a, b)
         total = 0
-        for x in (self, other):
-            # a term at or above the sum's precision is 0 modulo p^prec, so
-            # no power of p beyond the relative precision is built
-            if x.unit and x.val.n < prec:
-                total += x.unit * prime_power(p, x.val.n - v)
+        # a term at or above the sum's precision is 0 modulo p^prec, so no
+        # power of p beyond the relative precision is built
+        if self.unit and a < prec:
+            total = self.unit * prime_power(p, a - v) if a > v else self.unit
+        if other.unit and b < prec:
+            total += other.unit * prime_power(p, b - v) if b > v else other.unit
         return PAdic.make(p, v, total, prec)
 
     def __neg__(self) -> "PAdic":
-        if not self.val.is_finite or self.unit == 0:
+        if self.val._sign or not self.unit:
             return self
-        rel = int(self.precision - self.val)
+        rel = self.precision._n - self.val._n
         return PAdic(self.prime, self.val, prime_power(self.prime, rel) - self.unit, self.precision)
 
     def __sub__(self, other: "PAdic") -> "PAdic":
         return self + (-other)
 
     def __mul__(self, other: "PAdic") -> "PAdic":
-        self._check(other)
         p = self.prime
-        if self.is_exact_zero or other.is_exact_zero:
+        if other.prime != p:
+            raise IncompatiblePrimes(f"{p} vs {other.prime}")
+        if self.val._sign or other.val._sign:
             return PAdic.zero(p)
-        v = (self.val + other.val).n
-        if self.unit == 0 or other.unit == 0:
+        a, b = self.val._n, other.val._n
+        if not (self.unit and other.unit):
             # only the valuation lower bounds multiply
-            return PAdic.zero_mod(p, v)
-        rel = min(int(self.rel_precision), int(other.rel_precision))
-        return PAdic.make(p, v, self.unit * other.unit, v + rel)
+            return PAdic.zero_mod(p, a + b)
+        rel = min(self.precision._n - a, other.precision._n - b)
+        return PAdic.make(p, a + b, self.unit * other.unit, a + b + rel)
 
     def abs_exponent(self) -> ExponentResult:
         """Exponent e with |x| = q^e, so e = -val; an upper bound when the

@@ -546,8 +546,14 @@ def add(x: Series, y: Series) -> Series:
     lo, hi = min(gx.window_lo, gy.window_lo), max(gx.window_hi, gy.window_hi)
     total = {}
     for a, b in ((x, y), (y, x)):
+        stored_b = b._map
         for i, c in a.stored:
-            if i not in total and b.g.value_at(i) != MINUS_INF:
+            if i in total:
+                continue
+            other = stored_b.get(i)
+            if other is not None:  # g is +inf where b stores a coefficient
+                total[i] = c + other
+            elif b.g.value_at(i) != MINUS_INF:
                 total[i] = c + b.coeff(i)
     items = sorted(total.items())
     stored = tuple((i, c) for i, c in items if c.unit)

@@ -187,6 +187,20 @@ def rand_coeff(r: SplitMix64, prime=PRIME, vlo=-6, vhi=6) -> PAdic:
     return PAdic.make(prime, val, unit, val + 32)
 
 
+def reference_digits(x: PAdic) -> list[int]:
+    """Base-p digits of ``x``'s unit, lowest first, padded to its relative
+    precision, one division per digit: the reference for ``PAdic.digits``."""
+    if not x.val.is_finite or x.unit == 0:
+        return []
+    out = []
+    u, p = x.unit, x.prime
+    while u:
+        u, d = divmod(u, p)
+        out.append(d)
+    out += [0] * ((x.precision - x.val).n - len(out))
+    return out
+
+
 def rand_equal_series(r: SplitMix64, prime=PRIME, span=(-6, 6)) -> EqualCharSeries:
     coeffs = {}
     for i in range(span[0], span[1] + 1):

@@ -34,6 +34,13 @@ def test_a_negative_sample_count_is_refused(count):
         SampleConfig(seed=1, count=count)
 
 
+@pytest.mark.parametrize("module", ["K[[t]]", "O{{t}}"])
+@pytest.mark.parametrize("precision", [0, -1, 10_001])
+def test_a_sample_precision_out_of_range_is_refused(module, precision):
+    with pytest.raises(ParseError, match="relative precision"):
+        sample_elements(named(module), SampleConfig(1, 3, (-2, 2), precision), 5)
+
+
 def test_a_zero_sample_count_samples_nothing():
     assert sample_elements(named("p{{t}}"), SampleConfig(seed=1, count=0), 5) == []
     assert len(sample_elements(named("p{{t}}"), SampleConfig(seed=1, count=3), 5)) == 3

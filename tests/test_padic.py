@@ -278,3 +278,170 @@ class TestValuationOfIntegers:
         x = parse_series("p^20000*t + 3*p^-20001", 5)
         assert x.coeff(1).val == 20000 and x.coeff(1).unit == 1
         assert x.coeff(0).val == -20001 and x.coeff(0).unit == 3
+
+
+class TestPlainIntDifferential:
+    """``+``, ``-``, unary ``-``, ``*`` and ``make`` against residues computed
+    with plain ints, on seeded elements of primes 2, 3, 5 and 101 at relative
+    precisions 1 to 3,000: across ``_BARRETT_BITS`` for every prime, with
+    the exact zero, zero within precision and negative units given to
+    ``make``."""
+
+    PRIMES = (2, 3, 5, 101)
+
+    @staticmethod
+    def scaled(x: PAdic, base: int, n: int) -> int:
+        """``x / p^base`` modulo ``p^n``, for ``x.val >= base``."""
+        p = x.prime
+        return x.unit * p ** (x.val.n - base) % p**n if x.unit else 0
+
+    @staticmethod
+    def assert_normal(z: PAdic) -> None:
+        if z.is_exact_zero:
+            assert z.val == z.precision == PLUS_INF and z.unit == 0
+        elif z.unit == 0:
+            assert z.val == z.precision and z.val.is_finite
+        else:
+            p = z.prime
+            assert z.unit % p and 0 < z.unit < p ** (z.precision - z.val).n
+
+    def element(self, r, p: int) -> tuple[PAdic, tuple]:
+        """A random element and the ``make`` arguments that built it."""
+        kind = r.below(8)
+        if kind == 0:
+            return PAdic.zero(p), None
+        val = r.randint(-5, 5) if r.below(4) else r.randint(-3000, 3000)
+        rel = r.randint(1, 3000) if r.below(2) else r.randint(1, 40)
+        m = p**rel
+        if kind == 1:  # zero within precision: a multiple of p^rel
+            unit = m * r.randint(-3, 3)
+        elif kind == 2:  # a negative unit
+            unit = -r.randint(1, m * m)
+        elif kind == 3:  # wider than the reduction's headroom
+            unit = r.below(m**3) + 1
+        else:
+            unit = (r.below(m) + 1) * p ** r.below(3)
+        args = (p, val, unit, val + rel)
+        return PAdic.make(*args), args
+
+    def test_make_add_sub_neg_mul_against_ints(self):
+        r = rng(26)
+        cases = 0
+        for p in self.PRIMES:
+            for _ in range(120):
+                (x, args), (y, _) = self.element(r, p), self.element(r, p)
+                self.assert_normal(x)
+                if args is not None:  # make: x = p^val * unit modulo p^precision
+                    _, val, unit, prec = args
+                    assert x.precision == prec
+                    assert self.scaled(x, val, prec - val) == unit % p ** (prec - val)
+                self.check_add(x, y, sign=1)
+                self.check_add(x, y, sign=-1)
+                self.check_neg(x)
+                self.check_mul(x, y)
+                cases += 1
+        assert cases == 480
+
+    def check_add(self, x: PAdic, y: PAdic, sign: int) -> None:
+        z = x + y if sign == 1 else x - y
+        self.assert_normal(z)
+        if y.is_exact_zero:
+            assert z == x
+            return
+        if x.is_exact_zero:
+            assert z == (y if sign == 1 else -y)
+            return
+        p, prec = x.prime, min(x.precision, y.precision).n
+        base = min(x.val, y.val).n
+        n = prec - base
+        assert z.precision == prec
+        want = (self.scaled(x, base, n) + sign * self.scaled(y, base, n)) % p**n
+        assert self.scaled(z, base, n) == want
+
+    def check_neg(self, x: PAdic) -> None:
+        z = -x
+        self.assert_normal(z)
+        if x.is_exact_zero:
+            assert z.is_exact_zero
+            return
+        p, base, prec = x.prime, x.val.n, x.precision.n
+        assert z.precision == prec
+        assert self.scaled(z, base, prec - base) == -self.scaled(x, base, prec - base) % p ** (prec - base)
+
+    def check_mul(self, x: PAdic, y: PAdic) -> None:
+        z = x * y
+        self.assert_normal(z)
+        if x.is_exact_zero or y.is_exact_zero:
+            assert z.is_exact_zero
+            return
+        p, base = x.prime, (x.val + y.val).n
+        n = min((x.precision - x.val).n, (y.precision - y.val).n)
+        assert z.precision == base + n
+        assert self.scaled(z, base, n) == x.unit * y.unit % p**n
+
+
+class TestReduce:
+    """``_reduce(x, p, e) == x % p**e``: at 0, ``m - 1`` and ``m``, at both
+    widths on either side of the reciprocal's headroom, for negative ``x``,
+    and for ``p^e`` and the quotient on both sides of ``_BARRETT_BITS``."""
+
+    def test_against_mod(self):
+        from tdlf.padic import _BARRETT_BITS, _HEADROOM_BITS, _reduce
+
+        r = rng(27)
+        cases = 0
+        for p in (2, 3, 5, 101):
+            edge = next(e for e in range(1, 10_000) if (p ** (e + 1)).bit_length() > _BARRETT_BITS)
+            assert (p**edge).bit_length() <= _BARRETT_BITS < (p ** (edge + 1)).bit_length()
+            for e in (1, 7, edge - 1, edge, edge + 1, edge + 2, 3 * edge):
+                m = p**e
+                k = m.bit_length()
+                width = 2 * k + _HEADROOM_BITS
+                xs = [0, 1, m - 1, m, m + 1, 2 * m - 1, m * m - 1, m * m,
+                      1 << (k + _BARRETT_BITS - 1), 1 << (k + _BARRETT_BITS),  # quotient widths at the cutoff
+                      1 << (width - 1), (1 << width) - 1,  # the widest x inside the headroom
+                      1 << width, (1 << (width + 1)) - 1,  # one bit wider: outside it
+                      -1, -m, -(m * m) - 1]
+                xs += [r.below(1 << width) for _ in range(20)]
+                xs += [r.below(1 << 2 * width) for _ in range(5)]
+                xs += [-r.below(1 << width) for _ in range(5)]
+                for x in xs:
+                    assert _reduce(x, p, e) == x % m, (p, e, x)
+                    cases += 1
+        assert cases == 4 * 7 * 47
+
+
+class TestDigits:
+    def test_digits_equal_the_per_digit_loop(self):
+        """Divide-and-conquer digits equal the per-digit reference on units
+        at every length around the short-unit base case and the splits."""
+        from helpers import reference_digits
+        from tdlf.padic import _SHORT_DIGITS
+
+        r = rng(28)
+        rels = (1, 2, _SHORT_DIGITS - 1, _SHORT_DIGITS, _SHORT_DIGITS + 1, 2 * _SHORT_DIGITS + 1,
+                255, 256, 257, 1000, 3001)
+        cases = 0
+        for p in (2, 3, 5, 101):
+            for rel in rels:
+                m = p**rel
+                for unit in (1, m - 1, p ** (rel - 1) + 1, r.below(m), r.below(p ** (rel // 2 + 1))):
+                    unit += unit % p == 0  # a unit, so that x keeps relative precision rel
+                    val = r.randint(-3, 3)
+                    x = PAdic.make(p, val, unit if unit < m else 1, val + rel)
+                    assert x.digits() == reference_digits(x)
+                    assert len(x.digits()) == rel
+                    cases += 1
+        for x in (PAdic.zero(P), PAdic.zero_mod(P, 4)):
+            assert x.digits() == reference_digits(x) == []
+        assert cases == 4 * len(rels) * 5
+
+    def test_digits_are_not_quadratic(self):
+        """10^5 digits take one split per halving, not 10^5 long divisions
+        (about 0.04 s; the per-digit loop takes minutes)."""
+        x = PAdic.make(5, 0, 5**100_000 // 3, 100_000)
+        start = time.perf_counter()
+        digits = x.digits()
+        assert time.perf_counter() - start < 2
+        assert len(digits) == 100_000
+        assert sum(d * 5**i for i, d in enumerate(digits[:40])) == x.unit % 5**40
