@@ -240,11 +240,11 @@ class PAdic(Frozen):
     __slots__ = _fields = ("prime", "val", "unit", "precision")
 
     def __init__(self, prime: int, val: ExtInt, unit: int, precision: ExtInt):
-        set_ = object.__setattr__
-        set_(self, "prime", prime)
-        set_(self, "val", val)
-        set_(self, "unit", unit)
-        set_(self, "precision", precision)
+        # through the slot descriptors, past Frozen's refused __setattr__
+        _set_prime(self, prime)
+        _set_val(self, val)
+        _set_unit(self, unit)
+        _set_precision(self, precision)
 
     # -- constructors --------------------------------------------------------
 
@@ -433,3 +433,6 @@ class PAdic(Frozen):
         if self.is_zero_within_precision:
             return f"O({self.prime}^{self.val})"
         return f"{self.unit}*{self.prime}^{self.val} + O({self.prime}^{self.precision})"
+
+
+_set_prime, _set_val, _set_unit, _set_precision = (PAdic.__dict__[f].__set__ for f in PAdic._fields)

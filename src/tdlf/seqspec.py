@@ -190,8 +190,10 @@ class Frozen:
     """Base of the package's immutable value classes.
 
     A subclass names its fields in ``_fields``, stores them in
-    ``__slots__`` and sets them once, with ``object.__setattr__``, in its
-    ``__init__``.  Like a frozen dataclass, an instance equals another of
+    ``__slots__`` and sets them once in its ``__init__``, past the refused
+    ``__setattr__``: with ``object.__setattr__``, or, where construction is
+    hot (``PAdic``), with the slot descriptors' ``__set__`` bound once at
+    module level.  Like a frozen dataclass, an instance equals another of
     the same class with equal fields, hashes its field tuple, prints as
     ``Name(field=value, ...)`` and refuses assignment.
     """

@@ -606,7 +606,8 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     The product computes only the digits its certified precision keeps:
     the units are reduced to the highest output precision before they are
     multiplied, then multiplied by four-point Kronecker substitution
-    (``_diagonal_sums``).
+    (``_diagonal_sums``), whose widest big-int products take one Toom-3
+    layer above CPython's Karatsuba (``_mul``).
 
     The kinds differ only in the frame.  A Laurent product takes its order
     and truncation from ``_equal_frame``.  Of the min-plus convolution of
@@ -916,7 +917,9 @@ def _diagonal_sums(
     multiply to the reversed product, ``S_k`` at power ``top - k``, ``top =
     n_x + n_y - 2``, whose half of parity ``(top - e) mod 2`` is ``G_e =
     sum_t c_t 2^((T-1-t)M)`` over the ``T`` sums of parity ``e``; ``_unfold``
-    reads each ``c_t`` from ``F_e`` and ``G_e``.  Returns ``v_x + v_y`` and
+    reads each ``c_t`` from ``F_e`` and ``G_e``.  The four products of a run
+    pair go to ``*`` when the shorter run spans fewer than ``_TOOM_BITS``
+    bits, and to the Toom-3 ``_mul`` otherwise.  Returns ``v_x + v_y`` and
     the nonzero ``S_k``.
     """
     vx, vy = _least_val(xs), _least_val(ys)
@@ -937,8 +940,12 @@ def _diagonal_sums(
         i0, nx, xp, xm = _pack_pm(run, h)
         _, _, rxp, rxm = _pack_pm(_reflected(run), h)
         for (j0, ny, yp, ym), (_, _, ryp, rym) in packed_y:
-            forward = _halves(xp * yp, xm * ym, n)
-            backward = _halves(rxp * ryp, rxm * rym, n)
+            if min(nx, ny) * n < _TOOM_BITS:
+                forward = _halves(xp * yp, xm * ym, n)
+                backward = _halves(rxp * ryp, rxm * rym, n)
+            else:
+                forward = _halves(_mul(xp, yp), _mul(xm, ym), n)
+                backward = _halves(_mul(rxp, ryp), _mul(rxm, rym), n)
             top = nx + ny - 2
             for e in (0, 1):
                 count = (nx + ny - e) // 2
@@ -948,6 +955,67 @@ def _diagonal_sums(
                         sums[k] = sums.get(k, 0) + c
                     k += 2
     return vx + vy, sums
+
+
+# _mul splits into Toom-3 limbs only operands of at least this many bits, and
+# _diagonal_sums calls it only when a run pair's operands reach it.  CPython
+# multiplies by Karatsuba from 70 digits of 30 bits; one Toom-3 layer above it
+# breaks even at about 30k-bit operands, and the cutoff matters little above
+# that.  On a Xeon, Python 3.11, random balanced operands, best of 15, *
+# against _mul at a cutoff of 20k / 30k / 45k bits: 0.268 against 0.264 /
+# 0.264 / 0.269 ms at 35k bits, 0.669 against 0.604 / 0.592 / 0.592 ms at 60k
+# bits, 1.48 against 1.27 / 1.26 / 1.47 ms at 100k bits, 4.16 against 3.52 /
+# 3.47 / 3.46 ms at 193k bits and 13.5 against 10.40 / 10.41 / 10.69 ms at
+# 400k bits.  The products of a window-81 mul at precision 2048 (195k bits):
+# 4.35 against 3.55 ms at 30k.
+_TOOM_BITS = 30000
+
+
+def _mul(a: int, b: int) -> int:
+    """``a * b`` by one Toom-3 layer above CPython's Karatsuba (Toom 1963,
+    Cook 1966), for the wide products of ``_diagonal_sums``.
+
+    The absolute values are split into three ``k``-bit limbs, so each is a
+    polynomial of degree 2 at ``2^k``; the five point products at 0, 1, -1,
+    -2 and infinity recurse, and Bodrato's sequence (WAIFI 2007), whose one
+    exact ``// 3`` is linear in the size, interpolates the product.  Either
+    operand below ``_TOOM_BITS``, or operands more than 2x apart, go to
+    ``*``: within 2x each operand fills at least two limbs, so the split
+    pays.
+    """
+    na, nb = a.bit_length(), b.bit_length()
+    if min(na, nb) < _TOOM_BITS or max(na, nb) > 2 * min(na, nb):
+        return a * b
+    k = (max(na, nb) + 2) // 3
+    x, y = _toom_points(abs(a), k), _toom_points(abs(b), k)
+    # from infinity down to 0, each pair of points is dropped as it is
+    # multiplied and each point product as soon as interpolation has read it
+    c4 = _mul(x.pop(), y.pop())  # at infinity
+    c3 = _mul(x.pop(), y.pop())  # at -2
+    wm1 = _mul(x.pop(), y.pop())
+    w1 = _mul(x.pop(), y.pop())
+    c3 = (c3 - w1) // 3
+    c1 = (w1 - wm1) >> 1
+    del w1
+    c0 = _mul(x.pop(), y.pop())
+    c2 = wm1 - c0
+    del wm1
+    c3 = ((c2 - c3) >> 1) + (c4 << 1)
+    c2 += c1 - c4
+    c1 -= c3
+    r = c4
+    for c in (c3, c2, c1, c0):
+        r = (r << k) + c
+    return -r if (a < 0) != (b < 0) else r
+
+
+def _toom_points(x: int, k: int) -> list[int]:
+    """``x >= 0`` as the polynomial ``x0 + x1 z + x2 z^2`` of its ``k``-bit
+    limbs, at ``z = 0, 1, -1, -2`` and infinity."""
+    x0, x1, x2 = x & ((1 << k) - 1), (x >> k) & ((1 << k) - 1), x >> 2 * k
+    s = x0 + x2
+    m = s - x1
+    return [x0, s + x1, m, ((m + x2) << 1) - x0, x2]
 
 
 def _halves(plus: int, minus: int, n: int) -> tuple[int, int]:

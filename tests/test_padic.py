@@ -445,3 +445,27 @@ class TestDigits:
         assert time.perf_counter() - start < 2
         assert len(digits) == 100_000
         assert sum(d * 5**i for i, d in enumerate(digits[:40])) == x.unit % 5**40
+
+
+def test_slot_setters_keep_the_frozen_contract():
+    """``PAdic.__init__`` sets its slots through the slot descriptors, not
+    through ``Frozen.__setattr__``: values built by every constructor still
+    refuse assignment and deletion, and copy and pickle rebuild them."""
+    import copy
+    import pickle
+
+    from tdlf import padic
+
+    setters = (padic._set_prime, padic._set_val, padic._set_unit, padic._set_precision)
+    assert [s.__self__ for s in setters] == [PAdic.__dict__[f] for f in PAdic._fields]
+    x = PAdic.from_fraction(Fraction(2, 3), 5, 20)
+    for a in (x, x * x + PAdic.one(5), -x, PAdic.zero_mod(5, 3), PAdic.zero(5), PAdic.make(5, -2, 7, 9)):
+        for name in (*PAdic._fields, "extra"):
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(a, name, 1)
+        for name in PAdic._fields:
+            with pytest.raises(AttributeError, match="cannot delete"):
+                delattr(a, name)
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(b) is PAdic and b == a and hash(b) == hash(a)
+            assert [getattr(b, f) for f in PAdic._fields] == [getattr(a, f) for f in PAdic._fields]
