@@ -818,8 +818,11 @@ def shift_add(s: SeqSpec, c: int) -> SeqSpec:
 # convolution is therefore the pointwise minimum of the terms of every pair
 # of window runs (``+inf`` runs left out), of every window run against
 # every tail ray of the other factor, and of the pairs of tails of
-# ``_pair_ray_ray``, which may also diverge to a global -inf.  A tail ray
-# paired with a window is read as a run clipped to the indices that can
+# ``_pair_ray_ray``, which may also diverge to a global -inf.  A pair of
+# single-index runs is one value at one k: ``minplus_convolve`` folds these
+# into the least per k (``-inf`` absorbing), one point term each, so
+# windows of isolated points cost their distinct sums in the sweep.  A tail
+# ray paired with a window is read as a run clipped to the indices that can
 # reach the output window: with ``i`` in the window, ``k >= lo`` needs
 # ``j >= lo - window_hi`` and ``k <= hi`` needs ``j <= hi - window_lo``, so
 # the clipping never binds on the output window.  The window is the lower
@@ -834,9 +837,9 @@ def shift_add(s: SeqSpec, c: int) -> SeqSpec:
 # where all members apply.  The least ``v - slope*i`` along a linear run
 # sits at one of its ends, and the family's first and last bound stand for
 # its members among the window marks, so the frame reads the two ends of
-# each run and costs no run pair and no sweep.  ``minplus_convolve`` hands
-# every term to ``_envelope``, whose per-slope heaps keep the least offset
-# that applies.
+# each run and costs no run pair and no sweep.  The inputs are a few runs
+# and rays, so Python objects set the cost: rays are ``_Ray`` tuples built
+# by ``tuple.__new__`` and read by index, in plain loops.
 
 
 def run_pair(a: tuple, b: tuple) -> list[tuple]:
@@ -850,12 +853,14 @@ def run_pair(a: tuple, b: tuple) -> list[tuple]:
     if s1 is None or s2 is None:
         return [(x1 + x2, y1 + y2, None, -1)]
     if s1 >= s2:  # least i = max(x1, k - y2)
-        out = [(x1 + x2, x1 + y2, s2, (s1 - s2) * x1 + o1 + o2),
-               (x1 + y2 + 1, y1 + y2, s1, o1 + o2 - (s1 - s2) * y2)]
+        out = [(x1 + x2, x1 + y2, s2, (s1 - s2) * x1 + o1 + o2)] if x2 <= y2 else []
+        if x1 < y1:
+            out.append((x1 + y2 + 1, y1 + y2, s1, o1 + o2 - (s1 - s2) * y2))
     else:  # greatest i = min(y1, k - x2)
-        out = [(x1 + x2, y1 + x2 - 1, s1, o1 + o2 - (s1 - s2) * x2),
-               (y1 + x2, y1 + y2, s2, (s1 - s2) * y1 + o1 + o2)]
-    return [t for t in out if t[0] <= t[1]]
+        out = [(x1 + x2, y1 + x2 - 1, s1, o1 + o2 - (s1 - s2) * x2)] if x1 < y1 else []
+        if x2 <= y2:
+            out.append((y1 + x2, y1 + y2, s2, (s1 - s2) * y1 + o1 + o2))
+    return out
 
 
 class _Ray(NamedTuple):
@@ -867,6 +872,9 @@ class _Ray(NamedTuple):
     minf: bool = False
 
 
+_new = tuple.__new__  # a _Ray from its five fields, without _Ray.__new__
+
+
 def _tail_rays(s: SeqSpec) -> list[_Ray]:
     rays: list[_Ray] = []
     for leftward, tail, bound in (
@@ -874,11 +882,10 @@ def _tail_rays(s: SeqSpec) -> list[_Ray]:
         (False, s.right, s.window_hi + 1),
     ):
         slope, offset = _form(tail)
-        if slope is None:
-            if offset < 0:
-                rays.append(_Ray(leftward, bound, 0, 0, minf=True))
-        else:
-            rays.append(_Ray(leftward, bound, slope, offset))
+        if slope is not None:
+            rays.append(_new(_Ray, (leftward, bound, slope, offset, False)))
+        elif offset < 0:
+            rays.append(_new(_Ray, (leftward, bound, 0, 0, True)))
     return rays
 
 
@@ -889,79 +896,60 @@ def _window_runs(s: SeqSpec) -> list[tuple]:
 
 def _ray_runs(rays: list[_Ray], lo: int, hi: int) -> list[tuple]:
     """The rays as runs ``(x, y, slope, offset)`` cut to ``[lo, hi]``."""
-    return [((lo, r.bound) if r.leftward else (r.bound, hi))
-            + ((None, -1) if r.minf else (r.slope, r.offset)) for r in rays]
+    out = []
+    for leftward, bound, slope, offset, minf in rays:
+        x, y = (lo, bound) if leftward else (bound, hi)
+        out.append((x, y, None, -1) if minf else (x, y, slope, offset))
+    return out
 
 
 def _pair_ray_ray(ra: _Ray, rb: _Ray) -> tuple[list[_Ray], bool]:
     """Rays produced by convolving two rays; second item flags global -inf."""
-    A, B = ra.bound, rb.bound
-    if ra.leftward == rb.leftward:
+    la, A, sa, oa, ma = ra
+    lb, B, sb, ob, mb = rb
+    if la == lb:
         # index range for i is a bounded interval; the infimum sits at one of
         # its endpoints, so two rays (one per endpoint formula) cover it
-        if ra.minf or rb.minf:
-            return [_Ray(ra.leftward, A + B, 0, 0, minf=True)], False
-        out = []
-        for fixed, moving in ((rb, ra), (ra, rb)):
-            val0 = fixed.slope * fixed.bound + fixed.offset
-            out.append(
-                _Ray(
-                    ra.leftward,
-                    A + B,
-                    moving.slope,
-                    moving.offset + val0 - moving.slope * fixed.bound,
-                )
-            )
-        return out, False
-    # opposite directions: the index range is a half line
-    left, right = (ra, rb) if ra.leftward else (rb, ra)
-    if left.minf or right.minf:
-        return [], True
-    # along i + j = k the summand changes with rate (slope_l - slope_r) as the
-    # left ray index decreases without bound
-    if left.slope > right.slope:
-        return [], True
-    S = left.bound + right.bound
-    val_l = left.slope * left.bound + left.offset
-    val_r = right.slope * right.bound + right.offset
-    if left.slope == right.slope:
-        c = left.offset + right.offset
-        return [
-            _Ray(True, 0, left.slope, c),
-            _Ray(False, 0, left.slope, c),
-        ], False
-    return [
-        _Ray(True, S, left.slope, left.offset + val_r - left.slope * right.bound),
-        _Ray(False, S, right.slope, right.offset + val_l - right.slope * left.bound),
-    ], False
+        if ma or mb:
+            return [_new(_Ray, (la, A + B, 0, 0, True))], False
+        directions = la, la
+    else:
+        # opposite directions: the index range is a half line; along i + j
+        # = k the summand changes with rate (sa - sb) as the index of the
+        # left ray a decreases without bound
+        if lb:
+            A, sa, oa, ma, B, sb, ob, mb = B, sb, ob, mb, A, sa, oa, ma
+        if ma or mb or sa > sb:
+            return [], True
+        if sa == sb:
+            c = oa + ob
+            return [_new(_Ray, (True, 0, sa, c, False)), _new(_Ray, (False, 0, sa, c, False))], False
+        directions = True, False
+    # each ray moving from the end of the other
+    return [_new(_Ray, (directions[0], A + B, sa, oa + sb * B + ob - sa * B, False)),
+            _new(_Ray, (directions[1], A + B, sb, ob + sa * A + oa - sb * A, False))], False
 
 
 def _asymptote_winner(
     rays: list[_Ray], leftward: bool
 ) -> tuple[Tail, list[int]]:
     """Eventual tail among rays unbounded on one side, plus crossing bounds."""
-    live = [r for r in rays if r.leftward == leftward]
-    if any(r.minf for r in live):
-        return ConstTail(MINUS_INF), [r.bound for r in live]
-    if not live:
+    best: dict[int, int] = {}  # per slope only the smallest offset can ever win
+    minf = False
+    for r in rays:
+        if r[0] == leftward:
+            if r[4]:
+                minf = True
+            elif r[2] not in best or r[3] < best[r[2]]:
+                best[r[2]] = r[3]
+    if minf:
+        return ConstTail(MINUS_INF), [r[1] for r in rays if r[0] == leftward]
+    if not best:
         return ConstTail(PLUS_INF), []
-    # per slope only the smallest offset can ever win
-    best: dict[int, _Ray] = {}
-    for r in live:
-        cur = best.get(r.slope)
-        if cur is None or r.offset < cur.offset:
-            best[r.slope] = r
-    reps = list(best.values())
-    if leftward:
-        win = max(reps, key=lambda r: (r.slope, -r.offset))
-    else:
-        win = min(reps, key=lambda r: (r.slope, r.offset))
-    crossings: list[int] = []
-    for r in reps:
-        if r is win or r.slope == win.slope:
-            continue
-        crossings.append((r.offset - win.offset) // (win.slope - r.slope))
-    return _tail(win.slope, win.offset), crossings
+    ws = max(best) if leftward else min(best)
+    wo = best[ws]
+    crossings = [(o - wo) // (ws - s) for s, o in best.items() if s != ws]
+    return _tail(ws, wo), crossings
 
 
 class Frame(NamedTuple):
@@ -979,13 +967,17 @@ class Frame(NamedTuple):
 def _family(runs: list, r: _Ray) -> _Ray:
     """The summary of the rays of the window ``runs`` (in index order)
     against ray ``r``: the ray's direction and slope with the least offset
-    of its members, read at the ends of each run, ``-inf`` if any member
-    is, bounded at the family's first mark."""
-    bound = r.bound + runs[0][0]
-    if r.minf or any(s is None for _, _, s, _ in runs):
-        return _Ray(r.leftward, bound, 0, 0, minf=True)
-    least = min((s - r.slope) * i + o for x, y, s, o in runs for i in (x, y))
-    return _Ray(r.leftward, bound, r.slope, r.offset + least)
+    of its members, read at the end of each run that the slopes favour,
+    ``-inf`` if any member is, bounded at the family's first mark."""
+    leftward, bound, slope, offset, minf = r
+    least = math.inf
+    for x, y, s, o in runs:
+        if minf or s is None:
+            return _new(_Ray, (leftward, bound + runs[0][0], 0, 0, True))
+        v = (s - slope) * (x if s >= slope else y) + o
+        if v < least:
+            least = v
+    return _new(_Ray, (leftward, bound + runs[0][0], slope, offset + least, False))
 
 
 def _frame(runs_a: list, rays_a: list, runs_b: list, rays_b: list) -> Frame:
@@ -1010,9 +1002,10 @@ def _frame(runs_a: list, rays_a: list, runs_b: list, rays_b: list) -> Frame:
         marks += [runs_a[0][0] + runs_b[0][0], runs_a[-1][1] + runs_b[-1][1]]
     for runs, others in ((runs_a, rays_b), (runs_b, rays_a)):
         if runs:
+            first, last = runs[0][0], runs[-1][1]
             for r in others:
                 summaries.append(_family(runs, r))
-                marks += [r.bound + runs[0][0], r.bound + runs[-1][1]]
+                marks += [r[1] + first, r[1] + last]
     for ra in rays_a:
         for rb in rays_b:
             new, diverges = _pair_ray_ray(ra, rb)
@@ -1020,7 +1013,7 @@ def _frame(runs_a: list, rays_a: list, runs_b: list, rays_b: list) -> Frame:
                 minf = ConstTail(MINUS_INF)
                 return Frame(None, 0, 0, minf, minf)
             rays += new
-            marks += [r.bound for r in new]
+            marks.append(new[0][1])  # the rays of a pair share one bound
     if not marks:
         pinf = ConstTail(PLUS_INF)
         return Frame(None, 0, 0, pinf, pinf)
@@ -1030,16 +1023,18 @@ def _frame(runs_a: list, rays_a: list, runs_b: list, rays_b: list) -> Frame:
     lo = min(marks + lcross) - 1
     hi = max(marks + rcross) + 1
     for tail, leftward, ks in ((left, True, (lo - 1, lo - 2)), (right, False, (hi + 1, hi + 2))):
-        side = [r for r in reach if r.leftward == leftward]
-        minf = any(r.minf for r in side)
+        side = [r for r in reach if r[0] == leftward]
+        ts, to = _form(tail)
         for k in ks:
-            if minf:
-                want = MINUS_INF
-            elif side:
-                want = ExtInt(min(r.slope * k + r.offset for r in side))
-            else:
-                want = PLUS_INF
-            if tail.at(k) != want:
+            # the least ray and the tail at k, +-inf as floats
+            want = math.inf
+            for r in side:
+                if r[4]:
+                    want = -math.inf
+                    break
+                if r[2] * k + r[3] < want:
+                    want = r[2] * k + r[3]
+            if (to * math.inf if ts is None else ts * k + to) != want:
                 raise NonRepresentableTail(f"convolution tail mismatch at index {k}")
     return Frame(rays, lo, hi, left, right)
 
@@ -1056,11 +1051,18 @@ def _lines_min(lines: list[tuple], x: int, y: int, out: list) -> None:
     ``[x, y]``: going right, a line gives way to one of smaller slope."""
     k = x
     while k <= y:
-        s, o = min(lines, key=lambda line: (line[0] * k + line[1], line[0]))
+        s, o = lines[0]
+        v = s * k + o
+        for s2, o2 in lines:
+            v2 = s2 * k + o2
+            if v2 < v or v2 == v and s2 < s:
+                s, o, v = s2, o2, v2
         nxt = y + 1
         for s2, o2 in lines:
             if s2 < s:
-                nxt = min(nxt, (o2 - o) // (s - s2) + 1)
+                c = (o2 - o) // (s - s2) + 1
+                if c < nxt:
+                    nxt = c
         out.append((k, nxt - 1, s, o))
         k = nxt
 
@@ -1069,22 +1071,26 @@ def _envelope(terms: list[tuple], lo: int, hi: int) -> list[tuple]:
     """Fragments of the least of the terms ``(k0, k1, slope, offset)`` on
     ``[lo, hi]``, ``+inf`` where none applies.  Per slope a heap keeps the
     least offset of the terms that cover the current run."""
-    terms = sorted((t for t in terms if t[0] <= hi and t[1] >= lo), key=_START)
+    terms = sorted([t for t in terms if t[0] <= hi and t[1] >= lo], key=_START)
     heaps: dict[int | None, list] = {}
     ends: list[int] = []
     out: list[tuple] = []
     n, t, x = len(terms), 0, lo
     while x <= hi:
-        while t < n and terms[t][0] <= x:
-            _, k1, s, o = terms[t]
+        y = hi
+        while t < n:
+            k0, k1, s, o = terms[t]
+            if k0 > x:
+                if k0 <= y:
+                    y = k0 - 1
+                break
             heappush(heaps.setdefault(s, []), (o, k1))
             heappush(ends, k1)
             t += 1
         while ends and ends[0] < x:
             heappop(ends)
-        y = min(hi, terms[t][0] - 1) if t < n else hi
-        if ends:
-            y = min(y, ends[0])
+        if ends and ends[0] < y:
+            y = ends[0]
         lines = []
         for s, heap in heaps.items():
             while heap and heap[0][1] < x:
@@ -1093,7 +1099,7 @@ def _envelope(terms: list[tuple], lo: int, hi: int) -> list[tuple]:
                 lines.append((s, heap[0][0]))
         if not lines:
             out.append((x, y, None, 1))
-        elif any(s is None for s, _ in lines):
+        elif heaps.get(None):
             out.append((x, y, None, -1))
         elif len(lines) == 1:
             out.append((x, y, *lines[0]))
@@ -1115,12 +1121,23 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
     if rays is None:
         return SeqSpec.constant(left.value)
     terms = _ray_runs(rays, lo, hi)
+    least: dict[int, int | float] = {}  # k -> the least point pair, -inf absorbing
     # a tail ray against a window, cut to the indices that reach [lo, hi]
     for runs, others in ((runs_a, runs_b + _ray_runs(rays_b, lo - a.window_hi, hi - a.window_lo)),
                          (_ray_runs(rays_a, lo - b.window_hi, hi - b.window_lo), runs_b)):
         for run in runs:
+            x1, y1, s1, o1 = run
             for other in others:
-                terms += run_pair(run, other)
+                x2, y2, s2, o2 = other
+                if x1 == y1 and x2 == y2:
+                    k = x1 + x2
+                    v = -math.inf if s1 is None or s2 is None else s1 * x1 + o1 + s2 * x2 + o2
+                    if v < least.get(k, math.inf):
+                        least[k] = v
+                else:
+                    terms += run_pair(run, other)
+    for k, v in least.items():
+        terms.append((k, k, 0, v) if v != -math.inf else (k, k, None, -1))
     return SeqSpec.from_terms(lo, hi, terms, left, right)
 
 

@@ -941,19 +941,16 @@ def _diagonal_sums(
         _, _, rxp, rxm = _pack_pm(_reflected(run), h)
         for (j0, ny, yp, ym), (_, _, ryp, rym) in packed_y:
             if min(nx, ny) * n < _TOOM_BITS:
-                forward = _halves(xp * yp, xm * ym, n)
-                backward = _halves(rxp * ryp, rxm * rym, n)
+                forward = [*_halves(xp * yp, xm * ym, n)]
+                backward = [*_halves(rxp * ryp, rxm * rym, n)]
             else:
-                forward = _halves(_mul(xp, yp), _mul(xm, ym), n)
-                backward = _halves(_mul(rxp, ryp), _mul(rxm, rym), n)
-            top = nx + ny - 2
-            for e in (0, 1):
-                count = (nx + ny - e) // 2
-                k = i0 + j0 + e
-                for c in _unfold(forward[e], backward[(top - e) % 2], count, h):
-                    if c:
-                        sums[k] = sums.get(k, 0) + c
-                    k += 2
+                forward = [*_halves(_mul(xp, yp), _mul(xm, ym), n)]
+                backward = [*_halves(_mul(rxp, ryp), _mul(rxm, rym), n)]
+            # the odd sums first, so that each half is popped for its pass
+            # and dropped once _unfold has read it
+            odd = (nx + ny - 3) % 2  # the half of backward that the odd sums read
+            _unfold(forward.pop(), backward.pop(odd), (nx + ny - 1) // 2, h, i0 + j0 + 1, sums)
+            _unfold(forward.pop(), backward.pop(), (nx + ny) // 2, h, i0 + j0, sums)
     return vx + vy, sums
 
 
@@ -1024,9 +1021,10 @@ def _halves(plus: int, minus: int, n: int) -> tuple[int, int]:
     return (plus + minus) >> 1, (plus - minus) >> (n + 1)
 
 
-def _unfold(f: int, g: int, count: int, h: int) -> list[int]:
-    """``c_0 .. c_(count-1)`` from ``f = sum_t c_t 2^(tM)`` and ``g = sum_t
-    c_t 2^((count-1-t)M)``, ``M = 16h``, when every ``c_t < 2^(2M-1)``.
+def _unfold(f: int, g: int, count: int, h: int, k: int, sums: dict[int, int]) -> None:
+    """Add ``c_0 .. c_(count-1)`` into ``sums`` at ``k, k + 2, ...``, from
+    ``f = sum_t c_t 2^(tM)`` and ``g = sum_t c_t 2^((count-1-t)M)``, ``M =
+    16h``, when every ``c_t < 2^(2M-1)``.
 
     One pass from ``t = 0`` (KS3): the carry ``w`` into digit ``t`` of
     ``f`` is known from the ``c`` below, so ``alpha = c_t mod 2^M``.  ``g``
@@ -1039,19 +1037,22 @@ def _unfold(f: int, g: int, count: int, h: int) -> list[int]:
     m, w2, w4 = 16 * h, 2 * h, 4 * h + 1
     low, wide = (1 << m) - 1, (1 << (2 * m + 1)) - 1
     size = w2 * (count + 1) + 1
-    fb, gb = f.to_bytes(size, "little"), g.to_bytes(size, "little")
-    out = []
+    fb = f.to_bytes(size, "little")
+    del f  # the caller holds no other reference: one copy of each at a time
+    gb = g.to_bytes(size, "little")
+    del g
     w = c1 = c2 = 0
     g_at = w2 * (count - 1)  # the byte of g where c_t starts
     for f_at in range(0, w2 * count, w2):
         alpha = (int.from_bytes(fb[f_at : f_at + w2], "little") - w) & low
         d = (int.from_bytes(gb[g_at : g_at + w4], "little") - (c1 << m) - (c2 << 2 * m)) & wide
         c = d - ((d - alpha) & low)
-        out.append(c)
+        if c:
+            sums[k] = sums.get(k, 0) + c
+        k += 2
         w = (w + c) >> m
         c2, c1 = c1, c
         g_at -= w2
-    return out
 
 
 def _least_val(xs: dict) -> int:

@@ -168,6 +168,15 @@ class TestSlotWidth:
             assert_exact(2, xs, ys)
 
 
+def unfold(f, g, count, h):
+    """``c_0 .. c_(count-1)`` as ``_unfold`` adds them into a dict, from
+    index 1 in steps of 2, zeros left out."""
+    sums = {}
+    _unfold(f, g, count, h, 1, sums)
+    assert all(c and k % 2 and k < 2 * count for k, c in sums.items())
+    return [sums.get(1 + 2 * t, 0) for t in range(count)]
+
+
 class TestUnfold:
     def test_random_sums_below_the_bound(self):
         r = rng(605)
@@ -180,7 +189,7 @@ class TestUnfold:
                           for _ in range(count)]
                     f = sum(c << (t * m) for t, c in enumerate(cs))
                     g = sum(c << ((count - 1 - t) * m) for t, c in enumerate(cs))
-                    assert _unfold(f, g, count, h) == cs
+                    assert unfold(f, g, count, h) == cs
 
     def test_the_maximum_everywhere(self):
         for h in (1, 4):
@@ -190,7 +199,7 @@ class TestUnfold:
                 cs = [top] * count
                 f = sum(c << (t * m) for t, c in enumerate(cs))
                 g = sum(c << ((count - 1 - t) * m) for t, c in enumerate(cs))
-                assert _unfold(f, g, count, h) == cs
+                assert unfold(f, g, count, h) == cs
 
     def test_no_sums(self):
-        assert _unfold(0, 0, 0, 3) == []
+        assert unfold(0, 0, 0, 3) == []
