@@ -312,17 +312,20 @@ def _tail(slope: int | None, offset: int) -> Tail:
 # --------------------------------------------------------------------------
 # affine pieces
 #
-# A window is stored as pieces ``(start, slope, offset)`` sorted by start.  A
-# piece covers the indices up to the next start (the last one up to
-# ``window_hi``) with value ``slope*i + offset``; an infinite constant has
-# slope None and offset +1 or -1, the encoding ``_form`` gives tails.
-# Pieces are greedy: read left to right, each runs as far as its line goes,
-# and a lone finite point has slope 0.  Equal windows therefore have equal
-# pieces, and every operation costs the number of pieces, not of indices.
+# A window is stored as pieces ``(x, y, slope, offset)`` sorted by ``x``: a
+# piece covers ``[x, y]`` with value ``slope*i + offset``, each starts one
+# past the end of the one before, and together they tile ``[window_lo,
+# window_hi]``.  An infinite constant has slope None and offset +1 or -1,
+# the encoding ``_form`` gives tails.  Pieces are greedy: read left to
+# right, each runs as far as its line goes, and a lone finite point has
+# slope 0.  Equal windows therefore have equal pieces, and every operation
+# costs the number of pieces, not of indices.
 #
-# Operations build *fragments* ``(x, y, slope, offset)``: contiguous runs
-# on ``[x, y]`` in the same encoding, not yet maximal; ``_normalize`` turns
-# them into pieces.
+# Operations read and build *fragments* in the same encoding: contiguous
+# runs ``[x, y]`` that need not be maximal.  Pieces are fragments, so a
+# reader of the whole window iterates ``pieces`` as they are, ``_spans``
+# clips them to any other range and adds the tails outside the window, and
+# ``_normalize`` merges fragments back into pieces.
 #
 # Tails are transformed through the same form: an operation maps
 # ``_form(tail)`` as it maps a piece's ``(slope, offset)``, and ``_tail``
@@ -335,10 +338,9 @@ def _at(slope: int | None, offset: int, i: int) -> ExtInt:
     return ExtInt(slope * i + offset)
 
 
-def _normalize(frags: Iterable[tuple]) -> tuple[tuple[int, int | None, int], ...]:
+def _normalize(frags: Iterable[tuple]) -> tuple[tuple[int, int, int | None, int], ...]:
     """The greedy pieces of contiguous fragments."""
     out: list[list] = []
-    end = 0  # last index of the last piece
     loose = False  # the last piece is one finite point whose slope is free
     for x, y, s, o in frags:
         while x <= y:
@@ -346,24 +348,23 @@ def _normalize(frags: Iterable[tuple]) -> tuple[tuple[int, int | None, int], ...
                 last = out[-1]
                 if loose and s is not None:
                     # the next finite point fixes the line of a lone point
-                    slope = s * x + o - last[2]
-                    last[1], last[2] = slope, last[2] - slope * end
+                    slope = s * x + o - last[3]
+                    last[2], last[3] = slope, last[3] - slope * last[1]
                     loose = False
                 if not loose:
-                    if last[1] == s and last[2] == o:
-                        end = y
+                    if last[2] == s and last[3] == o:
+                        last[1] = y
                         break
-                    if last[1] is not None and s is not None and last[1] * x + last[2] == s * x + o:
-                        end = x  # the line takes one point of the fragment
+                    if last[2] is not None and s is not None and last[2] * x + last[3] == s * x + o:
+                        last[1] = x  # the line takes one point of the fragment
                         x += 1
                         continue
             if x == y and s is not None:
-                out.append([x, 0, s * x + o])
+                out.append([x, x, 0, s * x + o])
                 loose = True
             else:
-                out.append([x, s, o])
+                out.append([x, y, s, o])
                 loose = False
-            end = y
             break
     return tuple(tuple(p) for p in out)
 
@@ -401,9 +402,12 @@ class SeqSpec(Frozen):
     """Finitely presented total map ``Z -> Z u {+inf, -inf}``.
 
     The window ``[window_lo, window_hi]`` holds at least one index and is
-    stored as affine ``pieces``; ``values[j]`` reads the value at index
-    ``window_lo + j``.  ``left`` applies below the window, ``right`` above
-    it.  Two specs are equal when their windows, values and tails are.
+    stored as greedy ``pieces`` ``(x, y, slope, offset)``, the value
+    ``slope*i + offset`` on ``x <= i <= y`` (slope None for ``+inf`` at
+    offset 1 and ``-inf`` at -1), in the encoding of ``spans``;
+    ``values[j]`` reads the value at index ``window_lo + j``.  ``left``
+    applies below the window, ``right`` above it.  Two specs are equal when
+    their windows, values and tails are.
     """
 
     __slots__ = _fields = ("window_lo", "window_hi", "pieces", "left", "right")
@@ -512,15 +516,16 @@ class SeqSpec(Frozen):
         if i > self.window_hi:
             return self.right.at(i)
         # (i + 1,) sorts after every piece that starts at or before i
-        _, slope, offset = self.pieces[bisect_left(self.pieces, (i + 1,)) - 1]
+        _, _, slope, offset = self.pieces[bisect_left(self.pieces, (i + 1,)) - 1]
         if slope is None:
             return PLUS_INF if offset > 0 else MINUS_INF
         return ExtInt(slope * i + offset)
 
-    def spans(self, lo: int, hi: int) -> list[tuple]:
+    def spans(self, lo: int, hi: int) -> Sequence[tuple]:
         """``(x, y, slope, offset)`` per run of ``[lo, hi]``, tails
         included: the value is ``slope*i + offset`` on ``x <= i <= y``, and
-        slope None marks ``+inf`` (offset 1) or ``-inf`` (offset -1)."""
+        slope None marks ``+inf`` (offset 1) or ``-inf`` (offset -1).
+        Empty when ``lo > hi``; ``pieces`` itself on the window."""
         return _spans(self, lo, hi)
 
     def first_at_most(self, bound: int, lo: int, hi: int) -> int | None:
@@ -539,18 +544,24 @@ class SeqSpec(Frozen):
         return None
 
     def eq_pointwise(self, other: "SeqSpec", lo: int, hi: int) -> bool:
-        return all(self.value_at(i) == other.value_at(i) for i in range(lo, hi + 1))
+        """Whether both take the same value at every index of ``[lo,
+        hi]``: on each run where both keep one form, two lines that agree
+        at both ends agree throughout."""
+        return all(
+            _same_at(sa, oa, sb, ob, x) and _same_at(sa, oa, sb, ob, y)
+            for x, y, sa, oa, sb, ob in _overlay(self, other, lo, hi)
+        )
 
     def runs(self) -> Iterator[tuple[int, int, ExtInt]]:
         """``(start, end, value at start)`` per piece of the window.
 
         Each run is affine, so an infinite value fills its whole run.
         """
-        for x, y, slope, offset in _spans(self, self.window_lo, self.window_hi):
+        for x, y, slope, offset in self.pieces:
             yield x, y, _at(slope, offset, x)
 
     def window_items(self) -> Iterator[tuple[int, ExtInt]]:
-        for x, y, slope, offset in _spans(self, self.window_lo, self.window_hi):
+        for x, y, slope, offset in self.pieces:
             for i in range(x, y + 1):
                 yield i, _at(slope, offset, i)
 
@@ -572,10 +583,10 @@ class SeqSpec(Frozen):
         hi_star = _departure(reversed(spans), _form(right), -1)
         if lo_star is None or hi_star is None:
             # the map is a single tail form everywhere
-            return SeqSpec._make(0, 0, ((0, *_point_form(left.at(0))),), left, left)
+            return SeqSpec._make(0, 0, ((0, 0, *_point_form(left.at(0))),), left, left)
         if lo_star > hi_star:
             point = hi_star + 1
-            piece = (point, *_point_form(self.value_at(point)))
+            piece = (point, point, *_point_form(self.value_at(point)))
             return SeqSpec._make(point, point, (piece,), left, right)
         pieces = _normalize(_spans(self, lo_star, hi_star))
         return SeqSpec._make(lo_star, hi_star, pieces, left, right)
@@ -675,23 +686,33 @@ def _departure(frags: Iterable[tuple], form: tuple, step: int) -> int | None:
     return None
 
 
-def _spans(s: SeqSpec, lo: int, hi: int) -> list[tuple]:
-    """Fragments of ``s`` on ``[lo, hi]``, tails included."""
+def _spans(s: SeqSpec, lo: int, hi: int) -> Sequence[tuple]:
+    """Fragments of ``s`` on ``[lo, hi]``, tails included: ``s.pieces``
+    itself when the range is the window, else the pieces it meets, the
+    first and the last clipped to it."""
+    wlo, whi, ps = s.window_lo, s.window_hi, s.pieces
+    if lo == wlo and hi == whi:
+        return ps
+    if lo > hi:
+        return []
     out = []
-    if lo < s.window_lo:
-        out.append((lo, min(hi, s.window_lo - 1), *_form(s.left)))
-    ps = s.pieces
-    last = len(ps) - 1
-    first = 0 if lo <= s.window_lo else bisect_right(ps, lo, key=_START) - 1
-    for j in range(first, last + 1):
-        start, slope, offset = ps[j]
-        if start > hi:
-            break
-        end = ps[j + 1][0] - 1 if j < last else s.window_hi
-        if end >= lo:
-            out.append((max(start, lo), min(end, hi), slope, offset))
-    if hi > s.window_hi:
-        out.append((max(lo, s.window_hi + 1), hi, *_form(s.right)))
+    if lo < wlo:
+        out.append((lo, min(hi, wlo - 1), *_form(s.left)))
+    x, y = max(lo, wlo), min(hi, whi)
+    if x == wlo and y == whi:
+        out += ps
+    elif x <= y:
+        i = bisect_right(ps, x, key=_START) - 1
+        j = bisect_right(ps, y, i, key=_START) - 1  # the pieces met are i..j
+        first, last = ps[i], ps[j]
+        if i == j:
+            out.append((x, y, first[2], first[3]))
+        else:
+            out.append((x, first[1], first[2], first[3]))
+            out += ps[i + 1 : j]
+            out.append((last[0], y, last[2], last[3]))
+    if hi > whi:
+        out.append((max(lo, whi + 1), hi, *_form(s.right)))
     return out
 
 
@@ -786,7 +807,7 @@ def reflect_affine(s: SeqSpec, a: int) -> SeqSpec:
     """The sequence ``i -> a - s(-i)``; sides and tails swap accordingly."""
     frags = [
         (-y, -x, slope, -offset if slope is None else a - offset)
-        for x, y, slope, offset in reversed(_spans(s, s.window_lo, s.window_hi))
+        for x, y, slope, offset in reversed(s.pieces)
     ]
     left, right = [
         _tail(slope, -offset if slope is None else a - offset)
@@ -799,8 +820,8 @@ def shift_add(s: SeqSpec, c: int) -> SeqSpec:
     """Add ``c`` to every value (saturating at infinities)."""
     # adding a constant keeps every line, so the pieces stay greedy
     pieces = tuple(
-        (start, slope, offset if slope is None else offset + c)
-        for start, slope, offset in s.pieces
+        (x, y, slope, offset if slope is None else offset + c)
+        for x, y, slope, offset in s.pieces
     )
     left, right = [
         _tail(slope, offset if slope is None else offset + c)
@@ -890,8 +911,8 @@ def _tail_rays(s: SeqSpec) -> list[_Ray]:
 
 
 def _window_runs(s: SeqSpec) -> list[tuple]:
-    """The runs ``(x, y, slope, offset)`` of the window, ``+inf`` left out."""
-    return [r for r in _spans(s, s.window_lo, s.window_hi) if r[2] is not None or r[3] < 0]
+    """The pieces of the window, ``+inf`` left out."""
+    return [r for r in s.pieces if r[2] is not None or r[3] < 0]
 
 
 def _ray_runs(rays: list[_Ray], lo: int, hi: int) -> list[tuple]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import struct
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     IncompatiblePrimes,
@@ -213,7 +213,7 @@ class _Series(Frozen):
         p = self.prime
         bounds = [
             (i, PAdic.zero_mod(p, slope * i + offset))
-            for x, y, slope, offset in _window_runs(self.g)
+            for x, y, slope, offset in _finite(self.g.pieces)
             for i in range(x, y + 1)
         ]
         return tuple(sorted(self.stored + tuple(bounds), key=_INDEX)) if bounds else self.stored
@@ -307,7 +307,7 @@ class EqualCharSeries(_Series):
     @property
     def _unknown_from_start(self) -> bool:
         """Whether ``trunc <= order``: ``g`` opens on its ``-inf`` run."""
-        return self.g.pieces[0][1:] == (None, -1)
+        return self.g.pieces[0][2:] == (None, -1)
 
     @property
     def order(self) -> int:
@@ -501,14 +501,9 @@ def _check_pair(x: Series, y: Series) -> None:
         raise IncompatiblePrimes(f"{x.prime} vs {y.prime}")
 
 
-def _finite(spans: list[tuple]) -> list[tuple]:
+def _finite(spans: Sequence[tuple]) -> list[tuple]:
     """The runs of ``spans`` with a finite value."""
     return [s for s in spans if s[2] is not None]
-
-
-def _window_runs(g: SeqSpec) -> list[tuple]:
-    """The runs of the window of ``g`` with a finite value."""
-    return _finite(g.spans(g.window_lo, g.window_hi))
 
 
 def _equal_g(order: int, trunc: ExtInt, stored: tuple, points: list, fill, hi: int) -> SeqSpec:
@@ -671,7 +666,7 @@ def product_coeff(x: Series, y: Series, k: int) -> PAdic:
 
 def _equal_frame(x: EqualCharSeries, y: EqualCharSeries) -> tuple[int, ExtInt]:
     """Order and truncation of a Laurent product; an exact zero absorbs."""
-    if any(s.trunc == PLUS_INF and not s.stored and not _window_runs(s.g) for s in (x, y)):
+    if any(s.trunc == PLUS_INF and not s.stored and not _finite(s.g.pieces) for s in (x, y)):
         return 0, PLUS_INF
     return x.order + y.order, min(x.order + y.trunc, y.order + x.trunc)
 
@@ -721,7 +716,7 @@ class _TailBound(NamedTuple):
         terms: list[tuple] = []
         for a, b in (self, self[::-1]):
             ga = a.g
-            window, floor = _window_runs(ga), ga.right.value
+            window, floor = _finite(ga.pieces), ga.right.value
             if not (window or floor.is_finite or isinstance(ga.left, AffineTail)):
                 continue
             runs = b._runs
@@ -1227,7 +1222,7 @@ def rank2_mixed(x: MixedSeries) -> tuple[ExtInt, ExtInt]:
 def rank2_equal(x: EqualCharSeries) -> tuple[ExtInt, ExtInt]:
     """The rank-two valuation of the Laurent field for the uniformizer t:
     order of the first nonzero coefficient, then its p-adic valuation."""
-    bounds = _window_runs(x.g)
+    bounds = _finite(x.g.pieces)
     if bounds and (not x.stored or bounds[0][0] < x.stored[0][0]):
         raise PrecisionExhausted(f"leading coefficient {bounds[0][0]} is zero within precision")
     if x.stored:

@@ -746,6 +746,40 @@ def reference_sup_diff_on(a: SeqSpec, b: SeqSpec, lo: int, hi: int) -> ExtInt:
     return best
 
 
+def reference_eq_pointwise(a: SeqSpec, b: SeqSpec, lo: int, hi: int) -> bool:
+    """Whether ``a`` and ``b`` agree at every index of ``[lo, hi]``, read
+    one index at a time."""
+    return all(a.value_at(i) == b.value_at(i) for i in range(lo, hi + 1))
+
+
+def _reference_form(t) -> tuple:
+    if isinstance(t, AffineTail):
+        return t.slope, t.offset
+    v = t.value
+    return (0, v.n) if v.is_finite else (None, 1 if v == PLUS_INF else -1)
+
+
+def reference_spans(s: SeqSpec, lo: int, hi: int) -> list[tuple]:
+    """``SeqSpec.spans`` built one index at a time: each index takes the
+    form of the tail or of the piece (found by a linear scan) that holds
+    it, and neighbours from the same source join one run."""
+    out, source = [], None
+    for i in range(lo, hi + 1):
+        if i < s.window_lo:
+            key, form = "left", _reference_form(s.left)
+        elif i > s.window_hi:
+            key, form = "right", _reference_form(s.right)
+        else:
+            key = next(p for p in s.pieces if p[0] <= i <= p[1])
+            form = key[2:]
+        if key == source:
+            out[-1] = (out[-1][0], i, *form)
+        else:
+            out.append((i, i, *form))
+        source = key
+    return out
+
+
 def reference_eval_mixed(spec: SeminormSpec, x: MixedSeries):
     """The mixed seminorm exponent, scanning every index between the
     seminorm window and a tailed series window."""

@@ -44,6 +44,7 @@ from helpers import (
     reference_add,
     reference_bound_seq,
     reference_canonical,
+    reference_eq_pointwise,
     reference_eval_mixed,
     reference_forall_ge,
     reference_minplus_convolve,
@@ -51,6 +52,7 @@ from helpers import (
     reference_pointwise,
     reference_reflect_affine,
     reference_shift_add,
+    reference_spans,
     reference_sup_diff,
     reference_sup_diff_on,
     rng,
@@ -72,13 +74,39 @@ def span_of(*seqs, margin=6):
 
 
 def assert_same(got, want, *inputs):
-    """``==``, the same value at every index, or the same error."""
+    """``==``, the same value at every index, or the same error; the
+    pieces of a sequence keep their invariant."""
     assert got == want
     if isinstance(got, SeqSpec):
+        assert_pieces(got)
         assert len(got.values) == len(want.values)
         lo, hi = span_of(got, want, *inputs)
         for i in range(lo, hi + 1):
             assert got.value_at(i) == want.value_at(i), i
+
+
+def assert_pieces(s: SeqSpec) -> None:
+    """The pieces ``(x, y, slope, offset)`` tile the window contiguously,
+    are greedy, and keep the encoding: a lone finite point has slope 0 and
+    an infinite run is ``(None, +-1)``."""
+    ps = s.pieces
+    assert type(ps) is tuple and ps
+    assert ps[0][0] == s.window_lo and ps[-1][1] == s.window_hi
+    for k, (x, y, slope, offset) in enumerate(ps):
+        assert x <= y
+        if slope is None:
+            assert offset in (1, -1)
+        elif x == y:
+            assert slope == 0
+        if k + 1 < len(ps):
+            nx, _, ns, no = ps[k + 1]
+            assert nx == y + 1
+            # no line reaches the next start, and a lone point's free line
+            # would reach any finite next start
+            if slope is None or ns is None:
+                assert (slope, offset) != (ns, no)
+            else:
+                assert x < y and slope * nx + offset != ns * nx + no
 
 
 def rand_runs(r, runs=4, longest=9) -> SeqSpec:
@@ -228,6 +256,137 @@ class TestAgainstDenseReference:
                 s.window_lo - 3, tuple(s.values), s.left, s.right
             )
             assert hash(SeqSpec(s.window_lo, list(s.values), s.left, s.right)) == hash(s)
+
+
+# ---------------------------------------------------------------------------
+# pieces are fragments: the invariant of every operation's output, and
+# spans against one index at a time
+
+
+def op_outputs(seed, n=60):
+    """``rand_seqspec`` and the outputs of every operation that builds
+    pieces, on seeded inputs."""
+    r = rng(seed)
+    for a, b in seeded_pairs(seed, n):
+        c = r.randint(-5, 5)
+        yield a
+        yield b
+        yield pointwise_min(a, b)
+        yield pointwise_max(a, b)
+        yield reflect_affine(a, c)
+        yield shift_add(a, c)
+        yield a.canonical()
+        conv = outcome(minplus_convolve, a, b)
+        if isinstance(conv, SeqSpec):
+            yield conv
+    for _ in range(n):
+        lo = r.randint(-9, 3)
+        hi = lo + r.randint(0, 14)
+        points = [(i, rand_ext(r)) for i in range(lo, hi + 1) if r.below(3) == 0]
+        fill = rand_ext(r, pinf=40, minf=20) if r.below(2) else rand_runs(r)
+        yield SeqSpec.from_points(lo, hi, points, fill, rand_tail(r), rand_tail(r))
+        terms = []
+        for _ in range(r.randint(0, 6)):
+            k0 = r.randint(lo - 5, hi + 3)
+            terms.append((k0, k0 + r.randint(0, 12), r.randint(-3, 3), r.randint(-9, 9)))
+        yield SeqSpec.from_terms(lo, hi, terms, rand_tail(r), rand_tail(r))
+        yield rand_seqspec(r)
+
+
+def ranges(r, s):
+    """``(lo, hi)`` inside the window, straddling either end, over the
+    whole window, wholly in either tail, of one index, and empty."""
+    wlo, whi = s.window_lo, s.window_hi
+    x = r.randint(wlo, whi)
+    y = r.randint(x, whi)
+    return [
+        (x, y),
+        (wlo - r.randint(1, 4), y),
+        (x, whi + r.randint(1, 4)),
+        (wlo - r.randint(1, 4), whi + r.randint(1, 4)),
+        (wlo, whi),
+        (wlo - r.randint(3, 9), wlo - r.randint(1, 2)),
+        (whi + r.randint(1, 2), whi + r.randint(3, 9)),
+        (x, x),
+        (wlo - 1, wlo - 1),
+        (whi + 1, whi + 1),
+        (y, x - 1),
+    ]
+
+
+class TestPieceInvariant:
+    def test_every_output_keeps_the_invariant(self):
+        for s in op_outputs(316):
+            assert_pieces(s)
+
+    def test_spans_against_one_index_at_a_time(self):
+        r = rng(317)
+        for s in op_outputs(317, 30):
+            assert s.spans(s.window_lo, s.window_hi) == s.pieces
+            for lo, hi in ranges(r, s):
+                got = s.spans(lo, hi)
+                assert list(got) == reference_spans(s, lo, hi), (s, lo, hi)
+                for x, y, slope, offset in got:
+                    for i in (x, y):
+                        inf = PLUS_INF if offset > 0 else MINUS_INF
+                        assert (inf if slope is None else ExtInt(slope * i + offset)) == s.value_at(i)
+
+
+class TestEmptyRanges:
+    """``lo > hi`` is an empty range wherever it lies: no span, the least
+    ``sup``, no index at most a bound, and agreement."""
+
+    @staticmethod
+    def empty_ranges(s):
+        wlo, whi = s.window_lo, s.window_hi
+        mid = (wlo + whi) // 2
+        return [
+            (mid + 1, mid),  # inside the window
+            (whi, wlo) if wlo < whi else (wlo + 1, wlo),  # the window reversed
+            (wlo - 2, wlo - 5),  # in the left tail
+            (whi + 5, whi + 2),  # in the right tail
+            (wlo + 1, wlo - 1),  # straddling the window's left end
+            (wlo, wlo - 3),
+            (whi + 1, whi - 1),  # straddling its right end
+            (whi + 3, whi),
+        ]
+
+    def test_spans(self):
+        for s in op_outputs(319, 20):
+            for lo, hi in self.empty_ranges(s):
+                assert list(s.spans(lo, hi)) == [], (s, lo, hi)
+                assert s.first_at_most(10**6, lo, hi) is None
+
+    def test_sup_diff_on_and_eq_pointwise(self):
+        for a, b in seeded_pairs(320, 40):
+            for lo, hi in self.empty_ranges(a) + self.empty_ranges(b):
+                assert sup_diff_on(a, b, lo, hi) == MINUS_INF == reference_sup_diff_on(a, b, lo, hi)
+                assert sup_diff_on(a, a, lo, hi) == MINUS_INF
+                assert a.eq_pointwise(b, lo, hi)
+
+    def test_inside_a_long_window(self):
+        s = SeqSpec(0, list(range(10)), ConstTail(ExtInt(0)), ConstTail(ExtInt(0)))
+        assert sup_diff_on(s, s, 5, 3) == MINUS_INF
+        assert s.spans(5, 3) == []
+
+
+class TestEqPointwise:
+    def test_against_one_index_at_a_time(self):
+        """On pairs that agree everywhere (other presentations of one
+        map), pairs that differ at one index, and unrelated pairs."""
+        r = rng(321)
+        for a, b in seeded_pairs(321, 60):
+            wlo = a.window_lo - 3
+            wider = SeqSpec(wlo, [a.value_at(i) for i in range(wlo, a.window_hi + 4)], a.left, a.right)
+            k = r.randint(a.window_lo - 4, a.window_hi + 4)
+            v = a.value_at(k)
+            poked = pointwise_min(a, SeqSpec.delta(k, v - 1 if v.is_finite else r.randint(-9, 9)))
+            for other in (a.canonical(), wider, reflect_affine(reflect_affine(a, 2), 2), poked, b):
+                lo, hi = span_of(a, other)
+                for x, y in ((lo, hi), (r.randint(lo, hi), hi), (lo, r.randint(lo, hi)), (k, k)):
+                    assert a.eq_pointwise(other, x, y) == reference_eq_pointwise(a, other, x, y)
+            assert a.eq_pointwise(a.canonical(), -10**9, 10**9)
+            assert a.eq_pointwise(wider, -10**9, 10**9)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 C = PAdic.make(5, 1, 7, 10)
 SEQ = SeqSpec(0, (1, 2), ConstTail(PLUS_INF), AffineTail(-1, 0))
-SEQ_REPR = ("SeqSpec(window_lo=0, window_hi=1, pieces=((0, 1, 1),), left=ConstTail(value=+inf), "
+SEQ_REPR = ("SeqSpec(window_lo=0, window_hi=1, pieces=((0, 1, 1, 1),), left=ConstTail(value=+inf), "
             "right=AffineTail(slope=-1, offset=0))")
 
 # (class, keyword arguments, one argument changed, repr)
