@@ -16,10 +16,11 @@ from .errors import (
     NonConvergentValues,
     NotBounded,
     NotCompactoid,
+    ParseError,
     PrecisionExhausted,
 )
 from .padic import PAdic
-from .seminorm import EQUAL, SeminormSpec, validate
+from .seminorm import EQUAL, MIXED, SeminormSpec
 from .seqspec import PLUS_INF, reflect_affine
 from .series import (
     EqualCharSeries,
@@ -71,15 +72,21 @@ def functional_from_values(
 
     The input must satisfy the convergence constraints of its field:
     eventually-zero below for Laurent series, bounded values with decay
-    towards ``-inf`` for the doubly infinite field.  Violations raise
-    :class:`NonConvergentValues`.
+    towards ``-inf`` for the doubly infinite field.  Violations, and a tail
+    or truncation the field cannot carry, raise
+    :class:`NonConvergentValues`; an unknown ``kind`` raises
+    :class:`ParseError`.
     """
+    if kind not in (EQUAL, MIXED):
+        raise ParseError(f"field {kind!r} is not 'equal' or 'mixed'")
     if kind == EQUAL:
-        if left is not None:
-            raise NonConvergentValues("Laurent functionals carry no left tail")
+        if left is not None or right is not None:
+            raise NonConvergentValues("Laurent functionals carry no tails")
         return EqualCharSeries.from_coeffs(
             prime, values, trunc=PLUS_INF if trunc is None else trunc
         )
+    if trunc is not None:
+        raise NonConvergentValues("doubly infinite functionals carry no truncation")
     left = ZeroTail() if left is None else left
     right = ZeroTail() if right is None else right
     if not isinstance(left, (ZeroTail, LeftValBound)):
@@ -110,13 +117,12 @@ def dual_seminorm(b: SubmoduleSpec) -> SeminormSpec:
 
     Defined by the weight sequence ``n_i = -k_{-i}``; admissibility is
     exactly boundedness of ``b`` in the Laurent case and compactoidness in
-    the mixed case, which the function enforces.
+    the mixed case, which the function enforces, so the seminorm it returns
+    passes ``validate``.
     """
     if b.field_kind == EQUAL:
         if not is_bounded(b):
             raise NotBounded("dual seminorm needs a bounded module")
     elif not is_compactoid(b):
         raise NotCompactoid("dual seminorm needs a compactoid module")
-    spec = SeminormSpec(reflect_affine(b.seq, 0), b.field_kind)
-    validate(spec)
-    return spec
+    return SeminormSpec(reflect_affine(b.seq, 0), b.field_kind)

@@ -60,7 +60,8 @@ def _reduce(x: int, p: int, e: int) -> int:
     the true one; any other ``x`` by ``%``."""
     m = prime_power(p, e)
     k, n = m.bit_length(), x.bit_length()
-    if x < 0 or min(k, n - k) <= _BARRETT_BITS or n > 2 * k + _HEADROOM_BITS:
+    # a narrow quotient, the common case, is tested first
+    if n - k <= _BARRETT_BITS or k <= _BARRETT_BITS or x < 0 or n > 2 * k + _HEADROOM_BITS:
         return x % m
     m, k, r = _barrett(p, e)
     x -= ((x >> (k - 1)) * r >> (k + 1 + _HEADROOM_BITS)) * m
@@ -264,12 +265,8 @@ class PAdic(Frozen):
         rel = precision - val
         if rel <= 0:
             return PAdic.zero_mod(prime, precision)
-        # a unit below 2^rel is below p^rel, so p^rel need not be built; one
-        # with a quotient of at most _BARRETT_BITS bits is reduced here by %
-        u, n = unit, unit.bit_length()
-        if unit < 0 or n > rel:
-            m = prime_power(prime, rel)
-            u = unit % m if n - m.bit_length() <= _BARRETT_BITS else _reduce(unit, prime, rel)
+        # a unit below 2^rel is below p^rel, so p^rel need not be built
+        u = unit if 0 <= unit and unit.bit_length() <= rel else _reduce(unit, prime, rel)
         if u == 0:
             return PAdic.zero_mod(prime, precision)
         shift = _vp(u, prime)  # below rel, as 0 < u < p^rel: val + shift < precision

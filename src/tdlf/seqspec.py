@@ -858,9 +858,15 @@ def shift_add(s: SeqSpec, c: int) -> SeqSpec:
 # where all members apply.  The least ``v - slope*i`` along a linear run
 # sits at one of its ends, and the family's first and last bound stand for
 # its members among the window marks, so the frame reads the two ends of
-# each run and costs no run pair and no sweep.  The inputs are a few runs
-# and rays, so Python objects set the cost: rays are ``_Ray`` tuples built
-# by ``tuple.__new__`` and read by index, in plain loops.
+# each run and costs no run pair and no sweep.
+#
+# A tail ray is a fragment ``(x, y, slope, offset)`` with one open end:
+# ``x = -inf`` for a leftward ray and ``y = inf`` for a rightward one, and
+# ``-inf`` values as ``(None, -1)``, as in pieces.  Like a run pair, a pair
+# of rays in one direction sums their ends, and a family summary moves both
+# ends of its ray by the first run start: ``inf + int`` stays ``inf``.  The
+# inputs are a few runs and rays, so Python objects set the cost: runs and
+# rays are plain tuples read by index, in plain loops.
 
 
 def run_pair(a: tuple, b: tuple) -> list[tuple]:
@@ -884,30 +890,12 @@ def run_pair(a: tuple, b: tuple) -> list[tuple]:
     return out
 
 
-class _Ray(NamedTuple):
-    # leftward: domain k <= bound; otherwise k >= bound
-    leftward: bool
-    bound: int
-    slope: int
-    offset: int
-    minf: bool = False
-
-
-_new = tuple.__new__  # a _Ray from its five fields, without _Ray.__new__
-
-
-def _tail_rays(s: SeqSpec) -> list[_Ray]:
-    rays: list[_Ray] = []
-    for leftward, tail, bound in (
-        (True, s.left, s.window_lo - 1),
-        (False, s.right, s.window_hi + 1),
-    ):
-        slope, offset = _form(tail)
-        if slope is not None:
-            rays.append(_new(_Ray, (leftward, bound, slope, offset, False)))
-        elif offset < 0:
-            rays.append(_new(_Ray, (leftward, bound, 0, 0, True)))
-    return rays
+def _tail_rays(s: SeqSpec) -> list[tuple]:
+    """The tails of ``s`` as fragments open at their far end, ``+inf`` left
+    out as in ``_window_runs``."""
+    tails = ((-math.inf, s.window_lo - 1, *_form(s.left)),
+             (s.window_hi + 1, math.inf, *_form(s.right)))
+    return [r for r in tails if r[2] is not None or r[3] < 0]
 
 
 def _window_runs(s: SeqSpec) -> list[tuple]:
@@ -915,56 +903,51 @@ def _window_runs(s: SeqSpec) -> list[tuple]:
     return [r for r in s.pieces if r[2] is not None or r[3] < 0]
 
 
-def _ray_runs(rays: list[_Ray], lo: int, hi: int) -> list[tuple]:
-    """The rays as runs ``(x, y, slope, offset)`` cut to ``[lo, hi]``."""
-    out = []
-    for leftward, bound, slope, offset, minf in rays:
-        x, y = (lo, bound) if leftward else (bound, hi)
-        out.append((x, y, None, -1) if minf else (x, y, slope, offset))
-    return out
+def _ray_runs(rays: list[tuple], lo: int, hi: int) -> list[tuple]:
+    """The rays cut to ``[lo, hi]`` at their open end."""
+    return [(lo, y, s, o) if x == -math.inf else (x, hi, s, o) for x, y, s, o in rays]
 
 
-def _pair_ray_ray(ra: _Ray, rb: _Ray) -> tuple[list[_Ray], bool]:
+def _pair_ray_ray(ra: tuple, rb: tuple) -> tuple[list[tuple], bool]:
     """Rays produced by convolving two rays; second item flags global -inf."""
-    la, A, sa, oa, ma = ra
-    lb, B, sb, ob, mb = rb
-    if la == lb:
+    if rb[0] == -math.inf < ra[0]:
+        ra, rb = rb, ra  # of opposite rays, the leftward one first
+    xa, ya, sa, oa = ra
+    xb, yb, sb, ob = rb
+    if (xa == -math.inf) == (xb == -math.inf):
         # index range for i is a bounded interval; the infimum sits at one of
         # its endpoints, so two rays (one per endpoint formula) cover it
-        if ma or mb:
-            return [_new(_Ray, (la, A + B, 0, 0, True))], False
-        directions = la, la
+        if sa is None or sb is None:
+            return [(xa + xb, ya + yb, None, -1)], False
+        first = second = xa + xb, ya + yb
+        A, B = (ya, yb) if xa == -math.inf else (xa, xb)
     else:
         # opposite directions: the index range is a half line; along i + j
         # = k the summand changes with rate (sa - sb) as the index of the
         # left ray a decreases without bound
-        if lb:
-            A, sa, oa, ma, B, sb, ob, mb = B, sb, ob, mb, A, sa, oa, ma
-        if ma or mb or sa > sb:
+        if sa is None or sb is None or sa > sb:
             return [], True
         if sa == sb:
             c = oa + ob
-            return [_new(_Ray, (True, 0, sa, c, False)), _new(_Ray, (False, 0, sa, c, False))], False
-        directions = True, False
+            return [(-math.inf, 0, sa, c), (0, math.inf, sa, c)], False
+        A, B = ya, xb
+        first, second = (-math.inf, A + B), (A + B, math.inf)
     # each ray moving from the end of the other
-    return [_new(_Ray, (directions[0], A + B, sa, oa + sb * B + ob - sa * B, False)),
-            _new(_Ray, (directions[1], A + B, sb, ob + sa * A + oa - sb * A, False))], False
+    return [(*first, sa, oa + sb * B + ob - sa * B),
+            (*second, sb, ob + sa * A + oa - sb * A)], False
 
 
 def _asymptote_winner(
-    rays: list[_Ray], leftward: bool
+    rays: list[tuple], leftward: bool
 ) -> tuple[Tail, list[int]]:
     """Eventual tail among rays unbounded on one side, plus crossing bounds."""
-    best: dict[int, int] = {}  # per slope only the smallest offset can ever win
-    minf = False
-    for r in rays:
-        if r[0] == leftward:
-            if r[4]:
-                minf = True
-            elif r[2] not in best or r[3] < best[r[2]]:
-                best[r[2]] = r[3]
-    if minf:
-        return ConstTail(MINUS_INF), [r[1] for r in rays if r[0] == leftward]
+    best: dict[int | None, int] = {}  # per slope only the smallest offset can ever win
+    for x, y, s, o in rays:
+        if (x == -math.inf) == leftward and (s not in best or o < best[s]):
+            best[s] = o
+    if None in best:  # -inf wins, and every bound on this side is a crossing
+        bounds = [r[1] if leftward else r[0] for r in rays if (r[0] == -math.inf) == leftward]
+        return ConstTail(MINUS_INF), bounds
     if not best:
         return ConstTail(PLUS_INF), []
     ws = max(best) if leftward else min(best)
@@ -975,8 +958,9 @@ def _asymptote_winner(
 
 class Frame(NamedTuple):
     """The window bounds and tails of a min-plus convolution, and the rays
-    of its ray-pair terms; the run + ray terms are not listed.  ``rays`` is
-    None when the convolution is the constant ``left`` everywhere."""
+    of its ray-pair terms as fragments with one open end; the run + ray
+    terms are not listed.  ``rays`` is None when the convolution is the
+    constant ``left`` everywhere."""
 
     rays: list | None
     window_lo: int
@@ -985,20 +969,21 @@ class Frame(NamedTuple):
     right: Tail
 
 
-def _family(runs: list, r: _Ray) -> _Ray:
+def _family(runs: list, r: tuple) -> tuple:
     """The summary of the rays of the window ``runs`` (in index order)
     against ray ``r``: the ray's direction and slope with the least offset
     of its members, read at the end of each run that the slopes favour,
     ``-inf`` if any member is, bounded at the family's first mark."""
-    leftward, bound, slope, offset, minf = r
+    x, y, slope, offset = r
+    first = runs[0][0]
     least = math.inf
-    for x, y, s, o in runs:
-        if minf or s is None:
-            return _new(_Ray, (leftward, bound + runs[0][0], 0, 0, True))
-        v = (s - slope) * (x if s >= slope else y) + o
+    for a, b, s, o in runs:
+        if slope is None or s is None:
+            return x + first, y + first, None, -1
+        v = (s - slope) * (a if s >= slope else b) + o
         if v < least:
             least = v
-    return _new(_Ray, (leftward, bound + runs[0][0], slope, offset + least, False))
+    return x + first, y + first, slope, offset + least
 
 
 def _frame(runs_a: list, rays_a: list, runs_b: list, rays_b: list) -> Frame:
@@ -1016,8 +1001,8 @@ def _frame(runs_a: list, rays_a: list, runs_b: list, rays_b: list) -> Frame:
     every input; it guards that invariant for ``minplus_convolve`` and
     ``mul`` alike.
     """
-    rays: list[_Ray] = []
-    summaries: list[_Ray] = []
+    rays: list[tuple] = []
+    summaries: list[tuple] = []
     marks: list[int] = []
     if runs_a and runs_b:
         marks += [runs_a[0][0] + runs_b[0][0], runs_a[-1][1] + runs_b[-1][1]]
@@ -1026,15 +1011,17 @@ def _frame(runs_a: list, rays_a: list, runs_b: list, rays_b: list) -> Frame:
             first, last = runs[0][0], runs[-1][1]
             for r in others:
                 summaries.append(_family(runs, r))
-                marks += [r[1] + first, r[1] + last]
+                bound = r[1] if r[0] == -math.inf else r[0]
+                marks += [bound + first, bound + last]
     for ra in rays_a:
         for rb in rays_b:
             new, diverges = _pair_ray_ray(ra, rb)
             if diverges:
-                minf = ConstTail(MINUS_INF)
-                return Frame(None, 0, 0, minf, minf)
+                tail = ConstTail(MINUS_INF)
+                return Frame(None, 0, 0, tail, tail)
             rays += new
-            marks.append(new[0][1])  # the rays of a pair share one bound
+            # the rays of a pair share one bound
+            marks.append(new[0][1] if new[0][0] == -math.inf else new[0][0])
     if not marks:
         pinf = ConstTail(PLUS_INF)
         return Frame(None, 0, 0, pinf, pinf)
@@ -1044,13 +1031,13 @@ def _frame(runs_a: list, rays_a: list, runs_b: list, rays_b: list) -> Frame:
     lo = min(marks + lcross) - 1
     hi = max(marks + rcross) + 1
     for tail, leftward, ks in ((left, True, (lo - 1, lo - 2)), (right, False, (hi + 1, hi + 2))):
-        side = [r for r in reach if r[0] == leftward]
+        side = [r for r in reach if (r[0] == -math.inf) == leftward]
         ts, to = _form(tail)
         for k in ks:
             # the least ray and the tail at k, +-inf as floats
             want = math.inf
             for r in side:
-                if r[4]:
+                if r[2] is None:
                     want = -math.inf
                     break
                 if r[2] * k + r[3] < want:
@@ -1200,9 +1187,6 @@ def sup_diff_on(a: SeqSpec, b: SeqSpec, lo: int, hi: int) -> ExtInt:
     """``sup over lo <= i <= hi of a(i) - b(i)``, one step per run on which
     both keep one form; ``-inf`` on an empty range.  Drops and divergence
     follow :func:`sup_diff`."""
-    tail = b.left if hi < b.window_lo else b.right if lo > b.window_hi else None
-    if tail is not None and _form(tail) == (None, 1):  # b is +inf throughout
-        return MINUS_INF
     return _ext(max(_run_sups(a, b, lo, hi, rays=False), default=-math.inf))
 
 

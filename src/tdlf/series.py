@@ -175,7 +175,7 @@ class _Series(Frozen):
     subclass's ``__init__`` turns its constructor arguments into ``g``; its
     ``_view`` names them, the derived views its ``repr`` prints."""
 
-    __slots__ = ("prime", "stored", "g", "_map_cache", "_bounds_cache", "_runs_cache")
+    __slots__ = ("prime", "stored", "g", "_map_cache", "_bounds_cache")
     _fields = ("prime", "stored", "g")
     _view: tuple[str, ...] = ()
 
@@ -243,20 +243,6 @@ class _Series(Frozen):
             b = SeqSpec.from_points(g.window_lo, g.window_hi, points, g, g.left, g.right)
             object.__setattr__(self, "_bounds_cache", b)
             return b
-
-    @property
-    def _runs(self) -> list[tuple]:
-        """The finite runs ``(x, y, slope, offset)`` of ``bound_seq()`` from
-        ``lo - 1`` to ``hi + 1``: the stored valuations, the bounds inside
-        the window and each bound tail at its end next to the window.
-        Built on first use and kept in a slot."""
-        try:
-            return self._runs_cache
-        except AttributeError:
-            b = self.bound_seq()
-            runs = _finite(b.spans(b.window_lo - 1, b.window_hi + 1))
-            object.__setattr__(self, "_runs_cache", runs)
-            return runs
 
     def __add__(self, other):
         return add(self, other)
@@ -719,7 +705,8 @@ class _TailBound(NamedTuple):
             window, floor = _finite(ga.pieces), ga.right.value
             if not (window or floor.is_finite or isinstance(ga.left, AffineTail)):
                 continue
-            runs = b._runs
+            w = b.bound_seq()
+            runs = _finite(w.spans(w.window_lo - 1, w.window_hi + 1))
             if floor.is_finite:
                 f, d = floor.n, ga.window_hi + 1
                 for start, end, s, o in _running_min(runs, hi - d):
@@ -730,7 +717,7 @@ class _TailBound(NamedTuple):
                 mirrored = ((-y, -x, sa - s, o) for x, y, s, o in reversed(runs))
                 for start, end, s, o in _running_min(mirrored, e - lo):
                     terms.append((e - end, e - start, sa - s, ca + s * e + o))
-            inner = [r for r in runs if b.g.window_lo <= r[0] and r[1] <= b.g.window_hi]
+            inner = [r for r in runs if w.window_lo <= r[0] and r[1] <= w.window_hi]
             for run in window:
                 for other in inner:
                     terms += run_pair(run, other)

@@ -6,9 +6,11 @@ fully determines its data.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from tdlf import (
     DEFAULT_RELATIVE_PRECISION,
@@ -532,8 +534,37 @@ def reference_forall_ge(a: SeqSpec, b: SeqSpec) -> bool:
     return True
 
 
+class RefRay(NamedTuple):
+    """A tail ray in the library's encoding, the fragment ``(x, y, slope,
+    offset)`` with one open end (``x = -inf`` leftward, ``y = inf``
+    rightward; ``-inf`` values as slope None), read by name."""
+
+    x: float
+    y: float
+    slope: int | None
+    offset: int
+
+    @property
+    def leftward(self) -> bool:
+        return self.x == -math.inf
+
+    @property
+    def bound(self) -> int:
+        return self.y if self.leftward else self.x
+
+    @property
+    def minf(self) -> bool:
+        return self.slope is None
+
+
+def ref_ray(leftward: bool, bound: int, slope: int | None, offset: int) -> RefRay:
+    if leftward:
+        return RefRay(-math.inf, bound, slope, offset)
+    return RefRay(bound, math.inf, slope, offset)
+
+
 def _reference_ray_pieces(s: SeqSpec):
-    from tdlf.seqspec import _normalize_tail, _Ray
+    from tdlf.seqspec import _normalize_tail
 
     points = [(i, v) for i, v in s.window_items() if v != PLUS_INF]
     rays = []
@@ -545,11 +576,11 @@ def _reference_ray_pieces(s: SeqSpec):
             if tail.value == PLUS_INF:
                 continue
             if tail.value == MINUS_INF:
-                rays.append(_Ray(leftward, bound, 0, 0, minf=True))
+                rays.append(ref_ray(leftward, bound, None, -1))
             else:
-                rays.append(_Ray(leftward, bound, 0, tail.value.n))
+                rays.append(ref_ray(leftward, bound, 0, tail.value.n))
         else:
-            rays.append(_Ray(leftward, bound, tail.slope, tail.offset))
+            rays.append(ref_ray(leftward, bound, tail.slope, tail.offset))
     return points, rays
 
 
@@ -557,11 +588,9 @@ def _reference_point_ray(i: int, v, r):
     """The ray ``r`` shifted by the point ``(i, v)``: domain by ``i``,
     values by ``v`` (``-inf`` for ``v`` or ``r`` ``-inf`` makes every value
     ``-inf``)."""
-    from tdlf.seqspec import _Ray
-
     if v == MINUS_INF or r.minf:
-        return _Ray(r.leftward, r.bound + i, 0, 0, minf=True)
-    return _Ray(r.leftward, r.bound + i, r.slope, r.offset + v.n - r.slope * i)
+        return ref_ray(r.leftward, r.bound + i, None, -1)
+    return ref_ray(r.leftward, r.bound + i, r.slope, r.offset + v.n - r.slope * i)
 
 
 def _reference_ray_envelope(rays, lo: int, hi: int) -> list:
@@ -607,7 +636,7 @@ def reference_minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
             new, diverges = _pair_ray_ray(ra, rb)
             if diverges:
                 return SeqSpec.constant(MINUS_INF)
-            rays.extend(new)
+            rays.extend(RefRay(*ray) for ray in new)
     marks = [r.bound for r in rays] + list(best_points)
     if not marks:
         return SeqSpec.constant(PLUS_INF)

@@ -34,6 +34,27 @@ def test_sup_diff_on_a_plus_inf_tail_of_b_is_minus_inf():
     assert sup_diff_on(a, b, -5, 5) == PLUS_INF == reference_sup_diff_on(a, b, -5, 5)
 
 
+def test_sup_diff_on_ranges_inside_a_plus_inf_tail_of_b():
+    """Ranges that lie wholly in a ``+inf`` tail of ``b``, left and right,
+    against random ``a`` (``-inf`` and ``+inf`` values and tails included):
+    the run sweep drops every term, as the brute reference does."""
+    r = rng(41)
+    sides = {"left": 0, "right": 0}
+    for _ in range(600):
+        a, b = rand_seqspec(r), rand_seqspec(r)
+        pinf = ConstTail(PLUS_INF)
+        b = SeqSpec(b.window_lo, b.values, pinf if r.below(2) else b.left, pinf if r.below(2) else b.right)
+        for side, tail in (("left", b.left), ("right", b.right)):
+            if tail != pinf:
+                continue
+            width, gap = r.randint(0, 12), r.randint(1, 8)
+            lo = b.window_lo - gap - width if side == "left" else b.window_hi + gap
+            hi = lo + width
+            assert sup_diff_on(a, b, lo, hi) == MINUS_INF == reference_sup_diff_on(a, b, lo, hi)
+            sides[side] += 1
+    assert min(sides.values()) > 200, sides
+
+
 def test_the_valuation_floor_is_the_discrete_valuation():
     for seed in range(400):
         x = rand_mixed_series(rng(seed), tails=True)

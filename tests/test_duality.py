@@ -10,6 +10,7 @@ from tdlf import (
     NotBounded,
     NotCompactoid,
     PAdic,
+    ParseError,
     PLUS_INF,
     SampleConfig,
     SeqSpec,
@@ -17,6 +18,8 @@ from tdlf import (
     dual_seminorm,
     eval_exponent,
     functional_from_values,
+    is_admissible_seq,
+    is_bounded,
     is_compactoid,
     is_open_lattice,
     membership,
@@ -29,13 +32,15 @@ from tdlf import (
     validate,
 )
 from tdlf.seqspec import AffineTail, ConstTail
-from tdlf.series import LeftValBound
+from tdlf.series import LeftValBound, RightValBound, ZeroTail
 from helpers import (
     PRIME,
+    rand_bounded,
     rand_compactoid,
     rand_lattice,
     rand_seqspec,
     rand_series,
+    rand_unbounded,
     rng,
 )
 
@@ -109,6 +114,32 @@ class TestFunctionalFromValues:
     def test_rejects_non_certifying_slope(self):
         with pytest.raises((NonConvergentValues, ValueError)):
             functional_from_values("mixed", P, {0: ONE}, left=LeftValBound(0, 0))
+
+    @pytest.mark.parametrize("kind", ["bogus", "", "Mixed", None])
+    def test_rejects_an_unknown_kind(self, kind):
+        with pytest.raises(ParseError, match="is not 'equal' or 'mixed'"):
+            functional_from_values(kind, P, {})
+
+    @pytest.mark.parametrize("extra", [
+        dict(left=ZeroTail()),
+        dict(right=ZeroTail()),
+        dict(right=RightValBound(0)),
+        dict(left=ZeroTail(), right=ZeroTail()),
+    ])
+    def test_laurent_functionals_carry_no_tail(self, extra):
+        with pytest.raises(NonConvergentValues, match="no tails"):
+            functional_from_values("equal", P, {0: ONE}, **extra)
+
+    @pytest.mark.parametrize("trunc", [3, ExtInt(3), PLUS_INF])
+    def test_doubly_infinite_functionals_carry_no_truncation(self, trunc):
+        with pytest.raises(NonConvergentValues, match="no truncation"):
+            functional_from_values("mixed", P, {0: ONE}, trunc=trunc)
+
+    def test_what_each_kind_carries_is_still_taken(self):
+        x = functional_from_values("equal", P, {0: ONE}, trunc=3)
+        assert x.trunc == ExtInt(3)
+        y = functional_from_values("mixed", P, {0: ONE}, left=LeftValBound(1, 0), right=RightValBound(2))
+        assert (y.left, y.right) == (LeftValBound(1, 0), RightValBound(2))
 
 
 class TestPolarTable:
@@ -212,6 +243,28 @@ class TestInvolutionAndOrder:
 
 
 class TestDualSeminorm:
+    def test_the_admissibility_check_is_the_module_predicate(self):
+        """``dual_seminorm`` checks boundedness (Laurent) or compactoidness
+        (mixed) alone: the reflected sequence is admissible exactly when the
+        predicate holds, so what it returns passes ``validate`` and it
+        raises exactly when the predicate fails."""
+        r = rng(78)
+        makers = (rand_bounded, rand_compactoid, rand_unbounded, rand_lattice,
+                  lambda r, kind: SubmoduleSpec(rand_seqspec(r), kind))
+        seen = {}
+        for _ in range(1500):
+            kind = "mixed" if r.below(2) else "equal"
+            b = makers[r.below(len(makers))](r, kind)
+            holds = is_bounded(b) if kind == "equal" else is_compactoid(b)
+            assert is_admissible_seq(reflect_affine(b.seq, 0), kind) == holds, b
+            if holds:
+                validate(dual_seminorm(b))
+            else:
+                with pytest.raises(NotBounded if kind == "equal" else NotCompactoid):
+                    dual_seminorm(b)
+            seen[kind, holds] = seen.get((kind, holds), 0) + 1
+        assert len(seen) == 4 and min(seen.values()) > 100, seen
+
     def test_hat_profile(self):
         b = SubmoduleSpec(
             SeqSpec.from_window({0: 0}, AffineTail(-1, 0), ConstTail(ExtInt(0))),

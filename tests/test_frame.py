@@ -71,7 +71,7 @@ def test_seeded_spec_pairs():
             frame = assert_frame(a, b)
             if frame.rays is None:
                 seen["divergent" if frame.left.value == MINUS_INF else "constant +inf"] += 1
-            elif any(r.minf for r in frame.rays):
+            elif any(r[2] is None for r in frame.rays):
                 seen["-inf rays"] += 1
             if any(v == MINUS_INF for s in (a, b) for _, _, v in s.runs()):
                 seen["-inf points"] += 1
@@ -103,6 +103,32 @@ def test_frame_rays_are_the_ray_pairs():
              for ray in _pair_ray_ray(ra, rb)[0]]
     assert frame.rays == pairs
     assert frame.window_lo <= -40 and frame.window_hi >= 40
+
+
+def test_rays_are_fragments_with_one_open_end():
+    """Every tail ray and every ray of a frame is a fragment ``(x, y, slope,
+    offset)`` whose one infinite end is ``x = -inf`` (leftward) or ``y =
+    inf`` (rightward), the other an int; ``-inf`` is ``(None, -1)``, as in
+    pieces, and no ray is ``+inf``."""
+    seen = {"leftward": 0, "rightward": 0, "-inf": 0}
+
+    def check(rays):
+        for ray in rays:
+            assert len(ray) == 4 and type(ray) is tuple, ray
+            x, y, slope, offset = ray
+            assert (x == -math.inf) != (y == math.inf), ray
+            assert type(y if x == -math.inf else x) is int, ray
+            assert slope is not None or offset == -1, ray
+            seen["leftward" if x == -math.inf else "rightward"] += 1
+            seen["-inf"] += slope is None
+
+    for seed in range(300, 320):
+        for a, b in seeded_pairs(seed, 40):
+            check(_tail_rays(a) + _tail_rays(b))
+            frame = outcome(convolution_frame, a, b)
+            if isinstance(frame, seqspec_module.Frame) and frame.rays is not None:
+                check(frame.rays)
+    assert min(seen.values()) > 50, seen
 
 
 def assert_convolution(a, b):

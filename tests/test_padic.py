@@ -385,11 +385,12 @@ class TestReduce:
     widths on either side of the reciprocal's headroom, for negative ``x``,
     and for ``p^e`` and the quotient on both sides of ``_BARRETT_BITS``."""
 
-    def test_against_mod(self):
-        from tdlf.padic import _BARRETT_BITS, _HEADROOM_BITS, _reduce
+    @staticmethod
+    def cases():
+        """``(p, e, x)`` for every prime, precision and ``x`` above."""
+        from tdlf.padic import _BARRETT_BITS, _HEADROOM_BITS
 
         r = rng(27)
-        cases = 0
         for p in (2, 3, 5, 101):
             edge = next(e for e in range(1, 10_000) if (p ** (e + 1)).bit_length() > _BARRETT_BITS)
             assert (p**edge).bit_length() <= _BARRETT_BITS < (p ** (edge + 1)).bit_length()
@@ -406,9 +407,25 @@ class TestReduce:
                 xs += [r.below(1 << 2 * width) for _ in range(5)]
                 xs += [-r.below(1 << width) for _ in range(5)]
                 for x in xs:
-                    assert _reduce(x, p, e) == x % m, (p, e, x)
-                    cases += 1
+                    yield p, e, x
+
+    def test_against_mod(self):
+        from tdlf.padic import _reduce
+
+        cases = 0
+        for p, e, x in self.cases():
+            assert _reduce(x, p, e) == x % p**e, (p, e, x)
+            cases += 1
         assert cases == 4 * 7 * 47
+
+    def test_make_keeps_the_residue(self):
+        """``make`` leaves the choice of reduction to ``_reduce``: on the
+        same units, at both sides of every cutoff, it keeps ``x % p**e``
+        as a normal element."""
+        for p, e, x in self.cases():
+            z = PAdic.make(p, 0, x, e)
+            assert TestPlainIntDifferential.scaled(z, 0, e) == x % p**e, (p, e, x)
+            TestPlainIntDifferential.assert_normal(z)
 
 
 class TestDigits:

@@ -1,7 +1,7 @@
 """The value classes: slotted, immutable, compared and printed like frozen
 dataclasses, and ``import tdlf`` loads no ``dataclasses``.
 
-Each of the sixteen classes is built by keyword and by position and
+Each of the fifteen classes is built by keyword and by position and
 checked for equality, hash, repr, immutability, copy and pickle.
 """
 
@@ -31,7 +31,7 @@ from tdlf import (
     ZeroTail,
 )
 from tdlf.oracle import SampleConfig
-from tdlf.seqspec import Frozen, _Ray
+from tdlf.seqspec import Frozen
 from tdlf.submodule import Classification
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -51,8 +51,6 @@ CASES = [
     (AffineTail, dict(slope=-1, offset=0), dict(offset=1), "AffineTail(slope=-1, offset=0)"),
     (SeqSpec, dict(window_lo=0, values=(1, 2), left=ConstTail(PLUS_INF), right=AffineTail(-1, 0)),
      dict(values=(1, 3)), SEQ_REPR),
-    (_Ray, dict(leftward=True, bound=3, slope=1, offset=2), dict(bound=4),
-     "_Ray(leftward=True, bound=3, slope=1, offset=2, minf=False)"),
     (ZeroTail, {}, None, "ZeroTail()"),
     (LeftValBound, dict(slope=1, base=2), dict(base=3), "LeftValBound(slope=1, base=2)"),
     (RightValBound, dict(floor=3), dict(floor=4), "RightValBound(floor=3)"),
@@ -83,9 +81,9 @@ def fields(x) -> tuple:
     return tuple(getattr(x, f) for f in type(x)._fields)
 
 
-def test_the_sixteen_classes():
-    assert len(CASES) == 16
-    assert all(issubclass(cls, Frozen) for cls, *_ in CASES if cls is not _Ray)
+def test_the_fifteen_classes():
+    assert len(CASES) == 15
+    assert all(issubclass(cls, Frozen) for cls, *_ in CASES)
 
 
 @pytest.mark.parametrize("cls, kwargs, change, text", CASES, ids=IDS)
@@ -109,8 +107,7 @@ def test_other_types_are_not_implemented(cls, kwargs, change, text):
     for other in (object(), None, 0, "x"):
         assert a.__eq__(other) is NotImplemented
         assert a != other
-    if cls is not _Ray:  # a NamedTuple equals the tuple of its fields
-        assert a.__eq__(fields(a)) is NotImplemented and a != fields(a)
+    assert a.__eq__(fields(a)) is NotImplemented and a != fields(a)
 
 
 @pytest.mark.parametrize("cls, kwargs, change, text", CASES, ids=IDS)
@@ -142,7 +139,6 @@ def test_defaults():
     assert (c.complete, c.c_compact, c.closed) == (None, None, None)
     cfg = SampleConfig(7, 3)
     assert (cfg.window, cfg.precision) == ((-10, 10), 32)
-    assert _Ray(False, 0, 1, 1).minf is False
 
 
 def test_construction_checks():
