@@ -127,8 +127,7 @@ class ExtInt:
             return self
         raise UndefinedInfiniteSum("(+inf) + (-inf) is undefined")
 
-    def __radd__(self, other: int) -> "ExtInt":
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self) -> "ExtInt":
         if self._sign == 0:
@@ -145,11 +144,7 @@ class ExtInt:
         return self.n
 
     def __repr__(self) -> str:
-        if self._sign > 0:
-            return "+inf"
-        if self._sign < 0:
-            return "-inf"
-        return str(self._n)
+        return str(self.to_json())
 
     def to_json(self) -> Union[int, str]:
         if self._sign > 0:
@@ -281,12 +276,6 @@ def tail_from_json(obj: Mapping) -> Tail:
     if kind == "affine":
         return AffineTail(json_int(obj["slope"]), json_int(obj["offset"]))
     raise ValueError(f"unknown tail kind: {kind!r}")
-
-
-def _normalize_tail(t: Tail) -> Tail:
-    if isinstance(t, AffineTail) and t.slope == 0:
-        return ConstTail(ExtInt(t.offset))
-    return t
 
 
 def _point_form(v: ExtInt) -> tuple[int | None, int]:
@@ -517,9 +506,7 @@ class SeqSpec(Frozen):
             return self.right.at(i)
         # (i + 1,) sorts after every piece that starts at or before i
         _, _, slope, offset = self.pieces[bisect_left(self.pieces, (i + 1,)) - 1]
-        if slope is None:
-            return PLUS_INF if offset > 0 else MINUS_INF
-        return ExtInt(slope * i + offset)
+        return _at(slope, offset, i)
 
     def spans(self, lo: int, hi: int) -> Sequence[tuple]:
         """``(x, y, slope, offset)`` per run of ``[lo, hi]``, tails
@@ -575,12 +562,12 @@ class SeqSpec(Frozen):
         the last differing from the right-tail extension; slope-zero affine
         tails become constants.  Pure-tail maps keep a single-point window.
         """
-        left = _normalize_tail(self.left)
-        right = _normalize_tail(self.right)
+        lform, rform = _form(self.left), _form(self.right)
+        left, right = _tail(*lform), _tail(*rform)
         # two indices of each tail: where the other tail leaves this one's form
         spans = _spans(self, self.window_lo - 2, self.window_hi + 2)
-        lo_star = _departure(spans, _form(left), 1)
-        hi_star = _departure(reversed(spans), _form(right), -1)
+        lo_star = _departure(spans, lform, 1)
+        hi_star = _departure(reversed(spans), rform, -1)
         if lo_star is None or hi_star is None:
             # the map is a single tail form everywhere
             return SeqSpec._make(0, 0, ((0, 0, *_point_form(left.at(0))),), left, left)
@@ -747,16 +734,6 @@ def _crossing_floor(a: Tail, b: Tail) -> int | None:
     return num // den
 
 
-def _below(sa: int | None, oa: int, sb: int | None, ob: int) -> bool:
-    """Whether form ``a`` is at most form ``b`` everywhere, for forms that
-    do not cross: an infinite one or a shared slope."""
-    if sa is None:
-        return oa < 0 or (sb is None and ob > 0)
-    if sb is None:
-        return ob > 0
-    return oa <= ob
-
-
 def _pointwise(a: SeqSpec, b: SeqSpec, want_min: bool) -> SeqSpec:
     lo = min(a.window_lo, b.window_lo)
     hi = max(a.window_hi, b.window_hi)
@@ -768,8 +745,8 @@ def _pointwise(a: SeqSpec, b: SeqSpec, want_min: bool) -> SeqSpec:
         hi = max(hi, cr + 1)
     frags = []
     for x, y, sa, oa, sb, ob in _overlay(a, b, lo, hi):
-        if sa is None or sb is None or sa == sb:
-            if _below(sa, oa, sb, ob) == want_min:
+        if sa is None or sb is None or sa == sb:  # forms that do not cross
+            if (_sup_on(sa, oa, sb, ob, x, y) <= 0) == want_min:
                 frags.append((x, y, sa, oa))
             else:
                 frags.append((x, y, sb, ob))
@@ -786,7 +763,7 @@ def _pointwise(a: SeqSpec, b: SeqSpec, want_min: bool) -> SeqSpec:
     # past the crossings the tails no longer swap, so one index tells
     left = a.left if (a.left.at(lo - 1) < b.left.at(lo - 1)) == want_min else b.left
     right = a.right if (a.right.at(hi + 1) < b.right.at(hi + 1)) == want_min else b.right
-    return SeqSpec._make(lo, hi, _normalize(frags), _normalize_tail(left), _normalize_tail(right))
+    return SeqSpec._make(lo, hi, _normalize(frags), _tail(*_form(left)), _tail(*_form(right)))
 
 
 def pointwise_min(a: SeqSpec, b: SeqSpec) -> SeqSpec:
@@ -864,7 +841,9 @@ def shift_add(s: SeqSpec, c: int) -> SeqSpec:
 # ``x = -inf`` for a leftward ray and ``y = inf`` for a rightward one, and
 # ``-inf`` values as ``(None, -1)``, as in pieces.  Like a run pair, a pair
 # of rays in one direction sums their ends, and a family summary moves both
-# ends of its ray by the first run start: ``inf + int`` stays ``inf``.  The
+# ends of its ray by the first run start: ``inf + int`` stays ``inf``.  An
+# opposite pair of equal slope gives one line, bounded like any opposite
+# pair at the sum of the two bounds, where the inputs lie.  The
 # inputs are a few runs and rays, so Python objects set the cost: runs and
 # rays are plain tuples read by index, in plain loops.
 
@@ -927,9 +906,6 @@ def _pair_ray_ray(ra: tuple, rb: tuple) -> tuple[list[tuple], bool]:
         # left ray a decreases without bound
         if sa is None or sb is None or sa > sb:
             return [], True
-        if sa == sb:
-            c = oa + ob
-            return [(-math.inf, 0, sa, c), (0, math.inf, sa, c)], False
         A, B = ya, xb
         first, second = (-math.inf, A + B), (A + B, math.inf)
     # each ray moving from the end of the other

@@ -23,8 +23,8 @@ pieces of ``g``, not the distances between indices.  ``order``, ``trunc``,
 from __future__ import annotations
 
 import math
+import operator
 import struct
-from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -113,7 +113,7 @@ RightTail = Union[ZeroTail, RightValBound]
 
 PLUS_TAIL = ConstTail(PLUS_INF)
 MINUS_TAIL = ConstTail(MINUS_INF)
-_INDEX = itemgetter(0)
+_INDEX = operator.itemgetter(0)
 
 
 class ValuationResult(Frozen):
@@ -244,6 +244,18 @@ class _Series(Frozen):
             object.__setattr__(self, "_bounds_cache", b)
             return b
 
+    def to_json(self) -> dict:
+        """``kind`` and the fields that ``_view`` names."""
+        out = {"kind": self.kind}
+        for f in self._view:
+            v = getattr(self, f)
+            if f == "coeffs":
+                v = {str(i): c.to_json() for i, c in v}
+            elif type(v) is not int:
+                v = v.to_json()
+            out[f] = v
+        return out
+
     def __add__(self, other):
         return add(self, other)
 
@@ -330,15 +342,6 @@ class EqualCharSeries(_Series):
     @staticmethod
     def monomial(prime: int, index: int, coeff: PAdic) -> "EqualCharSeries":
         return EqualCharSeries.from_coeffs(prime, {index: coeff}, order=index)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "equal",
-            "prime": self.prime,
-            "order": self.order,
-            "trunc": self.trunc.to_json(),
-            "coeffs": {str(i): c.to_json() for i, c in self.coeffs},
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +440,6 @@ class MixedSeries(_Series):
     def valuation_floor(self) -> ExtInt:
         """A certified lower bound for all coefficient valuations."""
         return vF_exponent(self).value
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "mixed",
-            "prime": self.prime,
-            "lo": self.lo,
-            "hi": self.hi,
-            "coeffs": {str(i): c.to_json() for i, c in self.coeffs},
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-        }
 
 
 Series = Union[EqualCharSeries, MixedSeries]
@@ -875,16 +867,14 @@ def _val_span(xs: dict) -> int:
     return max(vals) - min(vals) if vals else 0
 
 
-def _diagonal_sums(
-    p: int, xs: dict, ys: dict, prec: int | None = None
-) -> tuple[int, dict[int, int]]:
+def _diagonal_sums(p: int, xs: dict, ys: dict, prec: int) -> tuple[int, dict[int, int]]:
     """The diagonal sums of the stored units by four-point Kronecker
     substitution (Harvey 2009, KS4): four big-int products per pair of runs
     (see ``_runs``), each of operands about half as wide as a two-point
     product needs.
 
     With ``v`` the least valuation of a nonzero unit of a factor, its units
-    are scaled to ``a_i = u_i p^(v_i - v)``.  When ``prec`` is given they are
+    are scaled to ``a_i = u_i p^(v_i - v)``, and then they are
     reduced modulo ``p^R``, ``R = prec - v_x - v_y``: a sum kept modulo at
     most ``p^prec`` depends on no higher digit, and ``R <= 0`` needs no
     multiply.  ``S_k = sum_{i+j=k} a_i b_j`` then takes fewer than ``bits =
@@ -905,8 +895,8 @@ def _diagonal_sums(
     the nonzero ``S_k``.
     """
     vx, vy = _least_val(xs), _least_val(ys)
-    r = None if prec is None else prec - vx - vy
-    if r is not None and r <= 0:
+    r = prec - vx - vy
+    if r <= 0:
         return vx + vy, {}
     ax, ay = _scaled(p, xs, vx, r), _scaled(p, ys, vy, r)
     if not ax or not ay:
@@ -922,12 +912,9 @@ def _diagonal_sums(
         i0, nx, xp, xm = _pack_pm(run, h)
         _, _, rxp, rxm = _pack_pm(_reflected(run), h)
         for (j0, ny, yp, ym), (_, _, ryp, rym) in packed_y:
-            if min(nx, ny) * n < _TOOM_BITS:
-                forward = [*_halves(xp * yp, xm * ym, n)]
-                backward = [*_halves(rxp * ryp, rxm * rym, n)]
-            else:
-                forward = [*_halves(_mul(xp, yp), _mul(xm, ym), n)]
-                backward = [*_halves(_mul(rxp, ryp), _mul(rxm, rym), n)]
+            times = operator.mul if min(nx, ny) * n < _TOOM_BITS else _mul
+            forward = [*_halves(times(xp, yp), times(xm, ym), n)]
+            backward = [*_halves(times(rxp, ryp), times(rxm, rym), n)]
             # the odd sums first, so that each half is popped for its pass
             # and dropped once _unfold has read it
             odd = (nx + ny - 3) % 2  # the half of backward that the odd sums read
@@ -1042,15 +1029,15 @@ def _least_val(xs: dict) -> int:
     return min((vi for vi, u, _ in xs.values() if u), default=0)
 
 
-def _scaled(p: int, xs: dict, v: int, r: int | None) -> list[tuple[int, int]]:
+def _scaled(p: int, xs: dict, v: int, r: int) -> list[tuple[int, int]]:
     """``(i, u_i p^(v_i - v))`` for the nonzero units of ``xs`` in index
-    order, reduced modulo ``p^r`` when ``r`` is given and left out when that
-    makes them zero.  A unit is below ``p^(prec_i - v_i)``, so one whose
-    scaled value is below ``p^r`` is not divided."""
+    order, reduced modulo ``p^r`` and left out when that makes them zero.
+    A unit is below ``p^(prec_i - v_i)``, so one whose scaled value is below
+    ``p^r`` is not divided."""
     out = []
     for i, (vi, u, pi) in xs.items():
         d = vi - v
-        if r is not None and pi - v > r:
+        if pi - v > r:
             u = u % prime_power(p, r - d) if d < r else 0
         if u:
             out.append((i, u * prime_power(p, d)))

@@ -19,6 +19,7 @@ from tdlf import (
     AffineTail,
     ConstTail,
     EqualCharSeries,
+    ExponentResult,
     ExtInt,
     LeftValBound,
     MixedSeries,
@@ -201,6 +202,13 @@ def reference_digits(x: PAdic) -> list[int]:
         out.append(d)
     out += [0] * ((x.precision - x.val).n - len(out))
     return out
+
+
+def covering_precision(xs: dict, ys: dict) -> int:
+    """The ``prec`` of ``series._diagonal_sums`` that reduces no unit of
+    ``xs`` or ``ys`` (``{i: (val, unit, precision)}``), so that every sum
+    is exact: the sum of their highest precisions."""
+    return sum(max((q for _, _, q in s.values()), default=0) for s in (xs, ys))
 
 
 def rand_equal_series(r: SplitMix64, prime=PRIME, span=(-6, 6)) -> EqualCharSeries:
@@ -395,15 +403,23 @@ def _reference_normal_tail(t):
     return t
 
 
-def reference_pointwise(a: SeqSpec, b: SeqSpec, want_min: bool) -> SeqSpec:
-    from tdlf.seqspec import _crossing_floor
+def _reference_crossing(ta, tb) -> int | None:
+    """The floor of the index where two finite tails of distinct slopes
+    meet, by exact rational arithmetic; None for any other pair."""
+    sa, oa = _reference_form(ta)
+    sb, ob = _reference_form(tb)
+    if sa is None or sb is None or sa == sb:
+        return None
+    return math.floor(Fraction(ob - oa, sa - sb))
 
+
+def reference_pointwise(a: SeqSpec, b: SeqSpec, want_min: bool) -> SeqSpec:
     lo = min(a.window_lo, b.window_lo)
     hi = max(a.window_hi, b.window_hi)
-    cl = _crossing_floor(a.left, b.left)
+    cl = _reference_crossing(a.left, b.left)
     if cl is not None:
         lo = min(lo, cl)
-    cr = _crossing_floor(a.right, b.right)
+    cr = _reference_crossing(a.right, b.right)
     if cr is not None:
         hi = max(hi, cr + 1)
     pick = min if want_min else max
@@ -434,13 +450,11 @@ def reference_reflect_affine(s: SeqSpec, a: int) -> SeqSpec:
 
 
 def reference_shift_add(s: SeqSpec, c: int) -> SeqSpec:
-    from tdlf.seqspec import _normalize_tail
-
     def bump(v: ExtInt) -> ExtInt:
         return v if not v.is_finite else ExtInt(v.n + c)
 
     def bump_tail(t):
-        t = _normalize_tail(t)
+        t = _reference_normal_tail(t)
         if isinstance(t, ConstTail):
             return ConstTail(bump(t.value))
         return AffineTail(t.slope, t.offset + c)
@@ -450,10 +464,8 @@ def reference_shift_add(s: SeqSpec, c: int) -> SeqSpec:
 
 
 def reference_canonical(s: SeqSpec) -> SeqSpec:
-    from tdlf.seqspec import _normalize_tail
-
-    left = _normalize_tail(s.left)
-    right = _normalize_tail(s.right)
+    left = _reference_normal_tail(s.left)
+    right = _reference_normal_tail(s.right)
     window = range(s.window_lo, s.window_hi + 1)
 
     def first_diff_left():
@@ -496,14 +508,16 @@ def _reference_ext_diff(x: ExtInt, y: ExtInt) -> ExtInt:
 
 
 def _ray_sup_diff(a: SeqSpec, b: SeqSpec, leftward: bool, start: int) -> ExtInt:
-    """sup of a(i) - b(i) over the half line beyond ``start`` (exclusive)."""
-    import math
+    """sup of a(i) - b(i) over the half line beyond ``start`` (exclusive).
 
-    from tdlf.seqspec import _ext, _form, _sup_on
-
-    if leftward:
-        return _ext(_sup_on(*_form(a.left), *_form(b.left), -math.inf, start - 1))
-    return _ext(_sup_on(*_form(a.right), *_form(b.right), start + 1, math.inf))
+    There both are tails, so the difference is constant or linear: it is
+    unbounded when it grows from the first index of the half line to the
+    next one out, and peaks at the first index otherwise."""
+    ta, tb = (a.left, b.left) if leftward else (a.right, b.right)
+    step = -1 if leftward else 1
+    first = _reference_ext_diff(ta.at(start + step), tb.at(start + step))
+    second = _reference_ext_diff(ta.at(start + 2 * step), tb.at(start + 2 * step))
+    return PLUS_INF if second > first else first
 
 
 def reference_sup_diff(a: SeqSpec, b: SeqSpec) -> ExtInt:
@@ -517,20 +531,18 @@ def reference_sup_diff(a: SeqSpec, b: SeqSpec) -> ExtInt:
 
 
 def reference_forall_ge(a: SeqSpec, b: SeqSpec) -> bool:
-    from tdlf.seqspec import _form
-
     lo = min(a.window_lo, b.window_lo)
     hi = max(a.window_hi, b.window_hi)
     if any(a.value_at(i) < b.value_at(i) for i in range(lo - 1, hi + 2)):
         return False
-    for leftward in (True, False):
-        sa, _ = _form(a.left if leftward else a.right)
-        sb, _ = _form(b.left if leftward else b.right)
-        if sa is None or sb is None:
-            continue
-        d = sa - sb
-        if (d > 0 and leftward) or (d < 0 and not leftward):
-            return False
+    # past the windows both are tails: a finite margin a - b that shrinks
+    # from one index to the next one out keeps shrinking below 0
+    for near, far in ((lo - 1, lo - 2), (hi + 1, hi + 2)):
+        values = [a.value_at(near), b.value_at(near), a.value_at(far), b.value_at(far)]
+        if all(v.is_finite for v in values):
+            va, vb, wa, wb = (v.n for v in values)
+            if wa - wb < va - vb:
+                return False
     return True
 
 
@@ -564,13 +576,11 @@ def ref_ray(leftward: bool, bound: int, slope: int | None, offset: int) -> RefRa
 
 
 def _reference_ray_pieces(s: SeqSpec):
-    from tdlf.seqspec import _normalize_tail
-
     points = [(i, v) for i, v in s.window_items() if v != PLUS_INF]
     rays = []
     for leftward, tail, bound in (
-        (True, _normalize_tail(s.left), s.window_lo - 1),
-        (False, _normalize_tail(s.right), s.window_hi + 1),
+        (True, _reference_normal_tail(s.left), s.window_lo - 1),
+        (False, _reference_normal_tail(s.right), s.window_hi + 1),
     ):
         if isinstance(tail, ConstTail):
             if tail.value == PLUS_INF:
@@ -612,11 +622,53 @@ def _reference_ray_envelope(rays, lo: int, hi: int) -> list:
     return out
 
 
+def _reference_ray_pair(ra: RefRay, rb: RefRay) -> list | None:
+    """The rays of the convolution of two rays, None when it is ``-inf``
+    at every index.
+
+    For each ``k``, the ``i`` in ``ra`` with ``k - i`` in ``rb`` form an
+    interval, and the summand is linear in ``i``, so its least value sits
+    at an end of it.  ``i`` at ``ra``'s bound gives a ray of ``rb``'s slope
+    in ``rb``'s direction from ``A + B``, the sum of the two bounds; ``k -
+    i`` at ``rb``'s bound gives one of ``ra``'s slope in ``ra``'s
+    direction.  When the rays point apart the interval is a half line in
+    ``i``, along which the summand falls without bound if the leftward
+    ray's slope is the greater one or either ray is ``-inf``."""
+    if ra.leftward != rb.leftward:
+        left, right = (ra, rb) if ra.leftward else (rb, ra)
+        if left.minf or right.minf or left.slope > right.slope:
+            return None
+    k = ra.bound + rb.bound
+    if ra.minf or rb.minf:
+        return [ref_ray(ra.leftward, k, None, -1)]
+    at_a = ra.slope * ra.bound + ra.offset  # ra at its bound
+    at_b = rb.slope * rb.bound + rb.offset
+    return [
+        ref_ray(rb.leftward, k, rb.slope, at_a + rb.offset - rb.slope * ra.bound),
+        ref_ray(ra.leftward, k, ra.slope, at_b + ra.offset - ra.slope * rb.bound),
+    ]
+
+
+def _reference_eventual(rays: list, leftward: bool):
+    """The tail that the least of the rays of one side settles on, and the
+    floors of the indices where it meets the finite rays of other slopes."""
+    side = [r for r in rays if r.leftward == leftward]
+    if not side:
+        return ConstTail(PLUS_INF), []
+    if any(r.minf for r in side):
+        return ConstTail(MINUS_INF), []  # every bound of the side is a mark already
+    # far to the left the greatest slope is least, far to the right the least
+    w = min(side, key=lambda r: (-r.slope if leftward else r.slope, r.offset))
+    crossings = [math.floor(Fraction(r.offset - w.offset, w.slope - r.slope))
+                 for r in side if r.slope != w.slope]
+    return _reference_normal_tail(AffineTail(w.slope, w.offset)), crossings
+
+
 def reference_minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
     """Every window index is a point; the window is filled index by index
     from a per-slope sweep of the rays."""
     from tdlf import NonRepresentableTail
-    from tdlf.seqspec import _asymptote_winner, _pair_ray_ray, minplus_term
+    from tdlf.seqspec import minplus_term
 
     pts_a, rays_a = _reference_ray_pieces(a)
     pts_b, rays_b = _reference_ray_pieces(b)
@@ -633,15 +685,15 @@ def reference_minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
         rays.extend(_reference_point_ray(j, w, r) for r in rays_a)
     for ra in rays_a:
         for rb in rays_b:
-            new, diverges = _pair_ray_ray(ra, rb)
-            if diverges:
+            new = _reference_ray_pair(ra, rb)
+            if new is None:
                 return SeqSpec.constant(MINUS_INF)
-            rays.extend(RefRay(*ray) for ray in new)
+            rays += new
     marks = [r.bound for r in rays] + list(best_points)
     if not marks:
         return SeqSpec.constant(PLUS_INF)
-    left, lcross = _asymptote_winner(rays, leftward=True)
-    right, rcross = _asymptote_winner(rays, leftward=False)
+    left, lcross = _reference_eventual(rays, leftward=True)
+    right, rcross = _reference_eventual(rays, leftward=False)
     lo = min(marks + lcross) - 1
     hi = max(marks + rcross) + 1
 
@@ -812,14 +864,14 @@ def reference_spans(s: SeqSpec, lo: int, hi: int) -> list[tuple]:
 def reference_eval_mixed(spec: SeminormSpec, x: MixedSeries):
     """The mixed seminorm exponent, scanning every index between the
     seminorm window and a tailed series window."""
-    from tdlf.seminorm import _combine, _diff, validate
+    from tdlf.seminorm import validate
 
     validate(spec)
     seq = spec.seq
     best_exact = MINUS_INF
     best_bound = MINUS_INF
     for i, c in x.coeffs:
-        cand = _diff(seq.value_at(i), c.val)
+        cand = _reference_ext_diff(seq.value_at(i), c.val)
         if c.valuation_exact:
             best_exact = max(best_exact, cand)
         else:
@@ -828,12 +880,15 @@ def reference_eval_mixed(spec: SeminormSpec, x: MixedSeries):
     if not isinstance(x.left, ZeroTail):
         start = min(seq.window_lo, x.lo) - 1
         for i in range(start, x.lo):
-            best_bound = max(best_bound, _diff(seq.value_at(i), bseq.value_at(i)))
+            best_bound = max(best_bound, _reference_ext_diff(seq.value_at(i), bseq.value_at(i)))
     if not isinstance(x.right, ZeroTail):
         stop = max(seq.window_hi, x.hi) + 1
         for i in range(x.hi + 1, stop + 1):
-            best_bound = max(best_bound, _diff(seq.value_at(i), bseq.value_at(i)))
-    return _combine(best_exact, best_bound)
+            best_bound = max(best_bound, _reference_ext_diff(seq.value_at(i), bseq.value_at(i)))
+    # an exact witness counts only above every bound-only candidate
+    if best_exact > best_bound or best_bound == MINUS_INF:
+        return ExponentResult(best_exact, True)
+    return ExponentResult(best_bound, False)
 
 
 # ---------------------------------------------------------------------------

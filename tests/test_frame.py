@@ -25,6 +25,7 @@ from tdlf import (
 from tdlf import seqspec as seqspec_module
 from tdlf import series as series_module
 from tdlf.errors import NonRepresentableTail
+from tdlf.oracle import brute_minplus
 from tdlf.seqspec import _pair_ray_ray, _tail_rays, convolution_frame
 from helpers import (
     rand_ext,
@@ -35,6 +36,7 @@ from helpers import (
     reference_mul,
     reference_tail_pairs_bound,
     rng,
+    translate_seq,
 )
 from test_differential import rand_pair
 from test_pieces import seeded_pairs
@@ -176,6 +178,48 @@ def test_a_long_window_against_a_steep_left_tail():
             offsets = [v.n - steep.slope * i for i, v in a.window_items()]
             assert all(x < y for x, y in zip(offsets, offsets[1:]))
             assert isinstance(assert_convolution(a, b), seqspec_module.Frame)
+
+
+def test_opposite_rays_of_equal_slope_meet_at_their_bounds():
+    """A leftward and a rightward ray of one slope convolve to one line,
+    bounded at the sum of their bounds like any other ray pair: the window
+    of two far one-point specs with constant-0 tails stays by the point
+    sum 12,000 and does not reach index 0."""
+    zero = ConstTail(ExtInt(0))
+    a = SeqSpec.from_window({5000: ExtInt(0)}, zero, zero)
+    b = SeqSpec.from_window({7000: ExtInt(0)}, zero, zero)
+    conv, frame = minplus_convolve(a, b), convolution_frame(a, b)
+    for got in (conv, frame):
+        assert 11997 <= got.window_lo <= got.window_hi <= 12003
+    assert conv.canonical() == SeqSpec.constant(0)
+    line = [(-math.inf, 12000, 0, 0), (12000, math.inf, 0, 0)]
+    assert _pair_ray_ray(_tail_rays(a)[0], _tail_rays(b)[1]) == (line, False)
+
+
+def test_opposite_tails_of_equal_slope_against_the_oracle():
+    """Pairs whose left tail of one factor and right tail of the other share
+    a slope, their windows moved up to 60 indices from 0: every value of
+    ``[lo - 3, hi + 3]`` is the brute-force infimum of ``oracle``."""
+    r = rng(717)
+    seen = {"converges": 0, "diverges": 0}
+    for _ in range(300):
+        a, b = (translate_seq(rand_seqspec(r), r.randint(-60, 60)) for _ in range(2))
+        slope = r.randint(-3, 3)
+        one, other = AffineTail(slope, r.randint(-9, 9)), AffineTail(slope, r.randint(-9, 9))
+        if r.below(2):
+            a = SeqSpec.from_window(dict(a.window_items()), one, a.right)
+            b = SeqSpec.from_window(dict(b.window_items()), b.left, other)
+        else:
+            a = SeqSpec.from_window(dict(a.window_items()), a.left, one)
+            b = SeqSpec.from_window(dict(b.window_items()), other, b.right)
+        conv = outcome(minplus_convolve, a, b)
+        if not hasattr(conv, "window_lo"):
+            continue
+        seen["diverges" if conv == SeqSpec.constant(MINUS_INF) else "converges"] += 1
+        for k in range(conv.window_lo - 3, conv.window_hi + 4):
+            window = (min(a.window_lo, k - b.window_hi) - 1, max(a.window_hi, k - b.window_lo) + 1)
+            assert conv.value_at(k) == brute_minplus(a, b, k, window), (a, b, k)
+    assert min(seen.values()) > 30, seen
 
 
 def test_tail_guard_is_shared(monkeypatch):

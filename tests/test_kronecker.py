@@ -7,7 +7,7 @@ from tdlf import EqualCharSeries, MixedSeries, PAdic, mul
 from tdlf import series as series_module
 from tdlf.errors import PrecisionExhausted
 from tdlf.series import LeftValBound, RightValBound, _diagonal_sums, _runs
-from helpers import reference_mul, rng
+from helpers import covering_precision, reference_mul, rng
 
 PRIMES = (2, 5, 2**61 - 1)
 
@@ -115,10 +115,12 @@ def test_slots_hold_the_diagonal_sums():
     r = rng(402)
     for p in PRIMES:
         for _ in range(20):
-            xs, ys = ({i: (r.randint(-6, 6), r.below(p**r.randint(1, 12)), 0)
-                       for i in range(r.randint(-9, 0), r.randint(1, 9)) if r.below(3)}
+            # a unit below p^12 at valuation v is known to precision v + 12
+            xs, ys = ({i: (v, r.below(p**r.randint(1, 12)), v + 12)
+                       for i in range(r.randint(-9, 0), r.randint(1, 9)) if r.below(3)
+                       for v in [r.randint(-6, 6)]}
                       for _ in range(2))
-            v, sums = _diagonal_sums(p, xs, ys)
+            v, sums = _diagonal_sums(p, xs, ys, covering_precision(xs, ys))
             for k in {i + j for i in xs for j in ys}:
                 want = sum(xs[i][1] * ys[k - i][1] * p ** (xs[i][0] + ys[k - i][0] - v)
                            for i in xs if k - i in ys)

@@ -9,7 +9,7 @@ several runs.  The recovery step ``_unfold`` is checked alone.
 
 from tdlf import series as series_module
 from tdlf.series import _diagonal_sums, _runs, _unfold
-from helpers import rng
+from helpers import covering_precision, rng
 
 PRIMES = (2, 5, 2**61 - 1)
 
@@ -35,7 +35,7 @@ def stored(units, val=0, first=0):
 
 
 def assert_exact(p, xs, ys):
-    assert _diagonal_sums(p, xs, ys) == direct_sums(p, xs, ys)
+    assert _diagonal_sums(p, xs, ys, covering_precision(xs, ys)) == direct_sums(p, xs, ys)
 
 
 def slot_width(xs, ys):
@@ -50,7 +50,7 @@ def slot_width(xs, ys):
 
     series_module._pack_pm = record
     try:
-        _diagonal_sums(2, xs, ys)
+        _diagonal_sums(2, xs, ys, covering_precision(xs, ys))
     finally:
         series_module._pack_pm = pack
     assert len(set(widths)) == 1
@@ -94,7 +94,7 @@ class TestSums:
             top = (1 << b) - 1
             xs, ys = stored([top] * 7), stored([top] * 7)
             assert slot_width(xs, ys) == h
-            v, sums = _diagonal_sums(2, xs, ys)
+            v, sums = _diagonal_sums(2, xs, ys, covering_precision(xs, ys))
             m = 16 * h
             assert max(sums.values()) == 7 * top * top
             assert 2 ** (2 * m - 2) < max(sums.values()) < 2 ** (2 * m - 1)
@@ -124,7 +124,8 @@ class TestSums:
                 def factor():
                     out, i = {}, r.randint(-20, 0)
                     for _ in range(r.randint(1, 14)):
-                        out[i] = (r.randint(-3, 3), r.below(p ** r.randint(1, 20)), 0)
+                        v = r.randint(-3, 3)  # a unit below p^20 is known to v + 20
+                        out[i] = (v, r.below(p ** r.randint(1, 20)), v + 20)
                         i += 1 + (r.below(2) if r.below(4) else r.randint(5, 40))
                     return out
 

@@ -14,7 +14,7 @@ import pytest
 from tdlf import MixedSeries, PAdic, mul
 from tdlf import series as series_module
 from tdlf.series import _TOOM_BITS, _diagonal_sums, _mul
-from helpers import reference_mul
+from helpers import covering_precision, reference_mul
 
 T = _TOOM_BITS
 
@@ -134,7 +134,7 @@ def test_diagonal_sums_through_the_split(nx, ny, splits, monkeypatch):
     r = random.Random(2106 + ny)
     xs = {i: (0, unit(r, 2048), 2048) for i in range(nx)}
     ys = {j: (0, unit(r, 2048), 2048) for j in range(-3, ny - 3)}
-    v, sums = _diagonal_sums(5, xs, ys)
+    v, sums = _diagonal_sums(5, xs, ys, covering_precision(xs, ys))
     assert v == 0 and sums == direct_sums(xs, ys)
     assert len(calls) >= 4 and max(calls) >= T
     assert bool(splits) == (ny > nx // 2)
