@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
+from functools import lru_cache
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import NonRepresentableTail, ParseError, UndefinedInfiniteSum
 
@@ -32,7 +33,6 @@ __all__ = [
     "reflect_affine",
     "shift_add",
     "minplus_convolve",
-    "Frame",
     "convolution_frame",
     "sup_diff",
     "sup_diff_on",
@@ -289,8 +289,10 @@ def _form(t: Tail) -> tuple[int | None, int]:
     return _point_form(t.value)
 
 
+@lru_cache(maxsize=64)
 def _tail(slope: int | None, offset: int) -> Tail:
-    """The normal tail of a form: the inverse of ``_form``."""
+    """The normal tail of a form: the inverse of ``_form``.  Tails are
+    immutable, so one instance per form serves every caller."""
     if slope is None:
         return ConstTail(PLUS_INF if offset > 0 else MINUS_INF)
     if slope == 0:
@@ -810,62 +812,66 @@ def shift_add(s: SeqSpec, c: int) -> SeqSpec:
 # --------------------------------------------------------------------------
 # min-plus convolution
 #
-# The infimum of a(i) + b(k - i) over a pair of affine runs is linear in
-# i, so it sits at the end of the feasible i that the slopes favour:
+# The infimum of a(i) + b(k - i) over a pair of affine fragments is linear
+# in i, so it sits at the end of the feasible i that the slopes favour:
 # ``run_pair`` gives it exactly as at most two affine terms in k.  The
-# convolution is therefore the pointwise minimum of the terms of every pair
-# of window runs (``+inf`` runs left out), of every window run against
-# every tail ray of the other factor, and of the pairs of tails of
-# ``_pair_ray_ray``, which may also diverge to a global -inf.  A pair of
-# single-index runs is one value at one k: ``minplus_convolve`` folds these
-# into the least per k (``-inf`` absorbing), one point term each, so
-# windows of isolated points cost their distinct sums in the sweep.  A tail
-# ray paired with a window is read as a run clipped to the indices that can
-# reach the output window: with ``i`` in the window, ``k >= lo`` needs
-# ``j >= lo - window_hi`` and ``k <= hi`` needs ``j <= hi - window_lo``, so
-# the clipping never binds on the output window.  The window is the lower
-# envelope of the terms, swept from one term boundary to the next, so its
-# cost follows the runs, not the indices.
+# fragments of a factor are its window runs (``+inf`` runs left out) and its
+# tail rays, fragments ``(x, y, slope, offset)`` with one open end: ``x =
+# -inf`` for a leftward ray and ``y = inf`` for a rightward one, ``-inf``
+# values as ``(None, -1)``, as in pieces.  ``run_pair`` adds open ends
+# (``inf + int`` stays ``inf``) and never multiplies one, so one rule covers
+# run + run, run + ray and ray + ray.  A leftward ray against a rightward
+# one leaves i unbounded below: the pair is ``-inf`` at every k if either
+# ray is ``-inf`` or the leftward slope is the greater, and one line if the
+# slopes are equal.  The convolution is the pointwise minimum of the terms
+# of every pair of fragments, none clipped: the envelope reads them on the
+# output window only.  A pair of single-index runs is one value at one k:
+# ``minplus_convolve`` folds these into the least per k (``-inf``
+# absorbing), one point term each, so windows of isolated points cost their
+# distinct sums in the sweep.  The window is the lower envelope of the
+# terms, swept from one term boundary to the next, so its cost follows the
+# runs, not the indices.
 #
-# The run + ray terms come in families, one per ray of the other factor:
-# a family shares that ray's direction and slope, and its members differ
-# only in bound and offset.  ``_frame`` reads each family as one summary
-# ray with the least offset (``_family``), as the eventual tail reads only
-# the least offset per slope and the tail guard holds past every bound,
-# where all members apply.  The least ``v - slope*i`` along a linear run
-# sits at one of its ends, and the family's first and last bound stand for
-# its members among the window marks, so the frame reads the two ends of
-# each run and costs no run pair and no sweep.
-#
-# A tail ray is a fragment ``(x, y, slope, offset)`` with one open end:
-# ``x = -inf`` for a leftward ray and ``y = inf`` for a rightward one, and
-# ``-inf`` values as ``(None, -1)``, as in pieces.  Like a run pair, a pair
-# of rays in one direction sums their ends, and a family summary moves both
-# ends of its ray by the first run start: ``inf + int`` stays ``inf``.  An
-# opposite pair of equal slope gives one line, bounded like any opposite
-# pair at the sum of the two bounds, where the inputs lie.  The
-# inputs are a few runs and rays, so Python objects set the cost: runs and
-# rays are plain tuples read by index, in plain loops.
+# The window ends and tails come first, from ``_frame``.  The run + ray
+# terms come in families, one per ray of the other factor: a family shares
+# that ray's direction and slope, and its members differ only in bound and
+# offset.  ``_frame`` reads each family as one summary ray with the least
+# offset (``_family``), as the eventual tail reads only the least offset per
+# slope and the tail guard holds past every bound, where all members apply.
+# The least ``v - slope*i`` along a linear run sits at one of its ends, and
+# the family's first and last bound stand for its members among the window
+# marks, so the frame reads the two ends of each run: only the few ray pairs
+# go through ``run_pair``, as a family read through it would pay one call
+# per run on every mixed ``mul``.  A divergent or all-``+inf`` convolution
+# has a one-index frame, which ``minplus_convolve`` returns before it pairs
+# any run; every other frame spans at least three indices.  The inputs are a
+# few runs and rays, so Python objects set the cost: runs and rays are plain
+# tuples read by index, in plain loops.
 
 
 def run_pair(a: tuple, b: tuple) -> list[tuple]:
-    """The least ``a(i) + b(k - i)`` of two affine runs ``(x, y, slope,
-    offset)``, as affine terms ``(k0, k1, slope, offset)`` in ``k``: linear
-    in ``i``, it sits at the end of the feasible ``i`` that the slopes
-    favour.  A ``-inf`` run (slope None) gives one ``-inf`` term over every
-    ``k`` of the pair; neither run may be ``+inf``."""
+    """The least ``a(i) + b(k - i)`` of two affine fragments ``(x, y,
+    slope, offset)``, runs or rays with one open end, as affine terms ``(k0,
+    k1, slope, offset)`` in ``k``: linear in ``i``, it sits at the end of
+    the feasible ``i`` that the slopes favour.  A ``-inf`` fragment (slope
+    None) gives one ``-inf`` term over every ``k`` of the pair, and so does
+    a leftward ray against a rightward one of smaller slope; neither
+    fragment may be ``+inf``.  The first term of two rays has the sum of
+    their bounds as its finite end."""
     x1, y1, s1, o1 = a
     x2, y2, s2, o2 = b
     if s1 is None or s2 is None:
         return [(x1 + x2, y1 + y2, None, -1)]
-    if s1 >= s2:  # least i = max(x1, k - y2)
-        out = [(x1 + x2, x1 + y2, s2, (s1 - s2) * x1 + o1 + o2)] if x2 <= y2 else []
-        if x1 < y1:
-            out.append((x1 + y2 + 1, y1 + y2, s1, o1 + o2 - (s1 - s2) * y2))
-    else:  # greatest i = min(y1, k - x2)
-        out = [(x1 + x2, y1 + x2 - 1, s1, o1 + o2 - (s1 - s2) * x2)] if x1 < y1 else []
-        if x2 <= y2:
-            out.append((y1 + x2, y1 + y2, s2, (s1 - s2) * y1 + o1 + o2))
+    # the pair is symmetric in a and b; a leftward ray of equal slope goes
+    # second, so that x1 = -inf against y2 = inf only where the sum diverges
+    if s1 < s2 or s1 == s2 and x1 == -math.inf:
+        x1, y1, s1, o1, x2, y2, s2, o2 = x2, y2, s2, o2, x1, y1, s1, o1
+    # s1 >= s2: the least i is max(x1, k - y2), so i = x1, then j = y2
+    if x1 == -math.inf == -y2:  # i is unbounded below, and the sum falls with it
+        return [(-math.inf, math.inf, None, -1)]
+    out = [(x1 + x2, x1 + y2, s2, (s1 - s2) * x1 + o1 + o2)] if x1 != -math.inf else []
+    if x1 < y1 and y2 != math.inf:
+        out.append((x1 + y2 + 1, y1 + y2, s1, o1 + o2 - (s1 - s2) * y2))
     return out
 
 
@@ -880,37 +886,6 @@ def _tail_rays(s: SeqSpec) -> list[tuple]:
 def _window_runs(s: SeqSpec) -> list[tuple]:
     """The pieces of the window, ``+inf`` left out."""
     return [r for r in s.pieces if r[2] is not None or r[3] < 0]
-
-
-def _ray_runs(rays: list[tuple], lo: int, hi: int) -> list[tuple]:
-    """The rays cut to ``[lo, hi]`` at their open end."""
-    return [(lo, y, s, o) if x == -math.inf else (x, hi, s, o) for x, y, s, o in rays]
-
-
-def _pair_ray_ray(ra: tuple, rb: tuple) -> tuple[list[tuple], bool]:
-    """Rays produced by convolving two rays; second item flags global -inf."""
-    if rb[0] == -math.inf < ra[0]:
-        ra, rb = rb, ra  # of opposite rays, the leftward one first
-    xa, ya, sa, oa = ra
-    xb, yb, sb, ob = rb
-    if (xa == -math.inf) == (xb == -math.inf):
-        # index range for i is a bounded interval; the infimum sits at one of
-        # its endpoints, so two rays (one per endpoint formula) cover it
-        if sa is None or sb is None:
-            return [(xa + xb, ya + yb, None, -1)], False
-        first = second = xa + xb, ya + yb
-        A, B = (ya, yb) if xa == -math.inf else (xa, xb)
-    else:
-        # opposite directions: the index range is a half line; along i + j
-        # = k the summand changes with rate (sa - sb) as the index of the
-        # left ray a decreases without bound
-        if sa is None or sb is None or sa > sb:
-            return [], True
-        A, B = ya, xb
-        first, second = (-math.inf, A + B), (A + B, math.inf)
-    # each ray moving from the end of the other
-    return [(*first, sa, oa + sb * B + ob - sa * B),
-            (*second, sb, ob + sa * A + oa - sb * A)], False
 
 
 def _asymptote_winner(
@@ -932,19 +907,6 @@ def _asymptote_winner(
     return _tail(ws, wo), crossings
 
 
-class Frame(NamedTuple):
-    """The window bounds and tails of a min-plus convolution, and the rays
-    of its ray-pair terms as fragments with one open end; the run + ray
-    terms are not listed.  ``rays`` is None when the convolution is the
-    constant ``left`` everywhere."""
-
-    rays: list | None
-    window_lo: int
-    window_hi: int
-    left: Tail
-    right: Tail
-
-
 def _family(runs: list, r: tuple) -> tuple:
     """The summary of the rays of the window ``runs`` (in index order)
     against ray ``r``: the ray's direction and slope with the least offset
@@ -962,23 +924,24 @@ def _family(runs: list, r: tuple) -> tuple:
     return x + first, y + first, slope, offset + least
 
 
-def _frame(runs_a: list, rays_a: list, runs_b: list, rays_b: list) -> Frame:
-    """The frame of the convolution of two sequences given by their window
-    runs (see ``_window_runs``) and tail rays.
+def _frame(runs_a: list, rays_a: list, runs_b: list, rays_b: list) -> tuple[int, int, Tail, Tail]:
+    """``(window_lo, window_hi, left, right)`` of the convolution of two
+    sequences given by their window runs (see ``_window_runs``) and tail
+    rays.
 
     The window runs from one below the least mark to one above the greatest:
     the marks are the sums of the first and of the last window indices, the
-    first and last bound of each ray family, the bounds of the ray pairs and
-    the crossings of the eventual tail with the other rays.  Past the window
-    only rays apply, every member of each family among them, so the tails
-    are checked against the ray pairs and the family summaries at two
-    indices on each side; a mismatch raises ``NonRepresentableTail``.  As
-    every crossing with the eventual tail is a mark, the check holds for
-    every input; it guards that invariant for ``minplus_convolve`` and
-    ``mul`` alike.
+    first and last bound of each ray family, the sum of the bounds of each
+    ray pair and the crossings of the eventual tail with the other rays.
+    Past the window only rays apply, every member of each family among them,
+    so the tails are checked against the terms of the ray pairs and the
+    family summaries at two indices on each side; a mismatch raises
+    ``NonRepresentableTail``.  As every crossing with the eventual tail is a
+    mark, the check holds for every input; it guards that invariant for
+    ``minplus_convolve`` and ``mul`` alike.  A convolution that is ``-inf``
+    or ``+inf`` everywhere has the one-index frame ``(0, 0, c, c)``.
     """
-    rays: list[tuple] = []
-    summaries: list[tuple] = []
+    reach: list[tuple] = []
     marks: list[int] = []
     if runs_a and runs_b:
         marks += [runs_a[0][0] + runs_b[0][0], runs_a[-1][1] + runs_b[-1][1]]
@@ -986,22 +949,19 @@ def _frame(runs_a: list, rays_a: list, runs_b: list, rays_b: list) -> Frame:
         if runs:
             first, last = runs[0][0], runs[-1][1]
             for r in others:
-                summaries.append(_family(runs, r))
+                reach.append(_family(runs, r))
                 bound = r[1] if r[0] == -math.inf else r[0]
                 marks += [bound + first, bound + last]
     for ra in rays_a:
         for rb in rays_b:
-            new, diverges = _pair_ray_ray(ra, rb)
-            if diverges:
-                tail = ConstTail(MINUS_INF)
-                return Frame(None, 0, 0, tail, tail)
-            rays += new
-            # the rays of a pair share one bound
-            marks.append(new[0][1] if new[0][0] == -math.inf else new[0][0])
+            terms = run_pair(ra, rb)
+            k0, k1 = terms[0][:2]
+            if k0 == -math.inf == -k1:  # -inf at every k
+                return 0, 0, ConstTail(MINUS_INF), ConstTail(MINUS_INF)
+            reach += terms
+            marks.append(k1 if k0 == -math.inf else k0)  # the sum of the two bounds
     if not marks:
-        pinf = ConstTail(PLUS_INF)
-        return Frame(None, 0, 0, pinf, pinf)
-    reach = rays + summaries
+        return 0, 0, ConstTail(PLUS_INF), ConstTail(PLUS_INF)
     left, lcross = _asymptote_winner(reach, leftward=True)
     right, rcross = _asymptote_winner(reach, leftward=False)
     lo = min(marks + lcross) - 1
@@ -1020,13 +980,13 @@ def _frame(runs_a: list, rays_a: list, runs_b: list, rays_b: list) -> Frame:
                     want = r[2] * k + r[3]
             if (to * math.inf if ts is None else ts * k + to) != want:
                 raise NonRepresentableTail(f"convolution tail mismatch at index {k}")
-    return Frame(rays, lo, hi, left, right)
+    return lo, hi, left, right
 
 
-def convolution_frame(a: SeqSpec, b: SeqSpec) -> Frame:
-    """The frame of ``minplus_convolve(a, b)``: its window bounds, tails and
-    ray-pair rays, and the same ``NonRepresentableTail``, at the cost of
-    the runs and tails of ``a`` and ``b`` rather than of their pairs."""
+def convolution_frame(a: SeqSpec, b: SeqSpec) -> tuple[int, int, Tail, Tail]:
+    """``(window_lo, window_hi, left, right)`` of ``minplus_convolve(a, b)``,
+    and the same ``NonRepresentableTail``, at the cost of the runs and tails
+    of ``a`` and ``b`` rather than of their pairs."""
     return _frame(_window_runs(a), _tail_rays(a), _window_runs(b), _tail_rays(b))
 
 
@@ -1101,25 +1061,23 @@ def minplus_convolve(a: SeqSpec, b: SeqSpec) -> SeqSpec:
     """
     runs_a, runs_b = _window_runs(a), _window_runs(b)
     rays_a, rays_b = _tail_rays(a), _tail_rays(b)
-    rays, lo, hi, left, right = _frame(runs_a, rays_a, runs_b, rays_b)
-    if rays is None:
+    lo, hi, left, right = _frame(runs_a, rays_a, runs_b, rays_b)
+    if lo == hi:
         return SeqSpec.constant(left.value)
-    terms = _ray_runs(rays, lo, hi)
+    terms: list[tuple] = []
     least: dict[int, int | float] = {}  # k -> the least point pair, -inf absorbing
-    # a tail ray against a window, cut to the indices that reach [lo, hi]
-    for runs, others in ((runs_a, runs_b + _ray_runs(rays_b, lo - a.window_hi, hi - a.window_lo)),
-                         (_ray_runs(rays_a, lo - b.window_hi, hi - b.window_lo), runs_b)):
-        for run in runs:
-            x1, y1, s1, o1 = run
-            for other in others:
-                x2, y2, s2, o2 = other
-                if x1 == y1 and x2 == y2:
-                    k = x1 + x2
-                    v = -math.inf if s1 is None or s2 is None else s1 * x1 + o1 + s2 * x2 + o2
-                    if v < least.get(k, math.inf):
-                        least[k] = v
-                else:
-                    terms += run_pair(run, other)
+    others = runs_b + rays_b
+    for run in runs_a + rays_a:
+        x1, y1, s1, o1 = run
+        for other in others:
+            x2, y2, s2, o2 = other
+            if x1 == y1 and x2 == y2:
+                k = x1 + x2
+                v = -math.inf if s1 is None or s2 is None else s1 * x1 + o1 + s2 * x2 + o2
+                if v < least.get(k, math.inf):
+                    least[k] = v
+            else:
+                terms += run_pair(run, other)
     for k, v in least.items():
         terms.append((k, k, 0, v) if v != -math.inf else (k, k, None, -1))
     return SeqSpec.from_terms(lo, hi, terms, left, right)

@@ -585,7 +585,8 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     The kinds differ only in the frame.  A Laurent product takes its order
     and truncation from ``_equal_frame``.  Of the min-plus convolution of
     the factors' valuation bounds a mixed product reads only the window
-    ends and the tails, so it takes them from ``convolution_frame``.
+    ends and the tails: it unpacks them from ``convolution_frame``, which
+    pairs no window run.
     """
     _check_pair(x, y)
     p, xs, ys = x.prime, _units(x), _units(y)
@@ -596,9 +597,9 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
         lo, hi = order, max(order, min(cut - 1, gx.window_hi + gy.window_hi))
     else:
         cut = math.inf
-        frame = convolution_frame(x.bound_seq(), y.bound_seq())
-        lo = min(gx.window_lo + gy.window_lo, frame.window_lo)
-        hi = max(gx.window_hi + gy.window_hi, frame.window_hi)
+        flo, fhi, left, right = convolution_frame(x.bound_seq(), y.bound_seq())
+        lo = min(gx.window_lo + gy.window_lo, flo)
+        hi = max(gx.window_hi + gy.window_hi, fhi)
     rem = _TailBound(x, y).over(lo, hi)
     first = None if target_precision is None else rem.first_at_most(target_precision - 1, lo, hi)
     precs = _pair_precisions(xs, ys, rem, cut if first is None else first + 1)
@@ -612,7 +613,7 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     stored = tuple((k, c) for k, c in total.items() if c.unit)
     if isinstance(x, EqualCharSeries):
         return EqualCharSeries._make(p, stored, _equal_g(order, trunc, stored, points, rem, hi))
-    g = SeqSpec.from_points(lo, hi, points, rem, frame.left, frame.right)
+    g = SeqSpec.from_points(lo, hi, points, rem, left, right)
     return MixedSeries._make(p, stored, g)
 
 

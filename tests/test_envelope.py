@@ -12,7 +12,7 @@ single-index runs with ``-inf`` points, in both factor orders, and hand
 
 from tdlf import MINUS_INF, PLUS_INF, ConstTail, ExtInt, SeqSpec, minplus_convolve
 from tdlf import seqspec as seqspec_module
-from tdlf.seqspec import _envelope, _tail_rays, convolution_frame
+from tdlf.seqspec import _envelope, _tail_rays, run_pair
 from helpers import rand_tail, reference_minplus_convolve, rng
 from test_pieces import assert_same, outcome
 
@@ -126,7 +126,7 @@ def test_point_pairs_reach_the_envelope_once_per_index(monkeypatch):
         if not handed:  # a constant convolution takes no envelope
             continue
         (terms,) = handed
-        rays = len(convolution_frame(a, b).rays)
+        rays = sum(len(run_pair(ra, rb)) for ra in _tail_rays(a) for rb in _tail_rays(b))
         rays += 2 * (n * len(_tail_rays(b)) + m * len(_tail_rays(a)))
         assert len(terms) <= n + m - 1 + rays < n * m
         assert all(k0 <= k1 for k0, k1, _, _ in terms)

@@ -26,7 +26,7 @@ from tdlf import seqspec as seqspec_module
 from tdlf import series as series_module
 from tdlf.errors import NonRepresentableTail
 from tdlf.oracle import brute_minplus
-from tdlf.seqspec import _pair_ray_ray, _tail_rays, convolution_frame
+from tdlf.seqspec import _tail_rays, convolution_frame, run_pair
 from helpers import (
     rand_ext,
     rand_mixed_series,
@@ -50,10 +50,21 @@ def outcome(f, *args):
 
 
 def frame_of(conv):
-    """What a frame states about a convolution, or its error."""
-    if not hasattr(conv, "window_lo"):
-        return conv
-    return conv.window_lo, conv.window_hi, conv.left, conv.right
+    """What a frame states about a convolution, or its error: ``(window_lo,
+    window_hi, left, right)`` as ``convolution_frame`` returns it."""
+    if isinstance(conv, SeqSpec):
+        return conv.window_lo, conv.window_hi, conv.left, conv.right
+    return conv
+
+
+def windowed(frame):
+    """Whether ``frame`` is a frame, not an error, and not a constant."""
+    return not isinstance(frame[0], str) and frame[0] != frame[1]
+
+
+def ray_pairs(a, b):
+    """The terms of the pairs of tail rays of ``a`` and ``b``."""
+    return [t for ra in _tail_rays(a) for rb in _tail_rays(b) for t in run_pair(ra, rb)]
 
 
 def assert_frame(a, b):
@@ -70,10 +81,10 @@ def test_seeded_spec_pairs():
     seen = {"divergent": 0, "-inf rays": 0, "-inf points": 0, "constant +inf": 0}
     for seed in range(300, 340):
         for a, b in seeded_pairs(seed, 40):
-            frame = assert_frame(a, b)
-            if frame.rays is None:
-                seen["divergent" if frame.left.value == MINUS_INF else "constant +inf"] += 1
-            elif any(r[2] is None for r in frame.rays):
+            lo, hi, left, _ = assert_frame(a, b)
+            if lo == hi:
+                seen["divergent" if left.value == MINUS_INF else "constant +inf"] += 1
+            elif any(r[2] is None for r in ray_pairs(a, b)):
                 seen["-inf rays"] += 1
             if any(v == MINUS_INF for s in (a, b) for _, _, v in s.runs()):
                 seen["-inf points"] += 1
@@ -90,28 +101,63 @@ def test_series_bound_pairs():
         lo = r.randint(-8, 2)
         y = rand_mixed_series(r, span=(lo, lo + r.randint(0, 12)), tails=True)
         frame = assert_frame(x.bound_seq(), y.bound_seq())
-        with_rays += bool(frame.rays)
+        with_rays += windowed(frame) and bool(ray_pairs(x.bound_seq(), y.bound_seq()))
     assert with_rays > 100
 
 
-def test_frame_rays_are_the_ray_pairs():
+def count_run_pairs(monkeypatch):
+    """The arguments of every ``run_pair`` call in ``seqspec`` from now on."""
+    calls = []
+    pair = seqspec_module.run_pair
+
+    def counted(a, b):
+        calls.append((a, b))
+        return pair(a, b)
+
+    monkeypatch.setattr(seqspec_module, "run_pair", counted)
+    return calls
+
+
+def test_frame_pairs_only_the_rays(monkeypatch):
     """A family of run + ray terms enters the frame only through its
-    marks and its summary ray: ``rays`` holds the ray pairs alone, however
-    long the window is."""
-    flat = SeqSpec(-40, [ExtInt(3)] * 81, ConstTail(ExtInt(0)), ConstTail(ExtInt(0)))
+    marks and its summary ray: ``convolution_frame`` calls ``run_pair``
+    once per pair of tail rays, however long the window is."""
     point = SeqSpec.from_window({0: 1}, ConstTail(ExtInt(5)), ConstTail(ExtInt(4)))
-    frame = assert_frame(flat, point)
-    pairs = [ray for ra in _tail_rays(flat) for rb in _tail_rays(point)
-             for ray in _pair_ray_ray(ra, rb)[0]]
-    assert frame.rays == pairs
-    assert frame.window_lo <= -40 and frame.window_hi >= 40
+    cases = []
+    for n in (81, 2001):
+        r = rng(n)
+        window = SeqSpec(-(n // 2), [ExtInt(r.randint(0, 49)) for _ in range(n)],
+                         ConstTail(ExtInt(0)), ConstTail(ExtInt(0)))
+        cases.append((window, assert_frame(window, point)))
+    calls = count_run_pairs(monkeypatch)
+    for window, want in cases:
+        del calls[:]
+        assert convolution_frame(window, point) == want
+        assert calls == [(ra, rb) for ra in _tail_rays(window) for rb in _tail_rays(point)]
+        assert len(calls) == 4
+        assert want[0] < window.window_lo and want[1] > window.window_hi
+
+
+def test_a_divergent_convolution_pairs_no_runs(monkeypatch):
+    """Two 2,001-index windows whose left tails fall leftwards (slope 1)
+    and right tails rightwards (slope -1): a leftward ray steeper than a
+    rightward one makes the convolution ``-inf`` everywhere, and
+    ``minplus_convolve`` returns it from the frame's ray pairs without
+    pairing a window run."""
+    r = rng(2002)
+    a, b = (SeqSpec(0, [ExtInt(r.randint(0, 49)) for _ in range(2001)],
+                    AffineTail(1, 0), AffineTail(-1, 0)) for _ in range(2))
+    calls = count_run_pairs(monkeypatch)
+    assert minplus_convolve(a, b) == SeqSpec.constant(MINUS_INF)
+    assert 0 < len(calls) <= 4
 
 
 def test_rays_are_fragments_with_one_open_end():
-    """Every tail ray and every ray of a frame is a fragment ``(x, y, slope,
-    offset)`` whose one infinite end is ``x = -inf`` (leftward) or ``y =
-    inf`` (rightward), the other an int; ``-inf`` is ``(None, -1)``, as in
-    pieces, and no ray is ``+inf``."""
+    """Every tail ray and every term of a ray pair of a windowed frame is a
+    fragment ``(x, y, slope, offset)`` whose one infinite end is ``x = -inf``
+    (leftward) or ``y = inf`` (rightward), the other an int; ``-inf`` is
+    ``(None, -1)``, as in pieces, and no ray is ``+inf``.  The first term of
+    a ray pair ends at the sum of the two ray bounds, the pair's mark."""
     seen = {"leftward": 0, "rightward": 0, "-inf": 0}
 
     def check(rays):
@@ -127,9 +173,13 @@ def test_rays_are_fragments_with_one_open_end():
     for seed in range(300, 320):
         for a, b in seeded_pairs(seed, 40):
             check(_tail_rays(a) + _tail_rays(b))
-            frame = outcome(convolution_frame, a, b)
-            if isinstance(frame, seqspec_module.Frame) and frame.rays is not None:
-                check(frame.rays)
+            if windowed(outcome(convolution_frame, a, b)):
+                check(ray_pairs(a, b))
+                for ra in _tail_rays(a):
+                    for rb in _tail_rays(b):
+                        k0, k1 = run_pair(ra, rb)[0][:2]
+                        bounds = [r[1] if r[0] == -math.inf else r[0] for r in (ra, rb)]
+                        assert (k1 if k0 == -math.inf else k0) == sum(bounds), (ra, rb)
     assert min(seen.values()) > 50, seen
 
 
@@ -157,8 +207,8 @@ def test_a_minus_inf_point_inside_a_family():
         b = rand_seqspec(r, minf=0)
         for x, y in ((a, b), (b, a)):
             frame = assert_convolution(x, y)
-            if hasattr(frame, "rays") and frame.rays is not None:
-                minf_tails += MINUS_INF in (frame.left.limit(True), frame.right.limit(False))
+            if windowed(frame):
+                minf_tails += MINUS_INF in (frame[2].limit(True), frame[3].limit(False))
     assert minf_tails > 200
 
 
@@ -177,7 +227,7 @@ def test_a_long_window_against_a_steep_left_tail():
             b = SeqSpec.from_window({0: ExtInt(r.randint(0, 9))}, steep, ConstTail(ExtInt(2)))
             offsets = [v.n - steep.slope * i for i, v in a.window_items()]
             assert all(x < y for x, y in zip(offsets, offsets[1:]))
-            assert isinstance(assert_convolution(a, b), seqspec_module.Frame)
+            assert not isinstance(assert_convolution(a, b)[0], str)
 
 
 def test_opposite_rays_of_equal_slope_meet_at_their_bounds():
@@ -189,11 +239,12 @@ def test_opposite_rays_of_equal_slope_meet_at_their_bounds():
     a = SeqSpec.from_window({5000: ExtInt(0)}, zero, zero)
     b = SeqSpec.from_window({7000: ExtInt(0)}, zero, zero)
     conv, frame = minplus_convolve(a, b), convolution_frame(a, b)
-    for got in (conv, frame):
-        assert 11997 <= got.window_lo <= got.window_hi <= 12003
+    for lo, hi, _, _ in (frame_of(conv), frame):
+        assert 11997 <= lo <= hi <= 12003
     assert conv.canonical() == SeqSpec.constant(0)
-    line = [(-math.inf, 12000, 0, 0), (12000, math.inf, 0, 0)]
-    assert _pair_ray_ray(_tail_rays(a)[0], _tail_rays(b)[1]) == (line, False)
+    line = [(-math.inf, 12000, 0, 0), (12001, math.inf, 0, 0)]
+    assert run_pair(_tail_rays(a)[0], _tail_rays(b)[1]) == line
+    assert run_pair(_tail_rays(b)[1], _tail_rays(a)[0]) == line
 
 
 def test_opposite_tails_of_equal_slope_against_the_oracle():
@@ -241,7 +292,7 @@ def test_tail_guard_is_shared(monkeypatch):
     for a, b in seeded_pairs(341, 200):
         got = outcome(convolution_frame, a, b)
         assert frame_of(got) == frame_of(outcome(minplus_convolve, a, b))
-        raised += not hasattr(got, "window_lo")
+        raised += isinstance(got[0], str)
     assert raised > 20
 
 
@@ -253,10 +304,9 @@ def test_mixed_product_frames_need_no_check():
     affine = 0
     for _ in range(300):
         x, y = rand_pair(r, "mixed")
-        frame = convolution_frame(x.bound_seq(), y.bound_seq())
-        left = frame.left
+        _, _, left, right = convolution_frame(x.bound_seq(), y.bound_seq())
         assert left == ConstTail(PLUS_INF) or (isinstance(left, AffineTail) and left.slope <= -1)
-        assert isinstance(frame.right, ConstTail)
+        assert isinstance(right, ConstTail)
         affine += isinstance(left, AffineTail)
     assert affine > 50
 
