@@ -279,18 +279,14 @@ class PAdic(Frozen):
     def from_int(
         n: int, prime: int, rel_precision: int = DEFAULT_RELATIVE_PRECISION
     ) -> "PAdic":
-        _check_prime(prime)  # before _vp, which never returns for prime 1
-        check_precision(rel_precision)
-        if n == 0:
-            return PAdic.zero(prime)
-        v = _vp(n, prime)
-        return PAdic.make(prime, 0, n, v + rel_precision)
+        return PAdic.from_fraction(n, prime, rel_precision)
 
     @staticmethod
     def from_fraction(
-        q: Fraction, prime: int, rel_precision: int = DEFAULT_RELATIVE_PRECISION
+        q: Fraction | int, prime: int, rel_precision: int = DEFAULT_RELATIVE_PRECISION
     ) -> "PAdic":
-        _check_prime(prime)
+        """``q`` at relative precision ``rel_precision``: a ``Fraction`` or an ``int``."""
+        _check_prime(prime)  # before _vp, which never returns for prime 1
         check_precision(rel_precision)
         if q == 0:
             return PAdic.zero(prime)

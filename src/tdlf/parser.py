@@ -267,8 +267,7 @@ def parse_series(
         if field == "mixed":
             raise ParseError("O(t^N) marks a Laurent series, not a mixed one")
         kept = {i: c for i, c in coeffs.items() if i < mark[1]}
-        order = min(kept, default=0)
-        return EqualCharSeries.from_coeffs(prime, kept, order=order, trunc=mark[1])
+        return EqualCharSeries.from_coeffs(prime, kept, trunc=mark[1])
     if mark is not None:
         if field == "equal":
             raise ParseError("tail(...) marks a mixed series, not a Laurent one")

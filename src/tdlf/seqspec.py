@@ -91,8 +91,8 @@ class ExtInt:
         # finite values equal their int, so they must hash like it
         return hash(self._n) if self._sign == 0 else hash((self._sign, 0))
 
-    # (sign, n) orders like the extended integers, as infinities have n = 0;
-    # an int operand is compared as (0, n) without building an ExtInt
+    # (sign, n) orders like the extended integers (infinities have n = 0), an int
+    # as (0, n); the order is total, so > and >= are the complements of <= and <
     def __lt__(self, other: Union["ExtInt", int]) -> bool:
         if type(other) is int:
             return self._sign < 0 or (self._sign == 0 and self._n < other)
@@ -106,16 +106,10 @@ class ExtInt:
         return self._sign < o._sign or (self._sign == o._sign and self._n <= o._n)
 
     def __gt__(self, other: Union["ExtInt", int]) -> bool:
-        if type(other) is int:
-            return self._sign > 0 or (self._sign == 0 and self._n > other)
-        o = other if isinstance(other, ExtInt) else ExtInt(other)  # raises TypeError
-        return self._sign > o._sign or (self._sign == o._sign and self._n > o._n)
+        return not self.__le__(other)
 
     def __ge__(self, other: Union["ExtInt", int]) -> bool:
-        if type(other) is int:
-            return self._sign > 0 or (self._sign == 0 and self._n >= other)
-        o = other if isinstance(other, ExtInt) else ExtInt(other)  # raises TypeError
-        return self._sign > o._sign or (self._sign == o._sign and self._n >= o._n)
+        return not self.__lt__(other)
 
     def __add__(self, other: Union["ExtInt", int]) -> "ExtInt":
         other = ExtInt.of(other)
@@ -314,7 +308,7 @@ def _tail(slope: int | None, offset: int) -> Tail:
 #
 # Operations read and build *fragments* in the same encoding: contiguous
 # runs ``[x, y]`` that need not be maximal.  Pieces are fragments, so a
-# reader of the whole window iterates ``pieces`` as they are, ``_spans``
+# reader of the whole window iterates ``pieces`` as they are, ``spans``
 # clips them to any other range and adds the tails outside the window, and
 # ``_normalize`` merges fragments back into pieces.
 #
@@ -464,7 +458,7 @@ class SeqSpec(Frozen):
         the pieces of ``fill``, not the window length."""
         if isinstance(fill, SeqSpec):
             def gap(x: int, y: int) -> list[tuple]:
-                return _spans(fill, x, y)
+                return fill.spans(x, y)
         else:
             form = _point_form(ExtInt.of(fill))
 
@@ -515,12 +509,35 @@ class SeqSpec(Frozen):
         included: the value is ``slope*i + offset`` on ``x <= i <= y``, and
         slope None marks ``+inf`` (offset 1) or ``-inf`` (offset -1).
         Empty when ``lo > hi``; ``pieces`` itself on the window."""
-        return _spans(self, lo, hi)
+        wlo, whi, ps = self.window_lo, self.window_hi, self.pieces
+        if lo == wlo and hi == whi:
+            return ps
+        if lo > hi:
+            return []
+        out = []
+        if lo < wlo:
+            out.append((lo, min(hi, wlo - 1), *_form(self.left)))
+        x, y = max(lo, wlo), min(hi, whi)
+        if x == wlo and y == whi:
+            out += ps
+        elif x <= y:
+            i = bisect_right(ps, x, key=_START) - 1
+            j = bisect_right(ps, y, i, key=_START) - 1  # the pieces met are i..j
+            first, last = ps[i], ps[j]
+            if i == j:
+                out.append((x, y, first[2], first[3]))
+            else:
+                out.append((x, first[1], first[2], first[3]))
+                out += ps[i + 1 : j]
+                out.append((last[0], y, last[2], last[3]))
+        if hi > whi:
+            out.append((max(lo, whi + 1), hi, *_form(self.right)))
+        return out
 
     def first_at_most(self, bound: int, lo: int, hi: int) -> int | None:
         """The least ``i`` in ``[lo, hi]`` with value at most ``bound``,
         None if there is none: one step per run."""
-        for x, y, slope, offset in _spans(self, lo, hi):
+        for x, y, slope, offset in self.spans(lo, hi):
             if slope is None:
                 if offset < 0:
                     return x
@@ -567,7 +584,7 @@ class SeqSpec(Frozen):
         lform, rform = _form(self.left), _form(self.right)
         left, right = _tail(*lform), _tail(*rform)
         # two indices of each tail: where the other tail leaves this one's form
-        spans = _spans(self, self.window_lo - 2, self.window_hi + 2)
+        spans = self.spans(self.window_lo - 2, self.window_hi + 2)
         lo_star = _departure(spans, lform, 1)
         hi_star = _departure(reversed(spans), rform, -1)
         if lo_star is None or hi_star is None:
@@ -577,7 +594,7 @@ class SeqSpec(Frozen):
             point = hi_star + 1
             piece = (point, point, *_point_form(self.value_at(point)))
             return SeqSpec._make(point, point, (piece,), left, right)
-        pieces = _normalize(_spans(self, lo_star, hi_star))
+        pieces = _normalize(self.spans(lo_star, hi_star))
         return SeqSpec._make(lo_star, hi_star, pieces, left, right)
 
     # -- JSON ----------------------------------------------------------------
@@ -675,40 +692,10 @@ def _departure(frags: Iterable[tuple], form: tuple, step: int) -> int | None:
     return None
 
 
-def _spans(s: SeqSpec, lo: int, hi: int) -> Sequence[tuple]:
-    """Fragments of ``s`` on ``[lo, hi]``, tails included: ``s.pieces``
-    itself when the range is the window, else the pieces it meets, the
-    first and the last clipped to it."""
-    wlo, whi, ps = s.window_lo, s.window_hi, s.pieces
-    if lo == wlo and hi == whi:
-        return ps
-    if lo > hi:
-        return []
-    out = []
-    if lo < wlo:
-        out.append((lo, min(hi, wlo - 1), *_form(s.left)))
-    x, y = max(lo, wlo), min(hi, whi)
-    if x == wlo and y == whi:
-        out += ps
-    elif x <= y:
-        i = bisect_right(ps, x, key=_START) - 1
-        j = bisect_right(ps, y, i, key=_START) - 1  # the pieces met are i..j
-        first, last = ps[i], ps[j]
-        if i == j:
-            out.append((x, y, first[2], first[3]))
-        else:
-            out.append((x, first[1], first[2], first[3]))
-            out += ps[i + 1 : j]
-            out.append((last[0], y, last[2], last[3]))
-    if hi > whi:
-        out.append((max(lo, whi + 1), hi, *_form(s.right)))
-    return out
-
-
 def _overlay(a: SeqSpec, b: SeqSpec, lo: int, hi: int) -> Iterator[tuple]:
     """``(x, y, sa, oa, sb, ob)``: runs of ``[lo, hi]`` on which both ``a``
     and ``b`` keep one form."""
-    fa, fb = _spans(a, lo, hi), _spans(b, lo, hi)
+    fa, fb = a.spans(lo, hi), b.spans(lo, hi)
     i = j = 0
     x = lo
     while x <= hi:
@@ -1025,8 +1012,7 @@ def _envelope(terms: list[tuple], lo: int, hi: int) -> list[tuple]:
         while t < n:
             k0, k1, s, o = terms[t]
             if k0 > x:
-                if k0 <= y:
-                    y = k0 - 1
+                y = k0 - 1  # k0 <= hi = y, as the terms past hi were dropped
                 break
             heappush(heaps.setdefault(s, []), (o, k1))
             heappush(ends, k1)

@@ -87,6 +87,8 @@ class LeftValBound(Frozen):
     __slots__ = _fields = ("slope", "base")
 
     def __init__(self, slope: int, base: int):
+        if type(slope) is not int or type(base) is not int:  # also refuses bool
+            raise TypeError(f"left tail bound needs ints, got {slope!r}, {base!r}")
         if slope < 1:
             raise ValueError("left tail bound needs slope >= 1")
         object.__setattr__(self, "slope", slope)
@@ -102,6 +104,8 @@ class RightValBound(Frozen):
     __slots__ = _fields = ("floor",)
 
     def __init__(self, floor: int):
+        if type(floor) is not int:  # also refuses bool
+            raise TypeError(f"right tail bound needs an int, got {floor!r}")
         object.__setattr__(self, "floor", floor)
 
     def to_json(self) -> dict:
@@ -1180,18 +1184,10 @@ def rank2_mixed(x: MixedSeries) -> tuple[ExtInt, ExtInt]:
         raise ZeroElement("rank-two valuation of zero is undefined")
     if not v1res.exact:
         raise PrecisionExhausted("first component is only a lower bound")
-    v1, g = v1res.value, x.g
-    if g.value_at(g.window_lo - 1) <= v1:
-        raise PrecisionExhausted("left tail could hide the leading index")
-    witness = next((i for i, c in x.stored if c.val == v1), None)
-    hidden = g.first_at_most(v1.n, g.window_lo, g.window_hi if witness is None else witness)
-    if hidden is not None:
-        raise PrecisionExhausted(
-            f"coefficient {hidden} is only known modulo p^{g.value_at(hidden)}"
-        )
-    if witness is None:
-        raise PrecisionExhausted("no certified witness for the second component")
-    return v1, ExtInt(witness)
+    # exact: v1 is below g on [lo - 1, hi + 1], where a mixed g (never -inf) is least,
+    # so no bound of g reaches v1 and a stored coefficient attains it
+    v1 = v1res.value
+    return v1, ExtInt(next(i for i, c in x.stored if c.val == v1))
 
 
 def rank2_equal(x: EqualCharSeries) -> tuple[ExtInt, ExtInt]:

@@ -87,16 +87,8 @@ class Classification(Frozen):
             object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
-        out = {
-            "open_lattice": self.open_lattice,
-            "bounded": self.bounded,
-            "compactoid": self.compactoid,
-        }
-        for key in ("complete", "c_compact", "closed"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        # the computed flags are never None; the literature ones are None off named modules
+        return {f: v for f, v in zip(self._fields, self._astuple()) if v is not None}
 
 
 class Membership:

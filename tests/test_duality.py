@@ -340,3 +340,8 @@ class TestBVersusCTopologyWitness:
             assert membership(named("O{{t}}"), unit_vector) == Membership.IN
             assert pairing(functional, unit_vector).abs_exponent().exponent == 0
             assert c - k_j < 0
+
+
+def test_functional_from_values_refuses_a_right_tail_without_a_floor():
+    with pytest.raises(NonConvergentValues, match="right tail must certify a floor"):
+        functional_from_values("mixed", P, {0: ONE}, right=LeftValBound(1, 0))

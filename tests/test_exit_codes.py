@@ -81,3 +81,9 @@ def test_a_failing_target_names_the_first_index_of_either_kind(capsys, cap):
     argv = ["eval", "--series", f"1 + p^-5*t{cap}", "--times", f"1 + p^-5*t^10{cap}",
             "--target", "30"]
     assert run(capsys, argv) == (3, "", "error: coefficient 1 certified only modulo p^27\n")
+
+
+def test_malformed_json_exits_2_with_its_position(capsys):
+    code, out, err = run(capsys, ["eval", "--series", "{bad"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: ") and err.endswith(" (line 1, column 1)\n"), err

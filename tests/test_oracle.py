@@ -164,3 +164,9 @@ except PrecisionExhausted as exc:
         m = named("O{{t}}")
         elems = sample_elements(m, SampleConfig(seed=0, count=3, window=(-10, 10)), P)
         assert len(elems) == 3
+
+
+def test_brute_minplus_takes_an_edge_term_below_the_window():
+    # both tails are 0 and the window holds 10: the pairs beyond the window win
+    a = SeqSpec.from_window({0: 10}, ConstTail(ExtInt(0)), ConstTail(ExtInt(0)))
+    assert brute_minplus(a, a, 0, (0, 0)) == 0

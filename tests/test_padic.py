@@ -486,3 +486,12 @@ def test_slot_setters_keep_the_frozen_contract():
         for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
             assert type(b) is PAdic and b == a and hash(b) == hash(a)
             assert [getattr(b, f) for f in PAdic._fields] == [getattr(a, f) for f in PAdic._fields]
+
+
+def test_a_product_of_two_primes_is_refused():
+    with pytest.raises(IncompatiblePrimes, match="^5 vs 7$"):
+        PAdic.one(5) * PAdic.one(7)
+
+
+def test_the_exact_zero_prints_its_prime():
+    assert repr(PAdic.zero(5)) == "0 (p=5)"

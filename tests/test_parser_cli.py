@@ -448,3 +448,25 @@ class TestJsonIntegers:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_dividing_by_t_is_refused():
+    with pytest.raises(ParseError, match="cannot divide by t"):
+        parse_series("2/t", PRIME)
+
+
+def test_a_tail_mark_is_refused_for_a_laurent_series():
+    with pytest.raises(ParseError, match="tail\\(\\.\\.\\.\\) marks a mixed series"):
+        parse_series("1 + tail(v>=0)", PRIME, field="equal")
+
+
+def test_render_refuses_a_zero_within_precision_coefficient():
+    x = MixedSeries.from_coeffs(PRIME, {0: PAdic.zero_mod(PRIME, 2), 1: PAdic.one(PRIME)})
+    with pytest.raises(ValueError, match="zero-within-precision"):
+        render_series(x)
+
+
+def test_render_marks_a_truncated_laurent_series():
+    x = EqualCharSeries.from_coeffs(PRIME, {0: PAdic.one(PRIME), 2: PAdic.one(PRIME)}, trunc=5)
+    assert render_series(x) == "1 + t^2 + O(t^5)"
+    assert parse_series(render_series(x), PRIME) == x

@@ -4,6 +4,7 @@ from tdlf import (
     BallResult,
     EqualCharSeries,
     ExtInt,
+    KindMismatch,
     MINUS_INF,
     PLUS_INF,
     MixedSeries,
@@ -16,7 +17,9 @@ from tdlf import (
     brute_seminorm,
     closed_ball_test,
     eval_exponent,
+    is_admissible_seq,
     membership,
+    parse_series,
     scale,
     tail_remainder,
     validate,
@@ -269,3 +272,26 @@ class TestPartialSumConvergence:
                 assert far.exponent <= -20 or far.exponent == MINUS_INF
             else:
                 assert far.exponent == MINUS_INF
+
+
+def test_an_unknown_field_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown field kind 'bogus'"):
+        is_admissible_seq(SeqSpec.constant(0), "bogus")
+
+
+def test_eval_exponent_refuses_the_other_series_kind():
+    equal = SeminormSpec(SeqSpec.from_window({0: 0}, AffineTail(-1, 0), ConstTail(MINUS_INF)), "equal")
+    mixed = SeminormSpec(SeqSpec.from_window({0: 0}, ConstTail(ExtInt(0)), AffineTail(-1, 0)), "mixed")
+    with pytest.raises(KindMismatch, match="needs a Laurent series"):
+        eval_exponent(equal, MixedSeries.zero(P))
+    with pytest.raises(KindMismatch, match="needs a doubly infinite series"):
+        eval_exponent(mixed, EqualCharSeries.zero(P))
+
+
+def test_a_ball_test_past_the_truncation_is_unknown():
+    # 1 + O(t^0) keeps nothing, and the weights reach index 0
+    spec = SeminormSpec(SeqSpec.from_window({0: 0}, AffineTail(-1, 0), ConstTail(MINUS_INF)), "equal")
+    x = parse_series("1 + O(t^0)", P)
+    with pytest.raises(PrecisionExhausted):
+        eval_exponent(spec, x)
+    assert closed_ball_test(spec, x, 0) == BallResult.UNKNOWN

@@ -234,3 +234,20 @@ class TestExtIntInput:
             with pytest.raises(TypeError, match="ExtInt needs an int"):
                 ExtInt(bad)
         assert ExtInt(1) == 1 and ExtInt(-(10**30)).n == -(10**30)
+
+
+def test_an_infinity_has_no_integer_value():
+    with pytest.raises(ValueError, match="infinite ExtInt has no integer value"):
+        PLUS_INF.n
+
+
+def test_values_read_from_the_end():
+    s = SeqSpec(3, [1, 2, 7], ConstTail(ExtInt(0)), ConstTail(ExtInt(0)))
+    assert (s.values[-1], s.values[-3]) == (7, 1)
+    with pytest.raises(IndexError):
+        s.values[-4]
+
+
+def test_an_empty_window_is_refused():
+    with pytest.raises(ValueError, match="at least one value"):
+        SeqSpec(0, [], ConstTail(ExtInt(0)), ConstTail(ExtInt(0)))

@@ -27,6 +27,7 @@ from tdlf import (
 from tdlf.seqspec import AffineTail, ConstTail
 from helpers import (
     PRIME,
+    rand_coeff,
     rand_equal_series,
     rand_mixed_series,
     rng,
@@ -277,6 +278,56 @@ class TestValuations:
         with pytest.raises(PrecisionExhausted):
             rank2_mixed(fuzzy)
 
+    def test_rank2_mixed_against_vF_and_coefficients(self):
+        # windows with stored and zero-within-precision coefficients, either
+        # tail kind on each side, and their sums, products and partial sums
+        r = rng(2048)
+
+        def window_series():
+            lo, hi = r.randint(-6, 0), r.randint(0, 6)
+            coeffs = {}
+            for i in range(lo, hi + 1):
+                kind = r.below(4)
+                if kind == 0:
+                    coeffs[i] = rand_coeff(r, P, -3, 3)
+                elif kind == 1:
+                    coeffs[i] = PAdic.zero_mod(P, r.randint(-3, 4))
+            left = LeftValBound(r.randint(1, 3), r.randint(-4, 4)) if r.below(2) else ZeroTail()
+            right = RightValBound(r.randint(-4, 4)) if r.below(2) else ZeroTail()
+            return MixedSeries.from_coeffs(P, coeffs, left=left, right=right, lo=lo, hi=hi)
+
+        def derived():
+            x = window_series()
+            kind = r.below(4)
+            if kind == 1:
+                return add(x, window_series())
+            if kind == 2:
+                return mul(x, window_series())
+            if kind == 3:
+                return partial_sum(x, r.randint(-8, 8))
+            return x
+
+        seen = {"zero": 0, "inexact": 0, "exact": 0}
+        for _ in range(2000):
+            x = derived()
+            v = vF_exponent(x)
+            if v.value == PLUS_INF:
+                with pytest.raises(ZeroElement):
+                    rank2_mixed(x)
+                seen["zero"] += 1
+            elif not v.exact:
+                with pytest.raises(PrecisionExhausted):
+                    rank2_mixed(x)
+                seen["inexact"] += 1
+            else:
+                v1, i = rank2_mixed(x)
+                assert v1 == v.value, x
+                c = x.coeff(i.n)
+                assert c.val == v1 and not c.is_zero_within_precision, x
+                assert all(x.coeff(j).val > v1 for j in range(x.lo - 3, i.n)), x
+                seen["exact"] += 1
+        assert min(seen.values()) >= 50, seen
+
     def test_rank2_equal_examples(self):
         x = EqualCharSeries.from_coeffs(P, {-2: PAdic.pi_power(P, 3), 1: ONE})
         assert rank2_equal(x) == (ExtInt(-2), ExtInt(3))
@@ -301,3 +352,24 @@ class TestJson:
             assert series_from_json(x.to_json()) == x
             y = rand_equal_series(r)
             assert series_from_json(y.to_json()) == y
+
+
+def test_from_coeffs_refuses_a_coefficient_of_another_prime():
+    with pytest.raises(IncompatiblePrimes, match="coefficient prime 7 != 5"):
+        MixedSeries.from_coeffs(5, {0: PAdic.one(7)})
+
+
+def test_from_coeffs_drops_an_exact_zero():
+    x = MixedSeries.from_coeffs(P, {0: PAdic.zero(P), 1: ONE})
+    assert x == MixedSeries.monomial(P, 1, ONE)
+    assert x.coeff(0).is_exact_zero
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_tail_bounds_refuse_fields_that_are_not_ints(bad):
+    with pytest.raises(TypeError, match="left tail bound needs ints"):
+        LeftValBound(bad, 0)
+    with pytest.raises(TypeError, match="left tail bound needs ints"):
+        LeftValBound(1, bad)
+    with pytest.raises(TypeError, match="right tail bound needs an int"):
+        RightValBound(bad)

@@ -4,6 +4,7 @@ from tdlf import (
     Classification,
     EqualCharSeries,
     ExtInt,
+    KindMismatch,
     MINUS_INF,
     Membership,
     MixedSeries,
@@ -358,3 +359,10 @@ class TestNamedTable:
         # the table is cached: repeated lookups return the very same objects
         assert named("p{{t}}") is named("p{{t}}")
         assert literature_classification("K[[t]]") is literature_classification("K[[t]]")
+
+
+def test_membership_refuses_an_element_of_the_other_field():
+    with pytest.raises(KindMismatch, match="kinds differ"):
+        membership(named("O{{t}}"), EqualCharSeries.zero(P))
+    with pytest.raises(KindMismatch, match="kinds differ"):
+        membership(named("K[[t]]"), MixedSeries.zero(P))
