@@ -93,10 +93,7 @@ def functional_from_values(
         raise NonConvergentValues("left tail must certify decay")
     if not isinstance(right, (ZeroTail, RightValBound)):
         raise NonConvergentValues("right tail must certify a floor")
-    try:
-        return MixedSeries.from_coeffs(prime, values, left=left, right=right)
-    except ValueError as exc:
-        raise NonConvergentValues(str(exc)) from exc
+    return MixedSeries.from_coeffs(prime, values, left=left, right=right)
 
 
 def pseudo_polar(m: SubmoduleSpec) -> SubmoduleSpec:

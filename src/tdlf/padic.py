@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import IncompatiblePrimes, ParseError
-from .seqspec import MINUS_INF, PLUS_INF, ExtInt, Frozen, json_int, json_parse
+from .seqspec import PLUS_INF, ExtInt, Frozen, json_int, json_parse
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -381,8 +381,6 @@ class PAdic(Frozen):
     def abs_exponent(self) -> ExponentResult:
         """Exponent e with |x| = q^e, so e = -val; an upper bound when the
         element is only known to vanish modulo ``p^precision``."""
-        if self.is_exact_zero:
-            return ExponentResult(MINUS_INF, True)
         return ExponentResult(-self.val, self.valuation_exact)
 
     # -- serialisation -----------------------------------------------------------

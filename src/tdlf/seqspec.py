@@ -587,13 +587,10 @@ class SeqSpec(Frozen):
         spans = self.spans(self.window_lo - 2, self.window_hi + 2)
         lo_star = _departure(spans, lform, 1)
         hi_star = _departure(reversed(spans), rform, -1)
-        if lo_star is None or hi_star is None:
-            # the map is a single tail form everywhere
-            return SeqSpec._make(0, 0, ((0, 0, *_point_form(left.at(0))),), left, left)
-        if lo_star > hi_star:
-            point = hi_star + 1
-            piece = (point, point, *_point_form(self.value_at(point)))
-            return SeqSpec._make(point, point, (piece,), left, right)
+        if lo_star is None:  # the map is lform everywhere, so rform is lform
+            lo_star = hi_star = 0
+        elif lo_star > hi_star:  # the tails meet
+            lo_star = hi_star = hi_star + 1
         pieces = _normalize(self.spans(lo_star, hi_star))
         return SeqSpec._make(lo_star, hi_star, pieces, left, right)
 

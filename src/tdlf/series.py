@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import (
     IncompatiblePrimes,
@@ -177,7 +177,7 @@ class _Series(Frozen):
     """The base of both series kinds: ``prime``, ``stored`` and ``g`` (see
     the module docstring), which are its value, and the ring operators.  A
     subclass's ``__init__`` turns its constructor arguments into ``g``; its
-    ``_view`` names them, the derived views its ``repr`` prints."""
+    ``_view`` names them, the views ``to_json`` writes; ``repr`` prints the fields."""
 
     __slots__ = ("prime", "stored", "g", "_map_cache", "_bounds_cache")
     _fields = ("prime", "stored", "g")
@@ -194,10 +194,6 @@ class _Series(Frozen):
         set_(self, "prime", prime)
         set_(self, "stored", stored)
         set_(self, "g", g)
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._view)
-        return f"{type(self).__qualname__}({args})"
 
     @property
     def _map(self) -> dict[int, PAdic]:
@@ -523,15 +519,12 @@ def add(x: Series, y: Series) -> Series:
     lo, hi = min(gx.window_lo, gy.window_lo), max(gx.window_hi, gy.window_hi)
     total = {}
     for a, b in ((x, y), (y, x)):
-        stored_b = b._map
         for i, c in a.stored:
-            if i in total:
-                continue
-            other = stored_b.get(i)
-            if other is not None:  # g is +inf where b stores a coefficient
-                total[i] = c + other
-            elif b.g.value_at(i) != MINUS_INF:
-                total[i] = c + b.coeff(i)
+            if i not in total:
+                try:
+                    total[i] = c + b.coeff(i)
+                except PrecisionExhausted:  # past b's truncation the sum is unknown
+                    pass
     items = sorted(total.items())
     stored = tuple((i, c) for i, c in items if c.unit)
     points = [(i, PLUS_INF if c.unit else c.val) for i, c in items]
@@ -568,7 +561,7 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
 
     Each output coefficient is the exact sum over the pairs of stored
     coefficients plus a zero-within-precision remainder whose bound covers
-    every pair with a factor that is not stored (``_TailBound``); the
+    every pair with a factor that is not stored (``_remainder``); the
     coefficient precision reports exactly what is certified.  Only indices
     with a stored pair get a coefficient: every other index of the product
     window takes the remainder into ``g``, so the product costs its stored
@@ -604,7 +597,7 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
         flo, fhi, left, right = convolution_frame(x.bound_seq(), y.bound_seq())
         lo = min(gx.window_lo + gy.window_lo, flo)
         hi = max(gx.window_hi + gy.window_hi, fhi)
-    rem = _TailBound(x, y).over(lo, hi)
+    rem = SeqSpec.from_terms(lo, hi, _remainder(x, y, lo, hi), PLUS_TAIL, PLUS_TAIL)
     first = None if target_precision is None else rem.first_at_most(target_precision - 1, lo, hi)
     precs = _pair_precisions(xs, ys, rem, cut if first is None else first + 1)
     if target_precision is not None:
@@ -642,7 +635,7 @@ def product_coeff(x: Series, y: Series, k: int) -> PAdic:
             return PAdic.zero(p)
         if ExtInt(k) >= trunc:
             raise PrecisionExhausted(f"coefficient {k} is beyond the truncation")
-    rem = _TailBound(x, y).value_at(k)
+    rem = min((s * k + o for k0, k1, s, o in _remainder(x, y, k, k) if k0 <= k <= k1), default=math.inf)
     xs, ys = _units(x), _units(y)
     return _coefficient(p, ((a, ys[k - i]) for i, a in xs.items() if k - i in ys), rem)
 
@@ -654,13 +647,18 @@ def _equal_frame(x: EqualCharSeries, y: EqualCharSeries) -> tuple[int, ExtInt]:
     return x.order + y.order, min(x.order + y.trunc, y.order + x.trunc)
 
 
-class _TailBound(NamedTuple):
-    """The remainder of any product: at each index ``k``, the least ``g_A(i)
-    + w_B(j)``, ``i + j = k``, over the pairs in which a factor ``A`` is not
-    stored at ``i`` (it lies in a bound tail or is zero within precision),
-    ``w_B`` being the valuation bounds (``bound_seq``) of the other factor
-    ``B``.  Only finite values of ``g_A`` count: the ``-inf`` of a Laurent
-    truncation is left to ``_equal_frame``.
+def _remainder(x: Series, y: Series, lo: int, hi: int) -> list[tuple]:
+    """The remainder of any product on ``lo .. hi``, as affine terms ``(k0,
+    k1, slope, offset)`` whose least value at each index is the remainder
+    there, ``+inf`` where none covers it: O(runs) of them, none for a factor
+    ``A`` with no finite value in ``g``.
+
+    The remainder at ``k`` is the least ``g_A(i) + w_B(j)``, ``i + j = k``,
+    over the pairs in which a factor ``A`` is not stored at ``i`` (it lies in
+    a bound tail or is zero within precision), ``w_B`` being the valuation
+    bounds (``bound_seq``) of the other factor ``B``.  Only finite values of
+    ``g_A`` count: the ``-inf`` of a Laurent truncation is left to
+    ``_equal_frame``.
 
     For each ordered pair of factors ``(A, B)``, read ``w_B`` as its runs
     from ``B.lo - 1`` to ``B.hi + 1``: its window and each bound tail at
@@ -679,46 +677,29 @@ class _TailBound(NamedTuple):
     k``, so its least value sits at an end of the feasible ``i`` and gives
     two affine terms.  The remainder is the least of all these terms.
     """
-
-    x: Series
-    y: Series
-
-    def value_at(self, k: int) -> ExtInt:
-        v = min((s * k + o for k0, k1, s, o in self.terms(k, k) if k0 <= k <= k1), default=None)
-        return PLUS_INF if v is None else ExtInt(v)
-
-    def over(self, lo: int, hi: int) -> SeqSpec:
-        """The remainder on ``lo .. hi`` (``+inf`` for none) as a sequence
-        on that window."""
-        return SeqSpec.from_terms(lo, hi, self.terms(lo, hi), PLUS_TAIL, PLUS_TAIL)
-
-    def terms(self, lo: int, hi: int) -> list[tuple]:
-        """Affine terms ``(k0, k1, slope, offset)`` whose least value at
-        each index of ``lo .. hi`` is the remainder there: O(runs) of them,
-        none for a factor ``A`` with no finite value in ``g``."""
-        terms: list[tuple] = []
-        for a, b in (self, self[::-1]):
-            ga = a.g
-            window, floor = _finite(ga.pieces), ga.right.value
-            if not (window or floor.is_finite or isinstance(ga.left, AffineTail)):
-                continue
-            w = b.bound_seq()
-            runs = _finite(w.spans(w.window_lo - 1, w.window_hi + 1))
-            if floor.is_finite:
-                f, d = floor.n, ga.window_hi + 1
-                for start, end, s, o in _running_min(runs, hi - d):
-                    terms.append((start + d, end + d, s, o - s * d + f))
-            if isinstance(ga.left, AffineTail):
-                sa, ca, e = ga.left.slope, ga.left.offset, ga.window_lo - 1
-                # w_j - sa*j at -j, so that its minimum over j >= J is a running one
-                mirrored = ((-y, -x, sa - s, o) for x, y, s, o in reversed(runs))
-                for start, end, s, o in _running_min(mirrored, e - lo):
-                    terms.append((e - end, e - start, sa - s, ca + s * e + o))
-            inner = [r for r in runs if w.window_lo <= r[0] and r[1] <= w.window_hi]
-            for run in window:
-                for other in inner:
-                    terms += run_pair(run, other)
-        return terms
+    terms: list[tuple] = []
+    for a, b in ((x, y), (y, x)):
+        ga = a.g
+        window, floor = _finite(ga.pieces), ga.right.value
+        if not (window or floor.is_finite or isinstance(ga.left, AffineTail)):
+            continue
+        w = b.bound_seq()
+        runs = _finite(w.spans(w.window_lo - 1, w.window_hi + 1))
+        if floor.is_finite:
+            f, d = floor.n, ga.window_hi + 1
+            for start, end, s, o in _running_min(runs, hi - d):
+                terms.append((start + d, end + d, s, o - s * d + f))
+        if isinstance(ga.left, AffineTail):
+            sa, ca, e = ga.left.slope, ga.left.offset, ga.window_lo - 1
+            # w_j - sa*j at -j, so that its minimum over j >= J is a running one
+            mirrored = ((-j1, -j0, sa - s, o) for j0, j1, s, o in reversed(runs))
+            for start, end, s, o in _running_min(mirrored, e - lo):
+                terms.append((e - end, e - start, sa - s, ca + s * e + o))
+        inner = [r for r in runs if w.window_lo <= r[0] and r[1] <= w.window_hi]
+        for run in window:
+            for other in inner:
+                terms += run_pair(run, other)
+    return terms
 
 
 def _running_min(runs, last: int) -> list[tuple[int, int, int, int]]:
@@ -749,7 +730,7 @@ def _running_min(runs, last: int) -> list[tuple[int, int, int, int]]:
 def _units(x: Series) -> dict[int, tuple[int, int, int]]:
     """The coefficients a product multiplies pairwise, as ``i -> (val,
     unit, precision)`` integers in increasing ``i``: the stored ones, of
-    either kind (``_TailBound`` covers the rest)."""
+    either kind (``_remainder`` covers the rest)."""
     return {i: (c.val.n, c.unit, c.precision.n) for i, c in x.stored}
 
 
@@ -861,7 +842,7 @@ def _products(p: int, xs: dict, ys: dict, precs: dict[int, int]) -> dict[int, PA
             for j, b in ys.items():
                 if (g := pairs.get(i + j)) is not None:
                     g.append((a, b))
-        return {k: _coefficient(p, g, ExtInt(precs[k])) for k, g in pairs.items()}
+        return {k: _coefficient(p, g, precs[k]) for k, g in pairs.items()}
     v, sums = _diagonal_sums(p, xs, ys, max(precs.values()))
     return {k: PAdic.make(p, v, sums.get(k, 0), q) for k, q in precs.items()}
 
@@ -1084,12 +1065,12 @@ def _reflected(run: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(-i, a) for i, a in reversed(run)]
 
 
-def _coefficient(p: int, pairs, rem: ExtInt) -> PAdic:
-    """The sum of the products ``x_i * y_j`` in ``pairs`` plus ``O(p^rem)``,
-    computed only to the digits it keeps.
+def _coefficient(p: int, pairs, prec: int | float) -> PAdic:
+    """The sum of the products ``x_i * y_j`` in ``pairs`` plus ``O(p^prec)``,
+    ``prec`` an int or ``math.inf``, computed only to the digits it keeps.
 
-    A first pass over small integers finds the least precision ``prec`` one
-    product certifies and the least ``v = v_i + v_j``; a zero-within-
+    A first pass over small integers lowers ``prec`` to the least precision
+    one product certifies and finds the least ``v = v_i + v_j``; a zero-within-
     precision factor has unit 0 and adds only its precision.  The units are
     then reduced modulo ``p^(prec - v)`` before they are multiplied, and
     their products summed as ``p^v * s``.  ``PAdic.make`` is canonical on
@@ -1097,7 +1078,6 @@ def _coefficient(p: int, pairs, rem: ExtInt) -> PAdic:
     sums.
     """
     pairs = list(pairs)
-    prec = math.inf if rem == PLUS_INF else rem.n
     v = math.inf
     for (vi, _, pi), (vj, _, pj) in pairs:
         prec = min(prec, pi + vj, pj + vi)

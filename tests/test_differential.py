@@ -18,7 +18,7 @@ from tdlf import (
 )
 from tdlf.errors import PrecisionExhausted
 from tdlf.seqspec import AffineTail, ConstTail
-from tdlf.series import _TailBound, product_coeff
+from tdlf.series import _remainder, product_coeff
 from helpers import (
     PRIME,
     rand_equal_series,
@@ -268,9 +268,9 @@ class TestProductKernel:
     def test_tail_bound_matches_the_scan(self):
         # including indices outside the product window, where product_coeff
         # reads the bound directly
-        r = rng(212)
+        r, plus = rng(212), ConstTail(PLUS_INF)
         for _ in range(150):
             x, y = rand_pair(r, "mixed")
-            rem = _TailBound(x, y)
             for k in range(x.lo + y.lo - 12, x.hi + y.hi + 13):
+                rem = SeqSpec.from_terms(k, k, _remainder(x, y, k, k), plus, plus)
                 assert rem.value_at(k) == reference_tail_pairs_bound(x, y, k)

@@ -337,6 +337,14 @@ def test_bad_index_key_through_the_cli(capsys):
     doc = json.dumps(series_doc({"03": COEFF}))
     assert main(["--prime", "5", "eval", "--series", doc]) == 2
     assert capsys.readouterr().err.startswith("error: bad key 'coeffs'")
+    # a well-formed key past a Laurent series' truncation
+    doc = {"kind": "equal", "prime": 5, "order": 0, "trunc": 3, "coeffs": {"5": COEFF}}
+    message = "bad key 'coeffs': coefficient index 5 outside [order, trunc)"
+    with pytest.raises(ParseError) as exc:
+        series_from_json(doc)
+    assert str(exc.value) == message
+    assert main(["--prime", "5", "eval", "--series", json.dumps(doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

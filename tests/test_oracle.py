@@ -31,6 +31,8 @@ class TestSplitMix64:
         g = SplitMix64(42)
         for _ in range(1000):
             assert 0 <= g.below(7) < 7
+        with pytest.raises(ValueError, match="need a positive bound"):
+            SplitMix64(0).below(0)
 
     def test_below_draws_one_word_up_to_two_to_the_64(self):
         # the outputs of the one-word sampler, rejections included

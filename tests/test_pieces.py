@@ -171,8 +171,13 @@ class TestAgainstDenseReference:
             assert_same(shift_add(s, c), reference_shift_add(s, c), s)
 
     def test_canonical(self):
+        # each spec, its pure-tail twin and its twin with the left tail's
+        # values in the window, so that the tails meet or one form is everywhere
         for s in seeded_specs(303, 120):
-            assert_same(s.canonical(), reference_canonical(s), s)
+            window = [s.left.at(i) for i in range(s.window_lo, s.window_hi + 1)]
+            for t in (s, SeqSpec.from_window({}, s.left, s.left),
+                      SeqSpec(s.window_lo, window, s.left, s.right)):
+                assert_same(t.canonical(), reference_canonical(t), t)
 
     def test_comparisons(self):
         for a, b in seeded_pairs(304, 200):

@@ -2,7 +2,7 @@
 along with it: cached prime powers, ``ExtInt`` ordering without
 allocation, and ASCII-only literal digits.
 
-``_TailBound`` must give ``reference_tail_pairs_bound`` at every index, for
+``_remainder`` must give ``reference_tail_pairs_bound`` at every index, for
 every combination of zero and bound tails on the two factors, and products
 and pairings must run no min-plus convolution.
 """
@@ -14,10 +14,12 @@ import pytest
 from tdlf import (
     PLUS_INF,
     MINUS_INF,
+    ConstTail,
     ExtInt,
     MixedSeries,
     ParseError,
     PrecisionExhausted,
+    SeqSpec,
     pairing,
     parse_series,
 )
@@ -25,7 +27,7 @@ from tdlf import seqspec as seqspec_module
 from tdlf import series as series_module
 from tdlf.cli import main
 from tdlf.padic import prime_power
-from tdlf.series import LeftValBound, RightValBound, ZeroTail, _TailBound, mul, product_coeff
+from tdlf.series import LeftValBound, RightValBound, ZeroTail, _remainder, mul, product_coeff
 from helpers import PRIME, rand_coeff, reference_tail_pairs_bound, rng
 
 TAILS = ("zero", "bound")
@@ -40,6 +42,12 @@ def tailed(r, left: str, right: str) -> MixedSeries:
     lt = LeftValBound(r.randint(1, 3), r.randint(-4, 4)) if left == "bound" else ZeroTail()
     rt = RightValBound(r.randint(-4, 4)) if right == "bound" else ZeroTail()
     return MixedSeries.from_coeffs(PRIME, coeffs, left=lt, right=rt, lo=lo, hi=hi)
+
+
+def over(x: MixedSeries, y: MixedSeries, lo: int, hi: int) -> SeqSpec:
+    """The remainder of ``x * y`` on ``lo .. hi``, as ``mul`` reads it."""
+    plus = ConstTail(PLUS_INF)
+    return SeqSpec.from_terms(lo, hi, _remainder(x, y, lo, hi), plus, plus)
 
 
 def tail_pairs(seed: int, per_combination: int):
@@ -58,13 +66,12 @@ class TestRemainder:
         for x, y in tail_pairs(730, 12):
             lo, hi = x.lo + y.lo - 12, x.hi + y.hi + 12
             want = [reference_tail_pairs_bound(x, y, k) for k in range(lo, hi + 1)]
-            bound = _TailBound(x, y)
-            assert list(bound.over(lo, hi).values) == want
+            assert list(over(x, y, lo, hi).values) == want
             a = r.randint(lo, hi)
             b = r.randint(a, hi)
-            assert list(bound.over(a, b).values) == want[a - lo : b - lo + 1]
+            assert list(over(x, y, a, b).values) == want[a - lo : b - lo + 1]
             for k in range(lo, hi + 1):
-                assert bound.value_at(k) == want[k - lo]
+                assert over(x, y, k, k).value_at(k) == want[k - lo]
 
     def test_tail_by_tail_terms_alone(self):
         """With nothing stored, only the closed forms of tail against tail
@@ -78,15 +85,14 @@ class TestRemainder:
         for rx, lx, ry, ly in cases:
             x = MixedSeries.from_coeffs(PRIME, {}, left=lx, right=rx, lo=-2, hi=3)
             y = MixedSeries.from_coeffs(PRIME, {}, left=ly, right=ry, lo=1, hi=1)
-            bound = _TailBound(x, y)
             for k in range(-20, 21):
-                assert bound.value_at(k) == reference_tail_pairs_bound(x, y, k)
+                assert over(x, y, k, k).value_at(k) == reference_tail_pairs_bound(x, y, k)
 
     def test_untailed_factors_leave_no_remainder(self):
         r = rng(732)
         x, y = tailed(r, "zero", "zero"), tailed(r, "zero", "zero")
-        assert list(_TailBound(x, y).over(-30, 30).values) == [PLUS_INF] * 61
-        assert _TailBound(x, y).value_at(0) == PLUS_INF
+        assert list(over(x, y, -30, 30).values) == [PLUS_INF] * 61
+        assert over(x, y, 0, 0).value_at(0) == PLUS_INF
 
 
 def test_products_and_pairings_run_no_convolution(monkeypatch):

@@ -224,6 +224,13 @@ class TestPartialSum:
         c = tail_remainder(y, 1).coeff(2)
         assert str(c) == "O(5^0)" and c == PAdic.zero_mod(P, 0)
 
+    def test_repr_costs_the_pieces_not_the_window(self):
+        from tdlf import tail_remainder
+
+        x = MixedSeries.from_coeffs(P, {0: ONE}, left=LeftValBound(1, 0), right=RightValBound(0))
+        for s in (partial_sum(x, 10**5), tail_remainder(x, -10**5)):
+            assert len(repr(s)) < 1000
+
     def test_tail_remainder_matches_subtraction_on_exact_series(self):
         r = rng(39)
         for _ in range(20):

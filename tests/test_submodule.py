@@ -245,6 +245,8 @@ class TestNamedModules:
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             named("Zp")
+        with pytest.raises(UnknownName):
+            literature_classification("bogus")
 
     def test_integral_mixed_ring_flags(self):
         c = literature_classification("O{{t}}")

@@ -58,12 +58,15 @@ CASES = [
      "ValuationResult(value=7, exact=True)"),
     (EqualCharSeries, dict(prime=5, order=0, coeffs=((0, C),), trunc=ExtInt(3)),
      dict(trunc=PLUS_INF),
-     "EqualCharSeries(prime=5, order=0, coeffs=((0, 7*5^1 + O(5^10)),), trunc=3)"),
+     "EqualCharSeries(prime=5, stored=((0, 7*5^1 + O(5^10)),), g=SeqSpec(window_lo=0, "
+     "window_hi=2, pieces=((0, 2, None, 1),), left=ConstTail(value=+inf), "
+     "right=ConstTail(value=-inf)))"),
     (MixedSeries,
      dict(prime=5, lo=0, hi=1, coeffs=((0, C),), left=ZeroTail(), right=RightValBound(2)),
      dict(hi=2),
-     "MixedSeries(prime=5, lo=0, hi=1, coeffs=((0, 7*5^1 + O(5^10)),), left=ZeroTail(), "
-     "right=RightValBound(floor=2))"),
+     "MixedSeries(prime=5, stored=((0, 7*5^1 + O(5^10)),), g=SeqSpec(window_lo=0, "
+     "window_hi=1, pieces=((0, 1, None, 1),), left=ConstTail(value=+inf), "
+     "right=ConstTail(value=2)))"),
     (SubmoduleSpec, dict(seq=SEQ, field_kind="mixed"), dict(field_kind="equal"),
      f"SubmoduleSpec(seq={SEQ_REPR}, field_kind='mixed')"),
     (Classification, dict(open_lattice=True, bounded=True, compactoid=False), dict(closed=True),
