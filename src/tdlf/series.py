@@ -34,7 +34,8 @@ from .errors import (
     PrecisionExhausted,
     ZeroElement,
 )
-from .padic import PAdic, check_prime, prime_power
+from . import _gmp
+from .padic import _GMP_MUL_BITS, PAdic, _wide_product, check_prime, prime_power
 from .seqspec import (
     MINUS_INF,
     PLUS_INF,
@@ -152,12 +153,18 @@ def _index_field(obj: Mapping, key: str) -> int:
     return check_index(json_parse(obj, key, json_int), f"bad key {key!r}: index")
 
 
-def _split(prime: int, coeffs) -> tuple[tuple[tuple[int, PAdic], ...], list[tuple[int, ExtInt]]]:
-    """The stored coefficients of ``(index, PAdic)`` pairs, in index order,
-    and the ``(index, precision)`` of the zero-within-precision ones; exact
-    zeros drop."""
+def _split(prime: int, coeffs: Mapping) -> tuple[tuple[tuple[int, PAdic], ...], list[tuple[int, ExtInt]]]:
+    """The stored coefficients of a mapping of index to ``PAdic``, in index
+    order, and the ``(index, precision)`` of the zero-within-precision ones;
+    exact zeros drop.  TypeError for anything but a mapping, and names an
+    index that is not an ``int`` (``bool`` included)."""
+    if not isinstance(coeffs, Mapping):
+        raise TypeError(f"coefficients need a mapping, got {type(coeffs).__name__}")
+    for i in coeffs:
+        if type(i) is not int:
+            raise TypeError(f"coefficient index needs an int, got {i!r}")
     stored, bounds = [], []
-    for i, c in sorted(coeffs, key=_INDEX):
+    for i, c in sorted(coeffs.items(), key=_INDEX):
         if c.prime != prime:
             raise IncompatiblePrimes(f"coefficient prime {c.prime} != {prime}")
         if c.unit:
@@ -293,7 +300,7 @@ class EqualCharSeries(_Series):
     def __init__(
         self, prime: int, order: int, coeffs: tuple[tuple[int, PAdic], ...], trunc: ExtInt
     ):
-        self._init(prime, order, _split(prime, coeffs), ExtInt.of(trunc))
+        self._init(prime, order, _split(prime, dict(coeffs)), ExtInt.of(trunc))
 
     def _init(self, prime: int, order: int, split: tuple, trunc: ExtInt) -> None:
         stored, bounds = split
@@ -332,7 +339,7 @@ class EqualCharSeries(_Series):
         order: int | None = None,
         trunc: Union[ExtInt, int] = PLUS_INF,
     ) -> "EqualCharSeries":
-        split = _split(prime, coeffs.items())
+        split = _split(prime, coeffs)
         if order is None:
             order = (_held(split) or [0])[0]
         out = object.__new__(EqualCharSeries)
@@ -374,7 +381,7 @@ class MixedSeries(_Series):
     ):
         if lo > hi:
             raise ValueError("window must satisfy lo <= hi")
-        self._init(prime, lo, hi, _split(prime, coeffs), left, right)
+        self._init(prime, lo, hi, _split(prime, dict(coeffs)), left, right)
 
     def _init(self, prime: int, lo: int, hi: int, split: tuple, left: LeftTail, right: RightTail):
         stored, bounds = split
@@ -421,7 +428,7 @@ class MixedSeries(_Series):
         lo: int | None = None,
         hi: int | None = None,
     ) -> "MixedSeries":
-        split = _split(prime, coeffs.items())
+        split = _split(prime, coeffs)
         held = _held(split)
         if held:
             lo = held[0] if lo is None else min(lo, held[0])
@@ -576,8 +583,9 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     The product computes only the digits its certified precision keeps:
     the units are reduced to the highest output precision before they are
     multiplied, then multiplied by four-point Kronecker substitution
-    (``_diagonal_sums``), whose widest big-int products take one Toom-3
-    layer above CPython's Karatsuba (``_mul``).
+    (``_diagonal_sums``), whose wide big-int products go to the system GMP
+    (``_mul``).  On hosts where libgmp does not load, the widest take one
+    Toom-3 layer above CPython's Karatsuba instead; the outputs are the same.
 
     The kinds differ only in the frame.  A Laurent product takes its order
     and truncation from ``_equal_frame``.  Of the min-plus convolution of
@@ -876,9 +884,9 @@ def _diagonal_sums(p: int, xs: dict, ys: dict, prec: int) -> tuple[int, dict[int
     n_x + n_y - 2``, whose half of parity ``(top - e) mod 2`` is ``G_e =
     sum_t c_t 2^((T-1-t)M)`` over the ``T`` sums of parity ``e``; ``_unfold``
     reads each ``c_t`` from ``F_e`` and ``G_e``.  The four products of a run
-    pair go to ``*`` when the shorter run spans fewer than ``_TOOM_BITS``
-    bits, and to the Toom-3 ``_mul`` otherwise.  Returns ``v_x + v_y`` and
-    the nonzero ``S_k``.
+    pair go to ``*`` when the shorter run spans fewer than ``_WIDE_BITS``
+    bits, and to ``_mul`` (GMP, or Toom-3) otherwise.  Returns ``v_x + v_y``
+    and the nonzero ``S_k``.
     """
     vx, vy = _least_val(xs), _least_val(ys)
     r = prec - vx - vy
@@ -898,7 +906,7 @@ def _diagonal_sums(p: int, xs: dict, ys: dict, prec: int) -> tuple[int, dict[int
         i0, nx, xp, xm = _pack_pm(run, h)
         _, _, rxp, rxm = _pack_pm(_reflected(run), h)
         for (j0, ny, yp, ym), (_, _, ryp, rym) in packed_y:
-            times = operator.mul if min(nx, ny) * n < _TOOM_BITS else _mul
+            times = operator.mul if min(nx, ny) * n < _WIDE_BITS else _mul
             forward = [*_halves(times(xp, yp), times(xm, ym), n)]
             backward = [*_halves(times(rxp, ryp), times(rxm, rym), n)]
             # the odd sums first, so that each half is popped for its pass
@@ -909,23 +917,34 @@ def _diagonal_sums(p: int, xs: dict, ys: dict, prec: int) -> tuple[int, dict[int
     return vx + vy, sums
 
 
-# _mul splits into Toom-3 limbs only operands of at least this many bits, and
-# _diagonal_sums calls it only when a run pair's operands reach it.  CPython
-# multiplies by Karatsuba from 70 digits of 30 bits; one Toom-3 layer above it
-# breaks even at about 30k-bit operands, and the cutoff matters little above
-# that.  On a Xeon, Python 3.11, random balanced operands, best of 15, *
-# against _mul at a cutoff of 20k / 30k / 45k bits: 0.268 against 0.264 /
-# 0.264 / 0.269 ms at 35k bits, 0.669 against 0.604 / 0.592 / 0.592 ms at 60k
-# bits, 1.48 against 1.27 / 1.26 / 1.47 ms at 100k bits, 4.16 against 3.52 /
-# 3.47 / 3.46 ms at 193k bits and 13.5 against 10.40 / 10.41 / 10.69 ms at
-# 400k bits.  The products of a window-81 mul at precision 2048 (195k bits):
-# 4.35 against 3.55 ms at 30k.
+# _diagonal_sums passes the products of a run pair to _mul when the shorter
+# run spans at least this many bits, and multiplies by * below it: there GMP
+# gains nothing that outlasts its byte conversions.  On a Xeon, Python 3.11,
+# a mul of two seeded series with * against _mul from 1,000 / 4,096 bits:
+# window 81 at precision 32 (run pairs of 3,240-3,900 bits) 1.14 against 1.17
+# / 1.14 ms; window 21 at 256 (6,400 bits) 0.60 against 0.54 / 0.54 ms;
+# window 81 at 256 (24.9k bits) 2.61 against 1.78 / 1.78 ms; window 81 at
+# 2048 (195k bits) 32.7 against 8.27 / 8.25 ms.
+_WIDE_BITS = 4096
+# The Toom-3 layer of _mul serves hosts where libgmp does not load: it splits
+# only operands of at least this many bits.  CPython multiplies by Karatsuba
+# from 70 digits of 30 bits; one Toom-3 layer above it breaks even at about
+# 30k-bit operands, and the cutoff matters little above that.  On a Xeon,
+# Python 3.11, random balanced operands, best of 15, * against _mul at a
+# cutoff of 20k / 30k / 45k bits: 0.268 against 0.264 / 0.264 / 0.269 ms at
+# 35k bits, 0.669 against 0.604 / 0.592 / 0.592 ms at 60k bits, 1.48 against
+# 1.27 / 1.26 / 1.47 ms at 100k bits, 4.16 against 3.52 / 3.47 / 3.46 ms at
+# 193k bits and 13.5 against 10.40 / 10.41 / 10.69 ms at 400k bits.  The
+# products of a window-81 mul at precision 2048 (195k bits): 4.35 against
+# 3.55 ms at 30k.
 _TOOM_BITS = 30000
 
 
 def _mul(a: int, b: int) -> int:
-    """``a * b`` by one Toom-3 layer above CPython's Karatsuba (Toom 1963,
-    Cook 1966), for the wide products of ``_diagonal_sums``.
+    """``a * b`` for the wide products of ``_diagonal_sums``: by the system
+    GMP (``_gmp.mul``), whose ``mpn_mul`` runs Toom-Cook and Schoenhage-
+    Strassen.  Where libgmp does not load, or past its cap, by one Toom-3
+    layer above CPython's Karatsuba (Toom 1963, Cook 1966).
 
     The absolute values are split into three ``k``-bit limbs, so each is a
     polynomial of degree 2 at ``2^k``; the five point products at 0, 1, -1,
@@ -935,6 +954,8 @@ def _mul(a: int, b: int) -> int:
     ``*``: within 2x each operand fills at least two limbs, so the split
     pays.
     """
+    if (r := _gmp.mul(a, b)) is not None:
+        return r
     na, nb = a.bit_length(), b.bit_length()
     if min(na, nb) < _TOOM_BITS or max(na, nb) > 2 * min(na, nb):
         return a * b
@@ -1091,7 +1112,8 @@ def _coefficient(p: int, pairs, prec: int | float) -> PAdic:
     for (vi, ui, _), (vj, uj, _) in pairs:
         d = vi + vj - v
         if ui and uj and d < r:
-            s += (ui % mod) * (uj % mod) * prime_power(p, d)
+            a, b = ui % mod, uj % mod
+            s += (a * b if a.bit_length() < _GMP_MUL_BITS else _wide_product(a, b)) * prime_power(p, d)
     return PAdic.make(p, v, s, prec)
 
 

@@ -280,6 +280,7 @@ class TestValuationOfIntegers:
         assert x.coeff(0).val == -20001 and x.coeff(0).unit == 3
 
 
+@pytest.mark.usefixtures("gmp_off")  # Barrett, the engine without libgmp
 class TestPlainIntDifferential:
     """``+``, ``-``, unary ``-``, ``*`` and ``make`` against residues computed
     with plain ints, on seeded elements of primes 2, 3, 5 and 101 at relative
@@ -380,6 +381,7 @@ class TestPlainIntDifferential:
         assert self.scaled(z, base, n) == x.unit * y.unit % p**n
 
 
+@pytest.mark.usefixtures("gmp_off")  # Barrett, the engine without libgmp
 class TestReduce:
     """``_reduce(x, p, e) == x % p**e``: at 0, ``m - 1`` and ``m``, at both
     widths on either side of the reciprocal's headroom, for negative ``x``,

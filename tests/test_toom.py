@@ -1,5 +1,8 @@
 """The Toom-3 layer ``series._mul`` of the wide products of ``mul``.
 
+It is the engine of hosts where libgmp does not load, so every test here
+runs with the GMP kernel switched off (``gmp_off``).
+
 ``_mul(a, b)`` is checked against ``a * b`` on seeded operands around the
 cutoff ``_TOOM_BITS``, deep enough to split twice, with zeros, every sign
 combination, operands more than 2x apart and operands with a zero limb.
@@ -17,6 +20,8 @@ from tdlf.series import _TOOM_BITS, _diagonal_sums, _mul
 from helpers import covering_precision, reference_mul
 
 T = _TOOM_BITS
+
+pytestmark = pytest.mark.usefixtures("gmp_off")
 
 
 @pytest.fixture

@@ -155,6 +155,30 @@ def test_construction_checks():
         MixedSeries(5, 0, 1, ((2, C),), ZeroTail(), ZeroTail())
 
 
+def mixed(coeffs):
+    return MixedSeries.from_coeffs(5, coeffs)
+
+
+def equal(coeffs):
+    return EqualCharSeries.from_coeffs(5, coeffs)
+
+
+@pytest.mark.parametrize("build, coeffs, match", [
+    # a float index built a window at 1.5 behind a left bound
+    (lambda c: MixedSeries.from_coeffs(5, c, left=LeftValBound(1, 0)), {1.5: C}, "got 1.5"),
+    (mixed, {"a": C}, "got 'a'"),
+    (mixed, {True: C}, "got True"),
+    (equal, {1.5: C}, "got 1.5"),
+    (mixed, [(0, C)], "mapping, got list"),
+    (equal, [(0, C)], "mapping, got list"),
+], ids=["mixed-float", "mixed-str", "mixed-bool", "equal-float", "mixed-list", "equal-list"])
+def test_from_coeffs_refuses_a_bad_index_key(build, coeffs, match):
+    """An index that is not exactly an ``int``, or coefficients that are not
+    a mapping, raise a TypeError that names them."""
+    with pytest.raises(TypeError, match=match):
+        build(coeffs)
+
+
 @pytest.mark.parametrize("cls", [EqualCharSeries, MixedSeries])
 def test_coefficient_map_is_built_once_and_is_not_a_field(cls):
     kwargs = next(kw for c, kw, *_ in CASES if c is cls)
