@@ -174,6 +174,17 @@ def _split(prime: int, coeffs: Mapping) -> tuple[tuple[tuple[int, PAdic], ...], 
     return tuple(stored), bounds
 
 
+def _indexed(coeffs) -> dict:
+    """The ``(index, PAdic)`` pairs of a raw constructor as a mapping;
+    ValueError names an index given twice, which a ``dict`` keeps once."""
+    out: dict = {}
+    for i, c in coeffs:
+        if i in out:
+            raise ValueError(f"coefficient index {i} given twice")
+        out[i] = c
+    return out
+
+
 def _held(split: tuple) -> list[int]:
     """The least and the greatest index of a ``_split``, none if it is empty."""
     ends = [i for part in split if part for i in (part[0][0], part[-1][0])]
@@ -300,7 +311,7 @@ class EqualCharSeries(_Series):
     def __init__(
         self, prime: int, order: int, coeffs: tuple[tuple[int, PAdic], ...], trunc: ExtInt
     ):
-        self._init(prime, order, _split(prime, dict(coeffs)), ExtInt.of(trunc))
+        self._init(prime, order, _split(prime, _indexed(coeffs)), ExtInt.of(trunc))
 
     def _init(self, prime: int, order: int, split: tuple, trunc: ExtInt) -> None:
         stored, bounds = split
@@ -381,7 +392,7 @@ class MixedSeries(_Series):
     ):
         if lo > hi:
             raise ValueError("window must satisfy lo <= hi")
-        self._init(prime, lo, hi, _split(prime, dict(coeffs)), left, right)
+        self._init(prime, lo, hi, _split(prime, _indexed(coeffs)), left, right)
 
     def _init(self, prime: int, lo: int, hi: int, split: tuple, left: LeftTail, right: RightTail):
         stored, bounds = split
@@ -582,10 +593,12 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     to the first index where the remainder fails the target.
     The product computes only the digits its certified precision keeps:
     the units are reduced to the highest output precision before they are
-    multiplied, then multiplied by four-point Kronecker substitution
-    (``_diagonal_sums``), whose wide big-int products go to the system GMP
-    (``_mul``).  On hosts where libgmp does not load, the widest take one
-    Toom-3 layer above CPython's Karatsuba instead; the outputs are the same.
+    multiplied, then multiplied by two-point Kronecker substitution
+    (``_diagonal_sums``): two big-int products per pair of runs, at ``2^N``
+    and ``-2^N``, whose even and odd parts hold the diagonal sums.  The wide
+    products go to the system GMP (``_mul``).  On hosts where libgmp does
+    not load, the widest take one Toom-3 layer above CPython's Karatsuba
+    instead; the outputs are the same.
 
     The kinds differ only in the frame.  A Laurent product takes its order
     and truncation from ``_equal_frame``.  Of the min-plus convolution of
@@ -862,31 +875,20 @@ def _val_span(xs: dict) -> int:
 
 
 def _diagonal_sums(p: int, xs: dict, ys: dict, prec: int) -> tuple[int, dict[int, int]]:
-    """The diagonal sums of the stored units by four-point Kronecker
-    substitution (Harvey 2009, KS4): four big-int products per pair of runs
-    (see ``_runs``), each of operands about half as wide as a two-point
-    product needs.
+    """The diagonal sums of the stored units by two-point Kronecker
+    substitution: two big-int products per pair of runs (see ``_runs``).
 
-    With ``v`` the least valuation of a nonzero unit of a factor, its units
-    are scaled to ``a_i = u_i p^(v_i - v)``, and then they are
-    reduced modulo ``p^R``, ``R = prec - v_x - v_y``: a sum kept modulo at
-    most ``p^prec`` depends on no higher digit, and ``R <= 0`` needs no
-    multiply.  ``S_k = sum_{i+j=k} a_i b_j`` then takes fewer than ``bits =
-    bits_x + bits_y + bitlen(min(#x, #y))`` bits.  ``_pack_pm`` evaluates a
-    run at ``2^N`` and ``-2^N``, ``N = 8h``, with ``h`` bytes holding a
-    quarter of ``bits + 1`` and half of every unit.  The products ``P+-`` of
-    two runs split by parity into ``F_e = sum_t c_t 2^(tM)``, ``M = 2N``,
-    ``c_t = S_(i0 + j0 + 2t + e)``: the even sums are ``(P+ + P-) / 2``, the
-    odd ones ``(P+ - P-) / 2^(N+1)``, exactly, as every ``S_k >= 0``.  As
-    ``32h >= bits + 1``, a ``c_t`` is below ``2^(2M-1)``: wider than its
-    ``M``-bit slot, so neighbours overlap.  The reflected runs (``i -> -i``)
-    multiply to the reversed product, ``S_k`` at power ``top - k``, ``top =
-    n_x + n_y - 2``, whose half of parity ``(top - e) mod 2`` is ``G_e =
-    sum_t c_t 2^((T-1-t)M)`` over the ``T`` sums of parity ``e``; ``_unfold``
-    reads each ``c_t`` from ``F_e`` and ``G_e``.  The four products of a run
-    pair go to ``*`` when the shorter run spans fewer than ``_WIDE_BITS``
-    bits, and to ``_mul`` (GMP, or Toom-3) otherwise.  Returns ``v_x + v_y``
-    and the nonzero ``S_k``.
+    The units are scaled to ``a_i = u_i p^(v_i - v)``, ``v`` the least
+    valuation of a nonzero unit of their factor, and reduced modulo
+    ``p^R``, ``R = prec - v_x - v_y``: a sum kept modulo at most ``p^prec``
+    depends on no higher digit.  Every unit and every ``S_k = sum_{i+j=k}
+    a_i b_j >= 0`` is below ``2^bits``, ``bits = bits_x + bits_y +
+    bitlen(min(#x, #y))``, so each fits a slot of ``2h`` bytes, ``h =
+    ceil(bits / 16)``.  ``_halves`` splits a run pair's products at
+    ``2^(8h)`` and ``-2^(8h)`` (``_pack_pm``) into the even and the odd
+    sums, read straight from the slots.  The products go to ``_mul`` (GMP,
+    else Toom-3) when the shorter run spans at least ``_WIDE_BITS`` bits.
+    Returns ``v_x + v_y`` and the nonzero ``S_k``.
     """
     vx, vy = _least_val(xs), _least_val(ys)
     r = prec - vx - vy
@@ -897,34 +899,34 @@ def _diagonal_sums(p: int, xs: dict, ys: dict, prec: int) -> tuple[int, dict[int
         return vx + vy, {}
     bx = max(a.bit_length() for _, a in ax)
     by = max(b.bit_length() for _, b in ay)
-    bits = bx + by + min(len(ax), len(ay)).bit_length()
-    h = max(-(-(bits + 1) // 32), -(-bx // 16), -(-by // 16))
-    n = 8 * h
-    packed_y = [(_pack_pm(run, h), _pack_pm(_reflected(run), h)) for run in _runs(ay)]
+    h = -(-(bx + by + min(len(ax), len(ay)).bit_length()) // 16)
+    n, w = 8 * h, 2 * h
+    packed_y = [_pack_pm(run, h) for run in _runs(ay)]
     sums: dict[int, int] = {}
     for run in _runs(ax):
         i0, nx, xp, xm = _pack_pm(run, h)
-        _, _, rxp, rxm = _pack_pm(_reflected(run), h)
-        for (j0, ny, yp, ym), (_, _, ryp, rym) in packed_y:
+        for j0, ny, yp, ym in packed_y:
             times = operator.mul if min(nx, ny) * n < _WIDE_BITS else _mul
-            forward = [*_halves(times(xp, yp), times(xm, ym), n)]
-            backward = [*_halves(times(rxp, ryp), times(rxm, rym), n)]
-            # the odd sums first, so that each half is popped for its pass
-            # and dropped once _unfold has read it
-            odd = (nx + ny - 3) % 2  # the half of backward that the odd sums read
-            _unfold(forward.pop(), backward.pop(odd), (nx + ny - 1) // 2, h, i0 + j0 + 1, sums)
-            _unfold(forward.pop(), backward.pop(), (nx + ny) // 2, h, i0 + j0, sums)
+            for k, half in zip((i0 + j0, i0 + j0 + 1), _halves(times(xp, yp), times(xm, ym), n)):
+                data = half.to_bytes(-(-half.bit_length() // 8), "little")
+                for at in range(0, len(data), w):
+                    if c := int.from_bytes(data[at : at + w], "little"):
+                        sums[k] = sums.get(k, 0) + c
+                    k += 2
     return vx + vy, sums
 
 
 # _diagonal_sums passes the products of a run pair to _mul when the shorter
-# run spans at least this many bits, and multiplies by * below it: there GMP
-# gains nothing that outlasts its byte conversions.  On a Xeon, Python 3.11,
-# a mul of two seeded series with * against _mul from 1,000 / 4,096 bits:
-# window 81 at precision 32 (run pairs of 3,240-3,900 bits) 1.14 against 1.17
-# / 1.14 ms; window 21 at 256 (6,400 bits) 0.60 against 0.54 / 0.54 ms;
-# window 81 at 256 (24.9k bits) 2.61 against 1.78 / 1.78 ms; window 81 at
-# 2048 (195k bits) 32.7 against 8.27 / 8.25 ms.
+# run spans at least this many bits, and multiplies by * below it.  On a
+# Xeon, Python 3.11, random operands, * against _mul with its byte
+# conversions: 2.7 against 3.4 us at 1,680 bits, 3.7 against 3.8 us at 2,000,
+# 8.1 against 5.0 us at 3,280 and 26 against 8.8 us at 6,480.  A mul of two
+# seeded series with a cutoff of 2,048 / 4,096 / 8,192 / 16,384 bits: window
+# 41 at precision 32 (runs of 3,280 bits) 0.455 / 0.459 / 0.459 / 0.460 ms;
+# window 81 at 32 (6,480 bits) 0.831 / 0.827 / 0.862 / 0.861 ms; window 21 at
+# 256 (12.8k bits) 0.409 / 0.395 / 0.397 / 0.519 ms.  Below the cutoff GMP
+# gains nothing that shows, and the window-21 products at 32 (1,680 bits)
+# never load ctypes.
 _WIDE_BITS = 4096
 # The Toom-3 layer of _mul serves hosts where libgmp does not load: it splits
 # only operands of at least this many bits.  CPython multiplies by Karatsuba
@@ -935,8 +937,8 @@ _WIDE_BITS = 4096
 # 35k bits, 0.669 against 0.604 / 0.592 / 0.592 ms at 60k bits, 1.48 against
 # 1.27 / 1.26 / 1.47 ms at 100k bits, 4.16 against 3.52 / 3.47 / 3.46 ms at
 # 193k bits and 13.5 against 10.40 / 10.41 / 10.69 ms at 400k bits.  The
-# products of a window-81 mul at precision 2048 (195k bits): 4.35 against
-# 3.55 ms at 30k.
+# two products of a window-81 run pair at precision 2048 (386k bits): 39.5
+# against 32.4 ms at 30k, on a busier host.
 _TOOM_BITS = 30000
 
 
@@ -997,40 +999,6 @@ def _halves(plus: int, minus: int, n: int) -> tuple[int, int]:
     return (plus + minus) >> 1, (plus - minus) >> (n + 1)
 
 
-def _unfold(f: int, g: int, count: int, h: int, k: int, sums: dict[int, int]) -> None:
-    """Add ``c_0 .. c_(count-1)`` into ``sums`` at ``k, k + 2, ...``, from
-    ``f = sum_t c_t 2^(tM)`` and ``g = sum_t c_t 2^((count-1-t)M)``, ``M =
-    16h``, when every ``c_t < 2^(2M-1)``.
-
-    One pass from ``t = 0`` (KS3): the carry ``w`` into digit ``t`` of
-    ``f`` is known from the ``c`` below, so ``alpha = c_t mod 2^M``.  ``g``
-    shifted down to ``c_t``, less ``c_(t-1) 2^M`` and ``c_(t-2) 2^(2M)``,
-    modulo ``2^(2M+1)``, is ``d = c_t + e``, where ``e``, what the shift
-    keeps of the later terms, is below ``2^M`` because every ``c`` is below
-    ``2^(2M-1)``.  So ``e = (d - alpha) mod 2^M`` and ``c_t = d - e``.
-    Digits are read from the bytes, so a pass is linear in the size.
-    """
-    m, w2, w4 = 16 * h, 2 * h, 4 * h + 1
-    low, wide = (1 << m) - 1, (1 << (2 * m + 1)) - 1
-    size = w2 * (count + 1) + 1
-    fb = f.to_bytes(size, "little")
-    del f  # the caller holds no other reference: one copy of each at a time
-    gb = g.to_bytes(size, "little")
-    del g
-    w = c1 = c2 = 0
-    g_at = w2 * (count - 1)  # the byte of g where c_t starts
-    for f_at in range(0, w2 * count, w2):
-        alpha = (int.from_bytes(fb[f_at : f_at + w2], "little") - w) & low
-        d = (int.from_bytes(gb[g_at : g_at + w4], "little") - (c1 << m) - (c2 << 2 * m)) & wide
-        c = d - ((d - alpha) & low)
-        if c:
-            sums[k] = sums.get(k, 0) + c
-        k += 2
-        w = (w + c) >> m
-        c2, c1 = c1, c
-        g_at -= w2
-
-
 def _least_val(xs: dict) -> int:
     """The least valuation of a nonzero unit of ``xs``; 0 if there is none."""
     return min((vi for vi, u, _ in xs.values() if u), default=0)
@@ -1079,11 +1047,6 @@ def _pack_pm(run: list[tuple[int, int]], h: int) -> tuple[int, int, int, int]:
         (odd if (i - i0) & 1 else even)[s : s + 2 * h] = c.to_bytes(2 * h, "little")
     e, o = int.from_bytes(even, "little"), int.from_bytes(odd, "little")
     return i0, n, e + o, e - o
-
-
-def _reflected(run: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The run at ``i -> -i``, in index order: its reversed polynomial."""
-    return [(-i, a) for i, a in reversed(run)]
 
 
 def _coefficient(p: int, pairs, prec: int | float) -> PAdic:

@@ -222,14 +222,15 @@ def test_a_big_endian_host_leaves_the_kernel_off(monkeypatch):
 
 
 def test_narrow_products_never_call_the_kernel(monkeypatch):
-    """A window-81 mul at relative precision 32, a window-81 pairing at 256,
-    and PAdic products with a unit below the cutoff make no kernel call."""
+    """A window-41 mul at relative precision 32, whose run pairs pack under
+    4,000 bits (below ``_WIDE_BITS``), a window-81 pairing at 256, and PAdic
+    products with a unit below the cutoff make no kernel call."""
 
     def refuse(*args):
         raise AssertionError("narrow work called the kernel")
 
     r = rng(3008)
-    x, y = (dense_series(r, "mixed", 81, 32) for _ in range(2))
+    x, y = (dense_series(r, "mixed", 41, 32) for _ in range(2))
     u, v = (dense_series(r, "laurent", 81, 256) for _ in range(2))
     a, b = PAdic.make(5, 0, wide(r, _GMP_MUL_BITS - 1), 2048), PAdic.make(5, 0, wide(r, 4000), 2048)
     want = [mul(x, y), pairing(u, v), a * b, b * a, a * a]

@@ -1,5 +1,14 @@
-"""The Kronecker-packed product kernel of ``mul`` against one-``PAdic``-at-a-
-time products, on inputs chosen to break slot packing."""
+"""The Kronecker-packed product kernel of ``mul``: against one-``PAdic``-at-
+a-time products on inputs chosen to break slot packing, and
+``series._diagonal_sums`` against the direct sums ``sum a_i b_j`` on every
+diagonal.
+
+The direct checks run every run-pair product through ``_mul``, with the GMP
+kernel on and off (``gmp_off``), on units chosen to fill the packed slots:
+all-ones units, units as wide as a slot allows, diagonal sums next to the
+``2^(16h)`` bound of a slot, runs of every length from 1 to 7, gaps inside
+runs, factors of several runs and truncated sums.
+"""
 
 import pytest
 
@@ -180,3 +189,173 @@ def test_failing_target_does_no_big_int_work(kind, monkeypatch):
                 assert outcome(mul, x, y, t) == want
                 raised += 1
     assert raised > 30
+
+
+# -- the diagonal sums against the direct sums ---------------------------------
+
+
+def direct_sums(p, xs, ys):
+    """``v`` and the nonzero diagonal sums of the scaled units, one product
+    at a time."""
+    v = min((vi for vi, u, _ in xs.values() if u), default=0) + min(
+        (vj for vj, u, _ in ys.values() if u), default=0
+    )
+    out = {}
+    for i, (vi, ui, _) in xs.items():
+        for j, (vj, uj, _) in ys.items():
+            if ui and uj:
+                out[i + j] = out.get(i + j, 0) + ui * uj * p ** (vi + vj - v)
+    return v, {k: s for k, s in out.items() if s}
+
+
+def stored(units, val=0, first=0):
+    """``{i: (val, unit, precision)}`` for units at consecutive indices from
+    ``first``."""
+    return {first + t: (val, u, val + 10**6) for t, u in enumerate(units)}
+
+
+def assert_exact(p, xs, ys):
+    assert _diagonal_sums(p, xs, ys, covering_precision(xs, ys)) == direct_sums(p, xs, ys)
+
+
+def slot_width(xs, ys, monkeypatch):
+    """``h`` as ``_diagonal_sums`` packs ``xs`` and ``ys``, recorded from
+    ``_pack_pm``."""
+    widths = []
+    pack = series_module._pack_pm
+
+    def record(run, h):
+        widths.append(h)
+        return pack(run, h)
+
+    with monkeypatch.context() as m:
+        m.setattr(series_module, "_pack_pm", record)
+        _diagonal_sums(2, xs, ys, covering_precision(xs, ys))
+    assert len(set(widths)) == 1
+    return widths[0]
+
+
+@pytest.fixture(params=["kernel-on", "kernel-off"])
+def engine(request, monkeypatch):
+    """Every run-pair product through ``_mul``: by GMP where libgmp loads,
+    and by ``*`` (or Toom-3) with the kernel off."""
+    monkeypatch.setattr(series_module, "_WIDE_BITS", 0)
+    if request.param == "kernel-off":
+        request.getfixturevalue("gmp_off")
+
+
+@pytest.mark.usefixtures("engine")
+class TestDiagonalSums:
+    def test_runs_of_every_length_and_parity(self):
+        """Runs of lengths 1 to 7 against each other: ``nx + ny`` of both
+        parities, so the even and the odd halves hold as many sums or one
+        more."""
+        r = rng(601)
+        for p in PRIMES:
+            for nx in range(1, 8):
+                for ny in range(1, 8):
+                    xs = stored([r.below(p**9) + 1 for _ in range(nx)], first=r.randint(-5, 5))
+                    ys = stored([r.below(p**9) + 1 for _ in range(ny)], first=r.randint(-5, 5))
+                    assert_exact(p, xs, ys)
+
+    def test_all_ones_units(self):
+        """Units ``2^b - 1`` carry into every bit of every slot."""
+        for b in (1, 15, 16, 17, 31, 32, 33, 64, 200):
+            for nx, ny in ((1, 1), (2, 3), (7, 7), (6, 4), (16, 9)):
+                top = (1 << b) - 1
+                assert_exact(2, stored([top] * nx), stored([top] * ny))
+
+    def test_units_as_wide_as_the_slot_allows(self, monkeypatch):
+        """A unit of ``16h - 1 - bitlen(n)`` bits against ``n`` units of one
+        bit nearly fills the ``2h`` bytes the packer writes for it, and
+        overlaps both neighbours of the other parity."""
+        for h in (1, 2, 3, 8):
+            for n in (1, 2, 3):
+                b = 16 * h - 1 - n.bit_length()
+                big = (1 << b) - 1
+                xs, ys = stored([big, big - 1, big, 1 << (b - 1)]), stored([1] * n)
+                assert slot_width(xs, ys, monkeypatch) == h
+                assert_exact(2, xs, ys)
+                assert_exact(2, ys, xs)
+
+    def test_sums_next_to_the_slot_bound(self, monkeypatch):
+        """All-ones units of ``b = 8h - 2`` bits on runs of 15 put the middle
+        diagonal at ``15 (2^b - 1)^2``, in the top bit of its ``16h``-bit
+        slot."""
+        for h in (1, 2, 3, 5):
+            b = 8 * h - 2
+            top = (1 << b) - 1
+            xs, ys = stored([top] * 15), stored([top] * 15)
+            assert slot_width(xs, ys, monkeypatch) == h
+            v, sums = _diagonal_sums(2, xs, ys, covering_precision(xs, ys))
+            assert max(sums.values()) == 15 * top * top
+            assert 2 ** (16 * h - 1) < max(sums.values()) < 2 ** (16 * h)
+            assert (v, sums) == direct_sums(2, xs, ys)
+
+    def test_random_run_pairs(self):
+        """300 pairs of runs of 1 to 12 units of 1 to 300 bits, some of them
+        all ones and some zero."""
+        r = rng(607)
+
+        def unit():
+            b = r.randint(1, 300)
+            return ((1 << b) - 1, 0, r.below(1 << b))[r.below(3)]
+
+        for _ in range(300):
+            xs = stored([unit() for _ in range(r.randint(1, 12))], first=r.randint(-9, 9))
+            ys = stored([unit() for _ in range(r.randint(1, 12))], first=r.randint(-9, 9))
+            assert_exact(2, xs, ys)
+
+    def test_gaps_and_several_runs(self):
+        """Gaps inside runs are zero slots; far indices start new runs, so
+        each pair of runs is its own two products."""
+        r = rng(602)
+        several = 0
+        for p in PRIMES:
+            for _ in range(30):
+                def factor():
+                    out, i = {}, r.randint(-20, 0)
+                    for _ in range(r.randint(1, 14)):
+                        v = r.randint(-3, 3)  # a unit below p^20 is known to v + 20
+                        out[i] = (v, r.below(p ** r.randint(1, 20)), v + 20)
+                        i += 1 + (r.below(2) if r.below(4) else r.randint(5, 40))
+                    return out
+
+                xs, ys = factor(), factor()
+                assert_exact(p, xs, ys)
+                several += len(_runs([(i, 1) for i in xs])) > 1 and len(_runs([(i, 1) for i in ys])) > 1
+        assert several > 20
+
+    def test_truncated_sums(self):
+        """With a precision each sum is congruent to the direct sum modulo
+        ``p^(prec - v)``, and no sum is packed when ``prec - v <= 0``."""
+        r = rng(603)
+        for p in PRIMES:
+            for _ in range(20):
+                xs, ys = ({i: (v, r.randint(1, p - 1) + p * r.below(p**d), v + d + 1)
+                           for i in range(r.randint(-7, 0), r.randint(1, 7)) if r.below(4)
+                           for v, d in [(r.randint(-2, 2), r.randint(0, 40))]}
+                          for _ in range(2))
+                want_v, want = direct_sums(p, xs, ys)
+                for prec in (-3, 1, 5, 20, 60):
+                    v, sums = _diagonal_sums(p, xs, ys, prec)
+                    if prec - want_v <= 0:
+                        assert sums == {}
+                        continue
+                    assert v == want_v
+                    mod = p ** (prec - v)
+                    for k in set(want) | set(sums):
+                        assert (sums.get(k, 0) - want.get(k, 0)) % mod == 0
+
+
+def test_a_half_of_the_sum_bits(monkeypatch):
+    """``h = ceil(bits / 16)`` bytes, ``bits = bx + by + bitlen(n)``: the
+    ``2h``-byte slot holds every diagonal sum, and so every unit, as ``bits``
+    exceeds ``bx`` and ``by``."""
+    for bx, by, n in ((30, 30, 7), (64, 64, 1), (100, 3, 2), (3, 100, 2), (1000, 1, 1),
+                      (17, 17, 40), (300, 299, 5)):
+        xs, ys = stored([(1 << bx) - 1] * n), stored([(1 << by) - 1] * n)
+        bits = bx + by + n.bit_length()
+        want = -(-bits // 16)
+        assert slot_width(xs, ys, monkeypatch) == want
+        assert_exact(2, xs, ys)

@@ -155,6 +155,19 @@ def test_construction_checks():
         MixedSeries(5, 0, 1, ((2, C),), ZeroTail(), ZeroTail())
 
 
+def test_a_repeated_index_is_refused():
+    """The raw constructors name an index given twice instead of keeping its
+    last coefficient; ``from_coeffs`` takes a mapping, which cannot repeat."""
+    D = PAdic.from_int(3, 5)
+    with pytest.raises(ValueError, match="coefficient index 1 given twice"):
+        EqualCharSeries(5, 0, ((1, C), (1, D)), 5)
+    with pytest.raises(ValueError, match="coefficient index 1 given twice"):
+        MixedSeries(5, 0, 2, ((1, C), (2, D), (1, D)), ZeroTail(), ZeroTail())
+    assert EqualCharSeries(5, 0, ((1, C), (2, D)), 5) == EqualCharSeries.from_coeffs(5, {1: C, 2: D}, 0, 5)
+    assert MixedSeries(5, 0, 2, ((2, D), (1, C)), ZeroTail(), ZeroTail()) == MixedSeries.from_coeffs(
+        5, {1: C, 2: D}, lo=0, hi=2)
+
+
 def mixed(coeffs):
     return MixedSeries.from_coeffs(5, coeffs)
 
