@@ -32,23 +32,16 @@ MAX_RELATIVE_PRECISION = 10_000
 # prime_power(p, e) == p**e, cached: a series round reuses a few dozen (p, e)
 prime_power = lru_cache(maxsize=64)(pow)
 
-# _reduce divides by GMP (_gmp.mod), or where libgmp does not load by Barrett
-# reduction, only when p^e and the quotient both have more bits than this,
-# and by % otherwise.  Barrett serves hosts without libgmp: CPython
-# multiplies by Karatsuba from 70 digits of 30 bits, and only products past
-# that make Barrett's two multiplies cheaper than one division.  On a Xeon,
-# Python 3.11, % against Barrett for a quotient as wide as p^e: 6.1 against
-# 7.0 us at 5^880 (2,044 bits), 8.0 against 7.5 us at 5^1024 (2,378 bits);
-# at 5^2048, a quotient of 2,100 bits: 13.2 against 13.8 us, of 3,000 bits:
-# 18.7 against 17.2 us.  % against GMP, byte conversions counted: 11.2
-# against 7.5 us for a 2,000-bit quotient of a 2,500-bit divisor, 54 against
-# 21 us for 4,757 bits of both, and 3.2 against 9.1 us for a 250-bit one.
-_BARRETT_BITS = 2100
-# the reciprocal of a k-bit p^e serves every x of at most 2k + _HEADROOM_BITS
-# bits: a product of two units, and a diagonal sum of up to 2^64 of them
-_HEADROOM_BITS = 64
-# PAdic.__mul__ and the pairing sums of series._coefficient multiply two
-# units by GMP (_gmp.mul) when both have at least this many bits.  On a Xeon,
+# _reduce divides by GMP (_gmp.mod) only when p^e and the quotient both have
+# more bits than this, and by % otherwise, as everywhere on a host where
+# libgmp does not load.  On a Xeon, % against GMP, byte conversions counted:
+# 11.2 against 7.5 us for a 2,000-bit quotient of a 2,500-bit divisor, 54
+# against 21 us for 4,757 bits of both, and 3.2 against 9.1 us for a 250-bit
+# one.
+_GMP_MOD_BITS = 2100
+# PAdic.__mul__, the pairing sums of series._coefficient and the run-pair
+# products of series._diagonal_sums multiply by GMP (_gmp.mul) when both
+# operands have at least this many bits.  On a Xeon,
 # random operands of equal width, * against GMP with the byte conversions:
 # 3.9 against 4.1 us at 1,800 bits, 5.1 against 4.7 us at 2,100 bits, 12.2
 # against 5.8 us at 4,000 bits, and 20 against 8.9 us at 4,760 bits, the
@@ -57,42 +50,25 @@ _GMP_MUL_BITS = 2100
 
 
 def _wide_product(a: int, b: int) -> int:
-    """``a * b`` for a unit ``a`` of at least ``_GMP_MUL_BITS`` bits: by GMP
+    """``a * b`` for an ``a`` of at least ``_GMP_MUL_BITS`` bits: by GMP
     when ``b`` is as wide and the kernel is on, by ``*`` otherwise."""
     if b.bit_length() >= _GMP_MUL_BITS and (r := _gmp.mul(a, b)) is not None:
         return r
     return a * b
 
 
-@lru_cache(maxsize=64)
-def _barrett(p: int, e: int) -> tuple[int, int, int]:
-    """``(m, k, r)`` for ``m = p^e`` of ``k`` bits and its reciprocal
-    ``r = floor(2^(2k + _HEADROOM_BITS) / m)``."""
-    m = prime_power(p, e)
-    k = m.bit_length()
-    return m, k, (1 << 2 * k + _HEADROOM_BITS) // m
-
-
 def _reduce(x: int, p: int, e: int) -> int:
-    """``x % p**e``.  A nonnegative ``x`` with ``p^e`` and the quotient both
-    wide is divided by GMP; where libgmp does not load, or ``x`` passes its
-    cap, such an ``x`` within the headroom of the cached reciprocal is
-    reduced with two multiplies (Barrett, 1986), whose quotient estimate is
-    at most 2 below the true one.  Any other ``x`` is reduced by ``%``."""
+    """``x % p**e``: by GMP for a nonnegative ``x`` when ``p^e`` and the
+    quotient are both wider than ``_GMP_MOD_BITS`` and the kernel is on, by
+    ``%`` otherwise."""
     m = prime_power(p, e)
     k, n = m.bit_length(), x.bit_length()
     # a narrow quotient, the common case, is tested first
-    if n - k <= _BARRETT_BITS or k <= _BARRETT_BITS or x < 0:
+    if n - k <= _GMP_MOD_BITS or k <= _GMP_MOD_BITS or x < 0:
         return x % m
     if (r := _gmp.mod(x, m)) is not None:
         return r
-    if n > 2 * k + _HEADROOM_BITS:
-        return x % m
-    m, k, r = _barrett(p, e)
-    x -= ((x >> (k - 1)) * r >> (k + 1 + _HEADROOM_BITS)) * m
-    while x >= m:
-        x -= m
-    return x
+    return x % m
 
 
 class ExponentResult(Frozen):
@@ -285,8 +261,11 @@ class PAdic(Frozen):
 
     @staticmethod
     def make(prime: int, val: int, unit: int, precision: int) -> "PAdic":
-        """Normalised element ``p^val * unit`` known modulo ``p^precision``."""
+        """Normalised element ``p^val * unit`` known modulo ``p^precision``;
+        TypeError for a unit that is not an ``int``, ``bool`` included."""
         _check_prime(prime)
+        if type(unit) is not int:
+            raise TypeError(f"unit {unit!r} is not an int")
         rel = precision - val
         if rel <= 0:
             return PAdic.zero_mod(prime, precision)

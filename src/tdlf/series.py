@@ -34,7 +34,6 @@ from .errors import (
     PrecisionExhausted,
     ZeroElement,
 )
-from . import _gmp
 from .padic import _GMP_MUL_BITS, PAdic, _wide_product, check_prime, prime_power
 from .seqspec import (
     MINUS_INF,
@@ -596,9 +595,9 @@ def mul(x: Series, y: Series, target_precision: int | None = None) -> Series:
     multiplied, then multiplied by two-point Kronecker substitution
     (``_diagonal_sums``): two big-int products per pair of runs, at ``2^N``
     and ``-2^N``, whose even and odd parts hold the diagonal sums.  The wide
-    products go to the system GMP (``_mul``).  On hosts where libgmp does
-    not load, the widest take one Toom-3 layer above CPython's Karatsuba
-    instead; the outputs are the same.
+    products go to the system GMP (``padic._wide_product``).  On hosts where
+    libgmp does not load, wide products and remainders use CPython's ``*``
+    and ``%``, with the same outputs.
 
     The kinds differ only in the frame.  A Laurent product takes its order
     and truncation from ``_equal_frame``.  Of the min-plus convolution of
@@ -886,8 +885,9 @@ def _diagonal_sums(p: int, xs: dict, ys: dict, prec: int) -> tuple[int, dict[int
     bitlen(min(#x, #y))``, so each fits a slot of ``2h`` bytes, ``h =
     ceil(bits / 16)``.  ``_halves`` splits a run pair's products at
     ``2^(8h)`` and ``-2^(8h)`` (``_pack_pm``) into the even and the odd
-    sums, read straight from the slots.  The products go to ``_mul`` (GMP,
-    else Toom-3) when the shorter run spans at least ``_WIDE_BITS`` bits.
+    sums, read straight from the slots.  The products go to
+    ``_wide_product`` (GMP where libgmp loads, else ``*``) when the shorter
+    run spans at least ``_WIDE_BITS`` bits.
     Returns ``v_x + v_y`` and the nonzero ``S_k``.
     """
     vx, vy = _least_val(xs), _least_val(ys)
@@ -906,7 +906,7 @@ def _diagonal_sums(p: int, xs: dict, ys: dict, prec: int) -> tuple[int, dict[int
     for run in _runs(ax):
         i0, nx, xp, xm = _pack_pm(run, h)
         for j0, ny, yp, ym in packed_y:
-            times = operator.mul if min(nx, ny) * n < _WIDE_BITS else _mul
+            times = operator.mul if min(nx, ny) * n < _WIDE_BITS else _wide_product
             for k, half in zip((i0 + j0, i0 + j0 + 1), _halves(times(xp, yp), times(xm, ym), n)):
                 data = half.to_bytes(-(-half.bit_length() // 8), "little")
                 for at in range(0, len(data), w):
@@ -916,9 +916,9 @@ def _diagonal_sums(p: int, xs: dict, ys: dict, prec: int) -> tuple[int, dict[int
     return vx + vy, sums
 
 
-# _diagonal_sums passes the products of a run pair to _mul when the shorter
-# run spans at least this many bits, and multiplies by * below it.  On a
-# Xeon, Python 3.11, random operands, * against _mul with its byte
+# _diagonal_sums passes the products of a run pair to _wide_product when the
+# shorter run spans at least this many bits, and multiplies by * below it.
+# On a Xeon, Python 3.11, random operands, * against GMP with its byte
 # conversions: 2.7 against 3.4 us at 1,680 bits, 3.7 against 3.8 us at 2,000,
 # 8.1 against 5.0 us at 3,280 and 26 against 8.8 us at 6,480.  A mul of two
 # seeded series with a cutoff of 2,048 / 4,096 / 8,192 / 16,384 bits: window
@@ -926,71 +926,9 @@ def _diagonal_sums(p: int, xs: dict, ys: dict, prec: int) -> tuple[int, dict[int
 # window 81 at 32 (6,480 bits) 0.831 / 0.827 / 0.862 / 0.861 ms; window 21 at
 # 256 (12.8k bits) 0.409 / 0.395 / 0.397 / 0.519 ms.  Below the cutoff GMP
 # gains nothing that shows, and the window-21 products at 32 (1,680 bits)
-# never load ctypes.
+# never load ctypes.  Where libgmp does not load, the wide products are
+# CPython's *, with the same outputs.
 _WIDE_BITS = 4096
-# The Toom-3 layer of _mul serves hosts where libgmp does not load: it splits
-# only operands of at least this many bits.  CPython multiplies by Karatsuba
-# from 70 digits of 30 bits; one Toom-3 layer above it breaks even at about
-# 30k-bit operands, and the cutoff matters little above that.  On a Xeon,
-# Python 3.11, random balanced operands, best of 15, * against _mul at a
-# cutoff of 20k / 30k / 45k bits: 0.268 against 0.264 / 0.264 / 0.269 ms at
-# 35k bits, 0.669 against 0.604 / 0.592 / 0.592 ms at 60k bits, 1.48 against
-# 1.27 / 1.26 / 1.47 ms at 100k bits, 4.16 against 3.52 / 3.47 / 3.46 ms at
-# 193k bits and 13.5 against 10.40 / 10.41 / 10.69 ms at 400k bits.  The
-# two products of a window-81 run pair at precision 2048 (386k bits): 39.5
-# against 32.4 ms at 30k, on a busier host.
-_TOOM_BITS = 30000
-
-
-def _mul(a: int, b: int) -> int:
-    """``a * b`` for the wide products of ``_diagonal_sums``: by the system
-    GMP (``_gmp.mul``), whose ``mpn_mul`` runs Toom-Cook and Schoenhage-
-    Strassen.  Where libgmp does not load, or past its cap, by one Toom-3
-    layer above CPython's Karatsuba (Toom 1963, Cook 1966).
-
-    The absolute values are split into three ``k``-bit limbs, so each is a
-    polynomial of degree 2 at ``2^k``; the five point products at 0, 1, -1,
-    -2 and infinity recurse, and Bodrato's sequence (WAIFI 2007), whose one
-    exact ``// 3`` is linear in the size, interpolates the product.  Either
-    operand below ``_TOOM_BITS``, or operands more than 2x apart, go to
-    ``*``: within 2x each operand fills at least two limbs, so the split
-    pays.
-    """
-    if (r := _gmp.mul(a, b)) is not None:
-        return r
-    na, nb = a.bit_length(), b.bit_length()
-    if min(na, nb) < _TOOM_BITS or max(na, nb) > 2 * min(na, nb):
-        return a * b
-    k = (max(na, nb) + 2) // 3
-    x, y = _toom_points(abs(a), k), _toom_points(abs(b), k)
-    # from infinity down to 0, each pair of points is dropped as it is
-    # multiplied and each point product as soon as interpolation has read it
-    c4 = _mul(x.pop(), y.pop())  # at infinity
-    c3 = _mul(x.pop(), y.pop())  # at -2
-    wm1 = _mul(x.pop(), y.pop())
-    w1 = _mul(x.pop(), y.pop())
-    c3 = (c3 - w1) // 3
-    c1 = (w1 - wm1) >> 1
-    del w1
-    c0 = _mul(x.pop(), y.pop())
-    c2 = wm1 - c0
-    del wm1
-    c3 = ((c2 - c3) >> 1) + (c4 << 1)
-    c2 += c1 - c4
-    c1 -= c3
-    r = c4
-    for c in (c3, c2, c1, c0):
-        r = (r << k) + c
-    return -r if (a < 0) != (b < 0) else r
-
-
-def _toom_points(x: int, k: int) -> list[int]:
-    """``x >= 0`` as the polynomial ``x0 + x1 z + x2 z^2`` of its ``k``-bit
-    limbs, at ``z = 0, 1, -1, -2`` and infinity."""
-    x0, x1, x2 = x & ((1 << k) - 1), (x >> k) & ((1 << k) - 1), x >> 2 * k
-    s = x0 + x2
-    m = s - x1
-    return [x0, s + x1, m, ((m + x2) << 1) - x0, x2]
 
 
 def _halves(plus: int, minus: int, n: int) -> tuple[int, int]:

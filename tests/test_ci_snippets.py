@@ -2,7 +2,7 @@
 
 Every snippet in ``.github/workflows/tests.yml`` must compile, and every
 name it imports from a ``tdlf`` module, and every private name it reads as
-an attribute of one (``series._toom_points``), must exist.  A fold that
+an attribute of one (``_gmp._lib``), must exist.  A fold that
 deletes or renames such a name then fails here, not only in CI.  The
 workflow is read with a regex, as CI installs only pytest and hypothesis.
 """

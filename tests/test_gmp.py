@@ -30,8 +30,8 @@ from tdlf import (
     pairing,
 )
 from tdlf import series as series_module
-from tdlf.padic import _BARRETT_BITS, _GMP_MUL_BITS, _reduce, _wide_product
-from tdlf.series import _WIDE_BITS, _mul
+from tdlf.padic import _GMP_MOD_BITS, _GMP_MUL_BITS, _reduce, _wide_product
+from tdlf.series import _WIDE_BITS
 from helpers import rng
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,30 +74,23 @@ class TestAgainstPython:
         for x, y in ((0, a), (a, 0), (0, 0), (0, -a)):
             assert _gmp.mul(x, y) == 0
 
-    def test_products_through_mul(self):
-        """``series._mul`` with the kernel on: zero, negative and unbalanced
-        operands, and the negative Toom points ``x0 - x1 + x2`` and
-        ``2(x0 - x1 + 2 x2) - x0`` of a split operand."""
+    def test_products_through_wide_product(self):
+        """``padic._wide_product`` with the kernel on: zero, negative and
+        unbalanced operands."""
         r = rng(3003)
         big = wide(r, 4 * _WIDE_BITS)
         for a, b in ((0, big), (big, 0), (1, big), (-1, big), (-big, -big),
                      (big, wide(r, 40 * _WIDE_BITS)), (wide(r, 65), big)):
-            assert _mul(a, b) == a * b == _mul(b, a)
-        k = 3 * _WIDE_BITS
-        for x in (wide(r, 3 * k), (1 << 3 * k) - 1, 1 << k):
-            x0, x1, x2 = x & (1 << k) - 1, x >> k & (1 << k) - 1, x >> 2 * k
-            for point in (x0 - x1 + x2, 2 * (x0 - x1 + 2 * x2) - x0, -x):
-                assert _mul(point, x) == point * x
-                assert _mul(point, point) == point * point
+            assert _wide_product(a, b) == a * b == _wide_product(b, a)
 
     def test_remainders_at_each_cutoff(self):
         """A modulus and a quotient one limb either side of the reduction
         cutoff, and the reduction of ``_reduce`` by the kernel."""
         r = rng(3004)
-        for k in (_BARRETT_BITS - LIMB, _BARRETT_BITS + 1, _BARRETT_BITS + LIMB, 4763):
+        for k in (_GMP_MOD_BITS - LIMB, _GMP_MOD_BITS + 1, _GMP_MOD_BITS + LIMB, 4763):
             m = wide(r, k)
-            for q in (0, _BARRETT_BITS - LIMB, _BARRETT_BITS, _BARRETT_BITS + 1,
-                      _BARRETT_BITS + LIMB, 3 * k):
+            for q in (0, _GMP_MOD_BITS - LIMB, _GMP_MOD_BITS, _GMP_MOD_BITS + 1,
+                      _GMP_MOD_BITS + LIMB, 3 * k):
                 for x in (wide(r, k + q), (1 << k + q) - 1, m * (1 << q), m - 1):
                     assert _gmp.mod(x, m) == x % m
         for p, e in ((5, 1000), (5, 2051), (2, 2200), (101, 400)):
@@ -236,7 +229,7 @@ def test_narrow_products_never_call_the_kernel(monkeypatch):
     want = [mul(x, y), pairing(u, v), a * b, b * a, a * a]
     monkeypatch.setattr(_gmp, "mul", refuse)
     monkeypatch.setattr(_gmp, "mod", refuse)
-    monkeypatch.setattr(series_module, "_mul", refuse)
+    monkeypatch.setattr(series_module, "_wide_product", refuse)
     assert [mul(x, y), pairing(u, v), a * b, b * a, a * a] == want
 
 

@@ -3,16 +3,17 @@ a-time products on inputs chosen to break slot packing, and
 ``series._diagonal_sums`` against the direct sums ``sum a_i b_j`` on every
 diagonal.
 
-The direct checks run every run-pair product through ``_mul``, with the GMP
-kernel on and off (``gmp_off``), on units chosen to fill the packed slots:
-all-ones units, units as wide as a slot allows, diagonal sums next to the
-``2^(16h)`` bound of a slot, runs of every length from 1 to 7, gaps inside
-runs, factors of several runs and truncated sums.
+The direct checks run every run-pair product through ``_wide_product``,
+with the GMP kernel on and off (``gmp_off``), on units chosen to fill the
+packed slots: all-ones units, units as wide as a slot allows, diagonal sums
+next to the ``2^(16h)`` bound of a slot, runs of every length from 1 to 7,
+gaps inside runs, factors of several runs and truncated sums.
 """
 
 import pytest
 
-from tdlf import EqualCharSeries, MixedSeries, PAdic, mul
+from tdlf import EqualCharSeries, MixedSeries, PAdic, _gmp, mul
+from tdlf import padic as padic_module
 from tdlf import series as series_module
 from tdlf.errors import PrecisionExhausted
 from tdlf.series import LeftValBound, RightValBound, _diagonal_sums, _runs
@@ -237,11 +238,44 @@ def slot_width(xs, ys, monkeypatch):
 
 @pytest.fixture(params=["kernel-on", "kernel-off"])
 def engine(request, monkeypatch):
-    """Every run-pair product through ``_mul``: by GMP where libgmp loads,
-    and by ``*`` (or Toom-3) with the kernel off."""
+    """Every run-pair product through ``_wide_product``: by GMP where libgmp
+    loads, and by ``*`` with the kernel off."""
     monkeypatch.setattr(series_module, "_WIDE_BITS", 0)
+    monkeypatch.setattr(padic_module, "_GMP_MUL_BITS", 0)
     if request.param == "kernel-off":
         request.getfixturevalue("gmp_off")
+
+
+def test_the_engine_reaches_gmp_for_every_run_pair(engine, monkeypatch):
+    """Under ``engine`` both products of every run pair, of units as narrow
+    as one bit, reach ``_gmp.mul``, which computes each of them with the
+    kernel on and none with it off."""
+    results = []
+    kernel_mul = _gmp.mul
+
+    def record(a, b):
+        results.append(kernel_mul(a, b))
+        return results[-1]
+
+    monkeypatch.setattr(_gmp, "mul", record)
+    xs, ys = {**stored([1, 1]), **stored([3], first=40)}, stored([1, 2, 3])
+    assert len(_runs(sorted(xs.items()))) == 2
+    assert_exact(2, xs, ys)
+    on = bool(_gmp._kernel())
+    assert len(results) == 2 * 2 and all((r is not None) == on for r in results)
+
+
+@pytest.mark.usefixtures("engine")
+def test_wide_runs_against_the_reference():
+    """A mixed product of two 41-term series at relative precision 2048
+    and valuations 0 to 2: its run pairs pack 4,760 bits an index."""
+    r = rng(2107)
+
+    def coeff():
+        return PAdic.make(5, r.randint(0, 2), r.below(5**2047) * 5 + r.randint(1, 4), 2048)
+
+    x, y = (MixedSeries.from_coeffs(5, {i: coeff() for i in range(-20, 21)}) for _ in range(2))
+    assert_same_product(x, y)
 
 
 @pytest.mark.usefixtures("engine")

@@ -68,6 +68,15 @@ class TestConstruction:
         for rel in (1, 10_000):
             build(rel)
 
+    def test_make_refuses_a_bool_unit(self):
+        for val in (0, 10):  # 10: no digit is known, but the unit is still read
+            with pytest.raises(TypeError, match="unit True is not an int"):
+                PAdic.make(P, val, True, 10)
+
+    def test_make_refuses_a_float_unit(self):
+        with pytest.raises(TypeError, match=r"unit 1\.5 is not an int"):
+            PAdic.make(P, 0, 1.5, 10)
+
     def test_from_int_normalises(self):
         x = PAdic.from_int(50, P)  # 50 = 2 * 5^2
         assert x.val == 2 and x.unit % P == 2
@@ -280,11 +289,19 @@ class TestValuationOfIntegers:
         assert x.coeff(0).val == -20001 and x.coeff(0).unit == 3
 
 
-@pytest.mark.usefixtures("gmp_off")  # Barrett, the engine without libgmp
+@pytest.fixture(params=["kernel-on", "kernel-off"])
+def engine(request):
+    """Wide products and remainders by GMP where libgmp loads, and by
+    CPython's ``*`` and ``%`` with the kernel off."""
+    if request.param == "kernel-off":
+        request.getfixturevalue("gmp_off")
+
+
+@pytest.mark.usefixtures("engine")
 class TestPlainIntDifferential:
     """``+``, ``-``, unary ``-``, ``*`` and ``make`` against residues computed
     with plain ints, on seeded elements of primes 2, 3, 5 and 101 at relative
-    precisions 1 to 3,000: across ``_BARRETT_BITS`` for every prime, with
+    precisions 1 to 3,000: across ``_GMP_MOD_BITS`` for every prime, with
     the exact zero, zero within precision and negative units given to
     ``make``."""
 
@@ -318,7 +335,7 @@ class TestPlainIntDifferential:
             unit = m * r.randint(-3, 3)
         elif kind == 2:  # a negative unit
             unit = -r.randint(1, m * m)
-        elif kind == 3:  # wider than the reduction's headroom
+        elif kind == 3:  # wider than a product of two units
             unit = r.below(m**3) + 1
         else:
             unit = (r.below(m) + 1) * p ** r.below(3)
@@ -381,29 +398,27 @@ class TestPlainIntDifferential:
         assert self.scaled(z, base, n) == x.unit * y.unit % p**n
 
 
-@pytest.mark.usefixtures("gmp_off")  # Barrett, the engine without libgmp
+@pytest.mark.usefixtures("engine")
 class TestReduce:
-    """``_reduce(x, p, e) == x % p**e``: at 0, ``m - 1`` and ``m``, at both
-    widths on either side of the reciprocal's headroom, for negative ``x``,
-    and for ``p^e`` and the quotient on both sides of ``_BARRETT_BITS``."""
+    """``_reduce(x, p, e) == x % p**e``: at 0, ``m - 1`` and ``m``, for
+    negative ``x``, and for ``p^e`` and the quotient on both sides of
+    ``_GMP_MOD_BITS``."""
 
     @staticmethod
     def cases():
         """``(p, e, x)`` for every prime, precision and ``x`` above."""
-        from tdlf.padic import _BARRETT_BITS, _HEADROOM_BITS
+        from tdlf.padic import _GMP_MOD_BITS
 
         r = rng(27)
         for p in (2, 3, 5, 101):
-            edge = next(e for e in range(1, 10_000) if (p ** (e + 1)).bit_length() > _BARRETT_BITS)
-            assert (p**edge).bit_length() <= _BARRETT_BITS < (p ** (edge + 1)).bit_length()
+            edge = next(e for e in range(1, 10_000) if (p ** (e + 1)).bit_length() > _GMP_MOD_BITS)
+            assert (p**edge).bit_length() <= _GMP_MOD_BITS < (p ** (edge + 1)).bit_length()
             for e in (1, 7, edge - 1, edge, edge + 1, edge + 2, 3 * edge):
                 m = p**e
                 k = m.bit_length()
-                width = 2 * k + _HEADROOM_BITS
+                width = 2 * k + 64  # a sum of up to 2^64 products of two units
                 xs = [0, 1, m - 1, m, m + 1, 2 * m - 1, m * m - 1, m * m,
-                      1 << (k + _BARRETT_BITS - 1), 1 << (k + _BARRETT_BITS),  # quotient widths at the cutoff
-                      1 << (width - 1), (1 << width) - 1,  # the widest x inside the headroom
-                      1 << width, (1 << (width + 1)) - 1,  # one bit wider: outside it
+                      1 << (k + _GMP_MOD_BITS - 1), 1 << (k + _GMP_MOD_BITS),  # quotient widths at the cutoff
                       -1, -m, -(m * m) - 1]
                 xs += [r.below(1 << width) for _ in range(20)]
                 xs += [r.below(1 << 2 * width) for _ in range(5)]
@@ -418,7 +433,7 @@ class TestReduce:
         for p, e, x in self.cases():
             assert _reduce(x, p, e) == x % p**e, (p, e, x)
             cases += 1
-        assert cases == 4 * 7 * 47
+        assert cases == 4 * 7 * 43
 
     def test_make_keeps_the_residue(self):
         """``make`` leaves the choice of reduction to ``_reduce``: on the

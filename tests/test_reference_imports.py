@@ -58,7 +58,7 @@ def test_the_check_sees_a_private_read():
         "import tdlf\n"
         "def reference_x(t):\n"
         "    from tdlf.seqspec import _sup_on as sup\n"
-        "    return seqspec._tail(t), series._mul(1, 2), tdlf.seqspec._at(0, 0, 0)\n"
+        "    return seqspec._tail(t), series._halves(1, 2, 3), tdlf.seqspec._at(0, 0, 0)\n"
         "def reference_y(s):\n"
         "    return s._sign, ExtInt(0), SeqSpec.__init__\n"
     )
@@ -66,6 +66,6 @@ def test_the_check_sees_a_private_read():
         (2, "tdlf.seqspec._form"),
         (6, "tdlf.seqspec._sup_on"),
         (7, "seqspec._tail"),
-        (7, "series._mul"),
+        (7, "series._halves"),
         (7, "tdlf.seqspec._at"),
     ]
