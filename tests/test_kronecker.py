@@ -279,6 +279,24 @@ def test_wide_runs_against_the_reference():
 
 
 @pytest.mark.usefixtures("engine")
+@pytest.mark.parametrize("nx, ny", [(41, 41), (41, 25), (41, 15)])
+def test_wide_run_pairs_of_unequal_lengths(nx, ny):
+    """Two runs of units at relative precision 2048 and prime 5, each index
+    4,760 bits of a packed run, as long as each other, or the shorter one
+    more or less than half the longer: ``S_k`` equals the direct sums."""
+    r = rng(2106 + ny)
+
+    def unit():
+        return r.below(5**2047) * 5 + r.randint(1, 4)
+
+    xs = {i: (0, unit(), 2048) for i in range(nx)}
+    ys = {j: (0, unit(), 2048) for j in range(-3, ny - 3)}
+    assert len(_runs(sorted(xs.items()))) == len(_runs(sorted(ys.items()))) == 1
+    assert_exact(5, xs, ys)
+    assert_exact(5, ys, xs)
+
+
+@pytest.mark.usefixtures("engine")
 class TestDiagonalSums:
     def test_runs_of_every_length_and_parity(self):
         """Runs of lengths 1 to 7 against each other: ``nx + ny`` of both
